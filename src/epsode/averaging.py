@@ -13,7 +13,8 @@ import numpy as np
 
 from .solver import (DEFAULT_CONFIG, Trajectory, integrate,
                      integrate_checkpoints)
-from .variational import _stacked_coupled_field
+from .systems import fd_jacobian, flow_omega
+from .variational import augmented
 
 __all__ = [
     "NoConvergenceError", "AveragedField", "averaged_field",
@@ -34,11 +35,9 @@ class NoConvergenceError(RuntimeError):
 def _phi_n_many(sys, Xi, n, cfg):
     """Phi_n = -eta(-nT, 0, .) / (nT) for a batch of points."""
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-    m, k = Xi.shape
-    coupled = _stacked_coupled_field(sys, m)
-    z0 = np.concatenate([Xi, np.zeros((m, k))], axis=1).ravel()
-    end = integrate(coupled, 0.0, -n * sys.T, z0, cfg).endpoint.reshape(m, 2 * k)
-    return -end[:, k:] / (n * sys.T)
+    rhs, pack, unpack = augmented(sys, len(Xi), forcings=(sys,))
+    end = integrate(rhs, 0.0, -n * sys.T, pack(Xi), cfg).endpoint
+    return -unpack(end)[1][:, :, 0] / (n * sys.T)
 
 
 def _ball_samples(k, r, n_samples, seed):
@@ -69,31 +68,11 @@ class AveragedField:
         return _phi_n_many(self.sys, Xi, self.n_eval, self.cfg)
 
     def __call__(self, xi):
-        sys = self.sys
-        k = sys.k
         xi = np.asarray(xi, dtype=float)
-
-        def coupled(t, z):
-            x = z[:k]
-            y = z[k:]
-            return np.concatenate([sys.psi(t, x),
-                                   sys.phi(t, x) + sys.psi_jac(t, x) @ y])
-
-        z0 = np.concatenate([xi, np.zeros(k)])
-        end = integrate(coupled, 0.0, -self.n_eval * sys.T, z0, self.cfg).endpoint
-        return -end[k:] / (self.n_eval * sys.T)
+        return _phi_n_many(self.sys, xi[None, :], self.n_eval, self.cfg)[0]
 
     def jacobian(self, xi, rel=1e-6):
-        xi = np.asarray(xi, dtype=float)
-        k = len(xi)
-        J = np.empty((k, k))
-        for j in range(k):
-            h = rel * (1.0 + abs(xi[j]))
-            xp, xm = xi.copy(), xi.copy()
-            xp[j] += h
-            xm[j] -= h
-            J[:, j] = (self(xp) - self(xm)) / (2 * h)
-        return J
+        return fd_jacobian(self, xi, rel)
 
 
 def averaged_field(sys, r, n_max=256, phi_tol=1e-7, n_samples=17, seed=23,
@@ -145,17 +124,8 @@ def solve_averaged(avg, xi0, d, cfg=DEFAULT_CONFIG):
     lip = 0.0
     jac = getattr(avg, "jacobian", None)
     if jac is None:
-        def jac(xi, rel=1e-6):
-            xi = np.asarray(xi, dtype=float)
-            k = len(xi)
-            J = np.empty((k, k))
-            for j in range(k):
-                h = rel * (1.0 + abs(xi[j]))
-                xp, xm = xi.copy(), xi.copy()
-                xp[j] += h
-                xm[j] -= h
-                J[:, j] = (np.atleast_1d(avg(xp)) - np.atleast_1d(avg(xm))) / (2 * h)
-            return J
+        def jac(xi):
+            return fd_jacobian(avg, xi)
 
     for t in np.linspace(0.0, d, 9):
         lip = max(lip, float(np.linalg.norm(jac(traj.eval(t)), 2)))
@@ -186,7 +156,6 @@ def _pullback_grid(sys, times, ics, cfg):
     period boundaries, each row harvested at its own time."""
     times = np.asarray(times, dtype=float)
     ics = np.atleast_2d(np.asarray(ics, dtype=float))
-    k = ics.shape[1]
     order = np.argsort(times, kind="stable")
     out = np.empty_like(ics)
     active = order.copy()
@@ -203,17 +172,12 @@ def _pullback_grid(sys, times, ics, cfg):
         t_end = min(boundary, float(times[active].max()))
         in_window = times[active] <= t_end + 1e-12 * (1 + t_end)
         targets = times[active[in_window]]
-        n = len(active)
-
-        def rhs(t, z, n=n):
-            return sys.psi_many(t, z.reshape(n, k)).ravel()
-
-        vals, end = integrate_checkpoints(rhs, t_cur, t_end, state.ravel(),
+        flow, pack, unpack = augmented(sys, len(active))
+        vals, end = integrate_checkpoints(flow, t_cur, t_end, pack(state),
                                           targets, cfg)
         rows = np.nonzero(in_window)[0]
-        for j, row in enumerate(rows):
-            out[active[row]] = vals[j].reshape(n, k)[row]
-        state = end.reshape(n, k)[~in_window]
+        out[active[rows]] = unpack(vals)[0][np.arange(len(rows)), rows]
+        state = unpack(end)[0][~in_window]
         active = active[~in_window]
         t_cur = t_end
         if t_end == boundary:
@@ -223,7 +187,7 @@ def _pullback_grid(sys, times, ics, cfg):
 
 def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
                     averaged_solution=None, avg_radius=None, n_max=256,
-                    phi_tol=1e-7, grid_points=1024, threads=1):
+                    phi_tol=1e-7, grid_points=1024):
     """Compare full solutions against the averaged prediction on [0, d/eps].
 
     For each eps the full system is integrated from xi0 and the sup over a
@@ -231,8 +195,6 @@ def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
     solves the averaged system (or is supplied via ``averaged_solution`` as
     a Trajectory or callable of slow time).  The flow factor is evaluated
     by a batched forward integration restarted at each period boundary.
-    Independent eps values run in a thread pool when ``threads`` > 1;
-    verdicts assemble by index.
     """
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     for eps in eps_list:
@@ -264,10 +226,6 @@ def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
                              float(gamma_tol), sup, bool(sup <= gamma_tol),
                              times, errors, x_vals, approx)
 
-    if threads > 1 and len(eps_list) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, eps_list))
     return [one(eps) for eps in eps_list]
 
 
@@ -293,17 +251,11 @@ class StandardForm:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if t == 0.0:
             return sys.phi(0.0, z)
-        x_t = integrate(sys.psi, 0.0, t, z, self.cfg).endpoint
-        v = sys.phi(t, x_t)
-        k = sys.k
-
-        def rhs(tau, w):
-            x = w[:k]
-            y = w[k:]
-            return np.concatenate([sys.psi(tau, x), sys.psi_jac(tau, x) @ y])
-
-        back = integrate(rhs, t, 0.0, np.concatenate([x_t, v]), self.cfg)
-        return back.endpoint[k:]
+        x_t = flow_omega(sys, t, 0.0, z, self.cfg)
+        rhs, pack, unpack = augmented(sys, 1, tangents=1)
+        back = integrate(rhs, t, 0.0, pack(x_t, sys.phi(t, x_t)[:, None]),
+                         self.cfg)
+        return unpack(back.endpoint)[1][0, :, 0]
 
     def periodicity_defect(self, z, t_samples=None):
         """Deviation of Omega(0, t+T, .) from Omega(0, t, .) along the orbit
@@ -322,8 +274,8 @@ class StandardForm:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         worst = 0.0
         for t in t_samples:
-            w = integrate(sys.psi, 0.0, t, z, self.cfg).endpoint if t > 0 else z
-            wT = integrate(sys.psi, 0.0, sys.T, w, self.cfg).endpoint
+            w = flow_omega(sys, t, 0.0, z, self.cfg)
+            wT = flow_omega(sys, sys.T, 0.0, w, self.cfg)
             worst = max(worst, float(np.linalg.norm(wT - w)))
         return worst
 

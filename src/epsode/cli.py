@@ -24,9 +24,10 @@ from .averaging import NoConvergenceError, averaged_field, verify_cauchy
 from .conditions import (check_A0, check_A1, check_A2, melnikov_profile,
                          resonance_H)
 from .expressions import ParseError, compile_expr, parse as parse_expr
-from .solver import IntegrationError, IntegratorConfig, integrate
+from .solver import IntegrationError, IntegratorConfig
 from .svgplot import write_svg
-from .systems import builtin_system, system_from_expressions
+from .systems import (builtin_system, flow_omega_dense,
+                      system_from_expressions)
 from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
                        winding_number)
 from .periodic import (NewtonStalledError, SingularJacobianError, eps_sweep,
@@ -56,7 +57,7 @@ _SECTIONS = {
     "tolerances": {"a0_tol", "a1_tol", "a3_tol", "vanish_tol", "shoot_tol",
                    "phi_tol", "gamma_tol", "cycle_tol"},
     "cycle": {"seed"},
-    "run": {"seed", "threads"},
+    "run": {"seed"},
     "shoot": {"eps", "seed"},
     "sweep": {"eps", "strategy", "seed"},
     "average": {"radius", "n_max", "samples"},
@@ -240,7 +241,7 @@ def build_integrator(cfg):
 
 def build_cycle(cfg, sys, icfg):
     seed = _as_point(cfg, "cycle", "seed", None)
-    cycle = integrate(sys.psi, 0.0, sys.T, seed, icfg)
+    cycle = flow_omega_dense(sys, 0.0, sys.T, seed, icfg)
     tol = _as_float(cfg, "tolerances", "cycle_tol", 1e-6)
     res = cycle_residual(cycle, sys.T)
     if res > tol:
@@ -554,8 +555,7 @@ def _cmd_verify_cauchy(args, cfg):
             sys_def, xi0, d, eps_list, gamma_tol=gamma, cfg=icfg,
             avg_radius=_as_float(cfg, "average", "radius", 0.0) or None,
             n_max=_as_int(cfg, "average", "n_max", 256),
-            phi_tol=_as_float(cfg, "tolerances", "phi_tol", 1e-7),
-            threads=args.threads)
+            phi_tol=_as_float(cfg, "tolerances", "phi_tol", 1e-7))
     except (NoConvergenceError, IntegrationError, ValueError) as err:
         out.write_csv(("note",), [(str(err),)])
         print(f"verify-cauchy inconclusive ({err})")
@@ -647,8 +647,7 @@ def _cmd_sweep(args, cfg):
                    seed_strategy=cfg.get("sweep", {}).get("strategy",
                                                           "continuation"),
                    seed=seed, cycle=cycle, melnikov=prof, cfg=icfg,
-                   shoot_tol=_as_float(cfg, "tolerances", "shoot_tol", 1e-9),
-                   threads=args.threads)
+                   shoot_tol=_as_float(cfg, "tolerances", "shoot_tol", 1e-9))
     out = Output(args, cfg, "sweep")
     out.write_csv(_orbit_columns(sys_def),
                   [_orbit_row(sys_def, r) for r in sw.results])
@@ -692,7 +691,6 @@ def _build_parser():
                         default=[], metavar="SECTION.KEY=VALUE")
         sp.add_argument("--out", default=None)
         sp.add_argument("--plot", default=None)
-        sp.add_argument("--threads", type=int, default=1)
     return p
 
 

@@ -16,9 +16,11 @@ import numpy as np
 from . import expressions as ex
 from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
                      integrate)
+from .systems import fd_jacobian
 from .topology import (DegreeReport, FieldVanishesError, NonConvergentError,
                        PlanarRegion, winding_number)
-from .variational import DefectField, cycle_residual, defect_profile
+from .variational import (DefectField, _defect_profiles, augmented,
+                          cycle_residual, defect_profile)
 
 __all__ = [
     "HypothesisReport", "check_A0", "check_A1", "check_A2",
@@ -91,11 +93,9 @@ def check_A0(sys, region, n_samples=512, a0_tol=1e-7, cfg=DEFAULT_CONFIG):
     if k != sys.k:
         raise ValueError(f"region dimension {k} does not match system k={sys.k}")
 
-    def rhs(t, z):
-        return sys.psi_many(t, z.reshape(n, k)).ravel()
-
+    flow, pack, unpack = augmented(sys, n)
     try:
-        end = integrate(rhs, 0.0, sys.T, pts.ravel(), cfg).endpoint.reshape(n, k)
+        end = unpack(integrate(flow, 0.0, sys.T, pack(pts), cfg).endpoint)[0]
     except IntegrationError as err:
         return HypothesisReport(
             "A0", "inconclusive", np.inf,
@@ -291,45 +291,6 @@ class DegreeComparisonReport:
     grids: dict = field(default_factory=dict)
 
 
-def _profile_pair(sys1, sys2, Xi, s_grid, cfg):
-    """Defect profiles of two forcings sharing one unperturbed field,
-    from a single coupled batch run."""
-    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-    n, k = Xi.shape
-    dim = k + k * k + 2 * k
-    sys = sys1
-
-    def rhs(t, z):
-        Z = z.reshape(n, dim)
-        X = Z[:, :k]
-        Y = Z[:, k:k + k * k].reshape(n, k, k)
-        W = Z[:, k + k * k:].reshape(n, 2, k)
-        J = sys.psi_jac_many(t, X)
-        dX = sys.psi_many(t, X)
-        dY = np.einsum("nij,njl->nil", J, Y).reshape(n, k * k)
-        dW1 = sys1.phi_many(t, X) + np.einsum("nij,nj->ni", J, W[:, 0])
-        dW2 = sys2.phi_many(t, X) + np.einsum("nij,nj->ni", J, W[:, 1])
-        return np.concatenate([dX, dY, dW1, dW2], axis=1).ravel()
-
-    z0 = np.concatenate([Xi, np.tile(np.eye(k).ravel(), (n, 1)),
-                         np.zeros((n, 2 * k))], axis=1).ravel()
-    from .solver import integrate_checkpoints
-    vals, end = integrate_checkpoints(rhs, 0.0, sys.T, z0, s_grid, cfg)
-    endZ = end.reshape(n, dim)
-    YT = endZ[:, k:k + k * k].reshape(n, k, k)
-    wT = endZ[:, k + k * k:].reshape(n, 2, k)
-    YT_minus_I = YT - np.eye(k)[None, :, :]
-    out = np.empty((2, len(s_grid), n, k))
-    for si in range(len(s_grid)):
-        Z = vals[si].reshape(n, dim)
-        Ys = Z[:, k:k + k * k].reshape(n, k, k)
-        ws = Z[:, k + k * k:].reshape(n, 2, k)
-        for m in range(2):
-            corr = np.linalg.solve(Ys, ws[:, m, :, None])[:, :, 0]
-            out[m, si] = wT[:, m] - np.einsum("nij,nj->ni", YT_minus_I, corr)
-    return out[0], out[1]
-
-
 def compare_defect_degrees(sys1, sys2, region, lambda_grid=None, s_grid=None,
                      boundary_samples=512, a1_tol=1e-6, cfg=DEFAULT_CONFIG):
     """Compare defect-field degrees of two forcings over one region.
@@ -360,7 +321,7 @@ def compare_defect_degrees(sys1, sys2, region, lambda_grid=None, s_grid=None,
     if not np.any(s_grid == 0.0):
         s_grid = np.concatenate([[0.0], s_grid])
     pts = _boundary_samples(region, boundary_samples)
-    D1, D2 = _profile_pair(sys1, sys2, pts, s_grid, cfg)
+    D1, D2 = _defect_profiles(sys1, (sys1, sys2), pts, s_grid, cfg)
 
     grids = {"lambda_points": len(lambdas), "s_points": len(s_grid),
              "boundary_samples": len(pts)}
@@ -429,17 +390,6 @@ def resonance_initial_point(a, theta):
     return np.array([-a * np.cos(theta), a * np.sin(theta)])
 
 
-def _fd_jacobian_2d(H, p, rel=1e-5):
-    J = np.empty((2, 2))
-    for j in range(2):
-        h = rel * (1.0 + abs(p[j]))
-        pp, pm = p.copy(), p.copy()
-        pp[j] += h
-        pm[j] -= h
-        J[:, j] = (H(pp) - H(pm)) / (2 * h)
-    return J
-
-
 def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
                 zero_tol=1e-10, dedupe_tol=1e-6, max_iter=40):
     """Resonance map H(a, theta) for the forced linear center.
@@ -500,7 +450,7 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
                 ok = True
                 break
             try:
-                d = np.linalg.solve(_fd_jacobian_2d(H, p), -val)
+                d = np.linalg.solve(fd_jacobian(H, p, rel=1e-5), -val)
             except np.linalg.LinAlgError:
                 break
             alpha = 1.0
@@ -522,7 +472,7 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
         if any(abs(z.a - p[0]) <= dedupe_tol and abs(z.theta - p[1]) <= dedupe_tol
                for z in zeros):
             continue
-        det = float(np.linalg.det(_fd_jacobian_2d(H, p)))
+        det = float(np.linalg.det(fd_jacobian(H, p, rel=1e-5)))
         zeros.append(ResonanceZero(float(p[0]), float(p[1]),
                                    float(np.linalg.norm(H(p))), det, it))
     zeros.sort(key=lambda z: (z.a, z.theta))

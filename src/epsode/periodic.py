@@ -12,6 +12,7 @@ import numpy as np
 
 from .solver import DEFAULT_CONFIG, integrate
 from .topology import PlanarRegion
+from .variational import augmented
 
 __all__ = [
     "NewtonStalledError", "SingularJacobianError", "PeriodicOrbitResult",
@@ -51,20 +52,11 @@ class PeriodicOrbitResult:
 
 def _period_map(sys, eps, xi, cfg, with_jacobian=True):
     k = sys.k
-    fld = sys.field(eps)
-    if not with_jacobian:
-        end = integrate(fld, 0.0, sys.T, xi, cfg).endpoint
-        return end - xi, None
-    jac = sys.field_jac(eps)
-
-    def rhs(t, z):
-        x = z[:k]
-        V = z[k:].reshape(k, k)
-        return np.concatenate([fld(t, x), (jac(t, x) @ V).ravel()])
-
-    z0 = np.concatenate([xi, np.eye(k).ravel()])
-    end = integrate(rhs, 0.0, sys.T, z0, cfg).endpoint
-    return end[:k] - xi, end[k:].reshape(k, k)
+    tangents = k if with_jacobian else 0
+    rhs, pack, unpack = augmented(sys, 1, eps, tangents)
+    X, S = unpack(integrate(rhs, 0.0, sys.T, pack(xi, np.eye(k, tangents)),
+                            cfg).endpoint)
+    return X[0] - xi, S[0] if with_jacobian else None
 
 
 def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9,
@@ -123,7 +115,10 @@ def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9,
 
 def _finish(sys, eps, seed, xi, res, iterations, converged, M, singular,
             history, region, cfg, shoot_tol):
-    orbit = integrate(sys.field(eps), 0.0, sys.T, xi, cfg) if converged else None
+    orbit = None
+    if converged:
+        rhs, pack, _ = augmented(sys, 1, eps)
+        orbit = integrate(rhs, 0.0, sys.T, pack(xi), cfg)
     result = PeriodicOrbitResult(
         eps=float(eps), seed=np.asarray(seed, dtype=float),
         xi_star=xi.copy(), residual=res, iterations=iterations,
@@ -154,35 +149,21 @@ def _pullback_to_zero(sys, times, states, cfg):
     """
     times = np.asarray(times, dtype=float)
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    k = states.shape[1]
     out = np.empty_like(states)
     order = np.argsort(-times, kind="stable")
-    uniq = np.unique(times)[::-1]
     batch_rows = []
-    batch = np.zeros((0, k))
-    t_cur = float(uniq[0])
-    for t_next in list(uniq):
+    batch = states[:0]
+    t_cur = float(times.max())
+    for t_next in np.unique(np.append(times, 0.0))[::-1]:
         if t_next < t_cur and batch.shape[0]:
-            n = batch.shape[0]
-
-            def rhs(t, z, n=n):
-                return sys.psi_many(t, z.reshape(n, k)).ravel()
-
-            batch = integrate(rhs, t_cur, t_next, batch.ravel(),
-                              cfg).endpoint.reshape(n, k)
+            flow, pack, unpack = augmented(sys, len(batch))
+            batch = unpack(integrate(flow, t_cur, t_next, pack(batch),
+                                     cfg).endpoint)[0]
         t_cur = t_next
         joining = order[times[order] == t_next]
         if joining.size:
             batch = np.vstack([batch, states[joining]])
             batch_rows.extend(joining.tolist())
-    if t_cur > 0.0 and batch.shape[0]:
-        n = batch.shape[0]
-
-        def rhs(t, z, n=n):
-            return sys.psi_many(t, z.reshape(n, k)).ravel()
-
-        batch = integrate(rhs, t_cur, 0.0, batch.ravel(),
-                          cfg).endpoint.reshape(n, k)
     out[batch_rows] = batch
     return out
 
@@ -285,8 +266,7 @@ class SweepResult:
 
 
 def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
-              cycle=None, melnikov=None, cfg=DEFAULT_CONFIG, shoot_tol=1e-9,
-              threads=1):
+              cycle=None, melnikov=None, cfg=DEFAULT_CONFIG, shoot_tol=1e-9):
     """Shoot for periodic orbits over a list of eps values.
 
     Seeds: an explicit ``seed``; otherwise, with a cycle and its weighted
@@ -295,8 +275,6 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
     sweep falls back to equilibria of the full field (for autonomous
     systems) and to the star center before recording a failure.  The rate
     fit regresses log distance-to-boundary of the found orbits on log eps.
-    Fixed-seed sweeps may run eps values in a thread pool; warm-started
-    sweeps are sequential by definition.
     """
     if seed is not None:
         current = np.atleast_1d(np.asarray(seed, dtype=float))
@@ -336,20 +314,12 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
 
     results = []
     seeds_used = []
-    if seed_strategy == "fixed" and threads > 1 and len(eps_list) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(lambda e: attempt_eps(e, current), eps_list))
-        for outcome, used in pairs:
-            results.append(outcome)
-            seeds_used.append(used)
-    else:
-        for eps in eps_list:
-            outcome, used = attempt_eps(eps, current)
-            results.append(outcome)
-            seeds_used.append(used)
-            if seed_strategy == "continuation" and outcome.converged:
-                current = outcome.xi_star
+    for eps in eps_list:
+        outcome, used = attempt_eps(eps, current)
+        results.append(outcome)
+        seeds_used.append(used)
+        if seed_strategy == "continuation" and outcome.converged:
+            current = outcome.xi_star
 
     slope = None
     pts = [(r.eps, r.boundary_distance) for r in results

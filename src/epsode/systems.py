@@ -14,7 +14,8 @@ from .solver import DEFAULT_CONFIG, integrate
 
 __all__ = [
     "SystemDef", "system_from_expressions", "system_from_callables",
-    "flow_omega", "flow_omega_dense", "builtin_names", "builtin_system",
+    "fd_jacobian", "flow_omega", "flow_omega_dense", "builtin_names",
+    "builtin_system",
 ]
 
 
@@ -64,14 +65,6 @@ class SystemDef:
 
         def f(t, x):
             return eps * phi(t, x) + psi(t, x)
-
-        return f
-
-    def field_many(self, eps):
-        phi_many, psi_many = self.phi_many, self.psi_many
-
-        def f(t, X):
-            return eps * phi_many(t, X) + psi_many(t, X)
 
         return f
 
@@ -210,22 +203,19 @@ def system_from_expressions(name, k, T, phi, psi, params=None,
     return sys
 
 
-def _fd_jacobian(f, k):
-    """Central finite-difference Jacobian, step 1e-6 * (1 + |x_i|)."""
-
-    def jac(t, x):
-        x = np.asarray(x, dtype=float)
-        J = np.empty((k, k))
-        for j in range(k):
-            h = 1e-6 * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            J[:, j] = (np.asarray(f(t, xp)) - np.asarray(f(t, xm))) / (2 * h)
-        return J
-
-    return jac
+def fd_jacobian(f, x, rel=1e-6):
+    """Central finite-difference Jacobian of ``x -> f(x)`` at ``x``, with
+    step ``rel * (1 + |x_j|)`` in coordinate j."""
+    x = np.asarray(x, dtype=float)
+    J = np.empty((len(x), len(x)))
+    for j in range(len(x)):
+        h = rel * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        J[:, j] = (np.atleast_1d(f(xp)) - np.atleast_1d(f(xm))) / (2 * h)
+    return J
 
 
 def _loop_many(f):
@@ -246,8 +236,8 @@ def system_from_callables(name, k, T, phi, psi, phi_jac=None, psi_jac=None,
     """
     mode = "exact" if (phi_jac is not None and psi_jac is not None) \
         else "finite-difference"
-    phi_jac = phi_jac or _fd_jacobian(phi, k)
-    psi_jac = psi_jac or _fd_jacobian(psi, k)
+    phi_jac = phi_jac or (lambda t, x: fd_jacobian(lambda y: phi(t, y), x))
+    psi_jac = psi_jac or (lambda t, x: fd_jacobian(lambda y: psi(t, y), x))
 
     def psi_div(t, x):
         return float(np.trace(psi_jac(t, x)))

@@ -70,6 +70,7 @@ class PlanarRegion:
         self.star_center = None if star_center is None \
             else np.asarray(star_center, dtype=float)
         self.n_hint = int(n_hint)
+        self._radius = None
         self._validate()
 
     # -- constructors ------------------------------------------------------
@@ -83,7 +84,9 @@ class PlanarRegion:
             ang = 2 * np.pi * u
             return np.stack([cx + r * np.cos(ang), cy + r * np.sin(ang)], axis=-1)
 
-        return cls(curve=fn, star_center=c, n_hint=n)
+        region = cls(curve=fn, star_center=c, n_hint=n)
+        region._radius = float(r)
+        return region
 
     @classmethod
     def polygon(cls, vertices, star_center=None, n_hint=None):
@@ -154,10 +157,15 @@ class PlanarRegion:
         return bool(self.winding_around(np.asarray(point)[None, :])[0] == 1)
 
     def distance_to_boundary(self, points):
-        """Distance from each query point to the sampled boundary."""
+        """Distance from each query point to the boundary: exact for a
+        circle, to the polygon through ``n_hint`` boundary samples
+        otherwise."""
+        P = np.atleast_2d(np.asarray(points, dtype=float))
+        if self._radius is not None:
+            return np.abs(self._radius
+                          - np.linalg.norm(P - self.star_center, axis=1))
         pts = self.boundary_points(self.n_hint)
         nxt = np.roll(pts, -1, axis=0)
-        P = np.atleast_2d(np.asarray(points, dtype=float))
         d = nxt - pts
         L2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
         w = P[:, None, :] - pts[None, :, :]

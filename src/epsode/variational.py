@@ -5,6 +5,25 @@ trajectory X(t) measures the first-order displacement per unit of the small
 parameter.  Its solution vanishing at an anchor time s is ``eta``; the
 period defect eta(T, s, xi) - eta(0, s, xi) drives the existence checks,
 and monodromy matrices of the homogeneous part give Floquet multipliers.
+
+Every coupled or batched-flow integration of a system takes its
+right-hand side from :func:`augmented` (:func:`monodromy`, which integrates
+a given matrix function, stays generic).  Its state is ``n`` lanes laid
+end to end.  A lane is ``x`` (k values) followed by a k x m matrix ``S`` stored
+row by row, with ``m = tangents + len(forcings)``:
+
+    x' = eps*phi(t, x) + psi(t, x)
+    S' = J S + [0 | phi_1(t, x) ... phi_f(t, x)],   J = eps*Dphi + Dpsi
+
+The first ``tangents`` columns are homogeneous (a fundamental matrix when
+started at the identity); column ``tangents + j`` is the particular
+response to the phi of ``forcings[j]``.  ``pack`` and ``unpack`` convert
+between lanes and the flat state, so no caller indexes it.  One lane with
+no columns is ``x`` itself, so such a run is the trajectory of x.
+
+One lane (``n == 1``) calls the pointwise evaluators of the system
+(``sys.psi``, ``sys.psi_jac``, ...): per call they cost several times less
+than a batch of one.  Wider batches call the ``*_many`` evaluators.
 """
 
 from dataclasses import dataclass, field
@@ -13,12 +32,75 @@ import numpy as np
 
 from .solver import (DEFAULT_CONFIG, gauss_legendre_panels, integrate,
                      integrate_checkpoints)
+from .systems import flow_omega
 
 __all__ = [
-    "EtaSolution", "eta", "DefectField", "eta_defect_field", "defect_profile",
-    "MonodromyReport", "monodromy", "FloquetReport", "floquet_condition_A3",
-    "cycle_residual",
+    "augmented", "EtaSolution", "eta", "DefectField", "eta_defect_field",
+    "defect_profile", "MonodromyReport", "monodromy", "FloquetReport",
+    "floquet_condition_A3", "cycle_residual",
 ]
+
+
+def augmented(sys, n, eps=0.0, tangents=0, forcings=()):
+    """Right-hand side of ``n`` lanes of the augmented system described in
+    the module docstring, returned as ``(rhs, pack, unpack)``.
+
+    ``pack(X, S=0.0)`` takes X of shape (n, k) (or (k,) for one lane) and S
+    broadcastable to (n, k, m) and returns the flat state; ``unpack(z)``
+    maps a state, or states stacked along leading axes, to ``(X, S)`` of
+    shapes (..., n, k) and (..., n, k, m).  With ``eps == 0`` neither phi
+    nor Dphi of ``sys`` is evaluated.
+    """
+    k = sys.k
+    m = tangents + len(forcings)
+    dim = k * (1 + m)
+    cols = range(tangents, m)
+
+    def pack(X, S=0.0):
+        Z = np.empty((n, dim))
+        Z[:, :k] = np.reshape(X, (n, k))
+        Z[:, k:] = np.broadcast_to(S, (n, k, m)).reshape(n, k * m)
+        return Z.ravel()
+
+    def unpack(z):
+        Z = np.reshape(z, np.shape(z)[:-1] + (n, dim))
+        return Z[..., :k], Z[..., k:].reshape(Z.shape[:-1] + (k, m))
+
+    if n == 1:
+        phi, psi, phi_jac, psi_jac = sys.phi, sys.psi, sys.phi_jac, sys.psi_jac
+        drives = [f.phi for f in forcings]
+
+        def rhs(t, z):
+            x = z[:k]
+            dx = eps * phi(t, x) + psi(t, x) if eps else psi(t, x)
+            if not m:
+                return dx
+            J = eps * phi_jac(t, x) + psi_jac(t, x) if eps else psi_jac(t, x)
+            dS = J @ z[k:].reshape(k, m)
+            for j, drive in zip(cols, drives):
+                dS[:, j] += drive(t, x)
+            return np.concatenate([dx, dS.ravel()])
+
+        return rhs, pack, unpack
+
+    phi, psi = sys.phi_many, sys.psi_many
+    phi_jac, psi_jac = sys.phi_jac_many, sys.psi_jac_many
+    drives = [f.phi_many for f in forcings]
+
+    def rhs(t, z):
+        Z = z.reshape(n, dim)
+        X = Z[:, :k]
+        dZ = np.empty((n, dim))
+        dZ[:, :k] = eps * phi(t, X) + psi(t, X) if eps else psi(t, X)
+        if m:
+            J = eps * phi_jac(t, X) + psi_jac(t, X) if eps else psi_jac(t, X)
+            dS = np.einsum("nij,njl->nil", J, Z[:, k:].reshape(n, k, m))
+            for j, drive in zip(cols, drives):
+                dS[:, :, j] += drive(t, X)
+            dZ[:, k:] = dS.reshape(n, k * m)
+        return dZ.ravel()
+
+    return rhs, pack, unpack
 
 
 class EtaSolution:
@@ -36,45 +118,31 @@ class EtaSolution:
         self.x_s = np.asarray(x_s, dtype=float)
         self._fwd = forward
         self._bwd = backward
+        self._unpack = augmented(sys, 1, forcings=(sys,))[2]
         self.times = np.asarray(eval_times, dtype=float)
         self.values = np.array([self.y_at(t) for t in self.times]) \
             if self.times.size else np.zeros((0, sys.k))
 
     def _leg_state(self, t):
+        """(x, y) at time t."""
         if t == self.s:
-            return np.concatenate([self.x_s, np.zeros(self.sys.k)])
-        if t > self.s:
-            if self._fwd is None:
-                raise ValueError(f"time {t} not covered")
-            return self._fwd.eval(t)
-        if self._bwd is None:
+            return self.x_s, np.zeros(self.sys.k)
+        leg = self._fwd if t > self.s else self._bwd
+        if leg is None:
             raise ValueError(f"time {t} not covered")
-        return self._bwd.eval(t)
+        X, S = self._unpack(leg.eval(t))
+        return X[0], S[0, :, 0]
 
     def y_at(self, t):
-        if t == self.s:
-            return np.zeros(self.sys.k)
-        return self._leg_state(t)[self.sys.k:]
+        return self._leg_state(t)[1]
 
     def omega_at(self, t):
         """The coefficient trajectory Omega(t, 0, xi) used for this solution."""
-        return self._leg_state(t)[:self.sys.k]
+        return self._leg_state(t)[0]
 
     def defect(self):
         """eta(T, s, xi) - eta(0, s, xi)."""
         return self.y_at(self.sys.T) - self.y_at(0.0)
-
-
-def _coupled_field(sys):
-    k = sys.k
-
-    def f(t, z):
-        x = z[:k]
-        y = z[k:]
-        return np.concatenate([sys.psi(t, x),
-                               sys.phi(t, x) + sys.psi_jac(t, x) @ y])
-
-    return f
 
 
 def eta(sys, s, xi, eval_times=(), cfg=DEFAULT_CONFIG):
@@ -87,43 +155,19 @@ def eta(sys, s, xi, eval_times=(), cfg=DEFAULT_CONFIG):
         raise ValueError(f"anchor s={s} outside [0, {sys.T}]")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eval_times = np.asarray(eval_times, dtype=float)
-    x_s = xi if s == 0.0 else integrate(sys.psi, 0.0, s, xi, cfg).endpoint
-    z_s = np.concatenate([x_s, np.zeros(sys.k)])
+    x_s = flow_omega(sys, s, 0.0, xi, cfg)
     t_hi = max(sys.T, s, eval_times.max() if eval_times.size else sys.T)
     t_lo = min(0.0, eval_times.min() if eval_times.size else 0.0)
-    coupled = _coupled_field(sys)
-    fwd = integrate(coupled, s, t_hi, z_s, cfg) if t_hi > s else None
-    bwd = integrate(coupled, s, t_lo, z_s, cfg) if t_lo < s else None
+    rhs, pack, _ = augmented(sys, 1, forcings=(sys,))
+    z_s = pack(x_s)
+    fwd = integrate(rhs, s, t_hi, z_s, cfg) if t_hi > s else None
+    bwd = integrate(rhs, s, t_lo, z_s, cfg) if t_lo < s else None
     return EtaSolution(sys, s, xi, x_s, fwd, bwd, eval_times)
 
 
 # ---------------------------------------------------------------------------
 # Batched defect machinery
 # ---------------------------------------------------------------------------
-
-def _stacked_coupled_field(sys, n):
-    k = sys.k
-
-    def f(t, z):
-        Z = z.reshape(n, 2 * k)
-        X = Z[:, :k]
-        Y = Z[:, k:]
-        J = sys.psi_jac_many(t, X)
-        dX = sys.psi_many(t, X)
-        dY = sys.phi_many(t, X) + np.einsum("nij,nj->ni", J, Y)
-        return np.concatenate([dX, dY], axis=1).ravel()
-
-    return f
-
-
-def _stacked_flow_field(sys, n):
-    k = sys.k
-
-    def f(t, z):
-        return sys.psi_many(t, z.reshape(n, k)).ravel()
-
-    return f
-
 
 def defect_many(sys, Xi, s=0.0, cfg=DEFAULT_CONFIG):
     """eta(T, s, .) - eta(0, s, .) for a batch of base points (n, k).
@@ -133,18 +177,18 @@ def defect_many(sys, Xi, s=0.0, cfg=DEFAULT_CONFIG):
     """
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
     n, k = Xi.shape
-    if s == 0.0:
-        X_s = Xi
-    else:
-        X_s = integrate(_stacked_flow_field(sys, n), 0.0, s, Xi.ravel(),
-                        cfg).endpoint.reshape(n, k)
-    z_s = np.concatenate([X_s, np.zeros((n, k))], axis=1).ravel()
-    coupled = _stacked_coupled_field(sys, n)
-    yT = integrate(coupled, s, sys.T, z_s, cfg).endpoint.reshape(n, 2 * k)[:, k:] \
-        if s < sys.T else np.zeros((n, k))
-    y0 = integrate(coupled, s, 0.0, z_s, cfg).endpoint.reshape(n, 2 * k)[:, k:] \
-        if s > 0.0 else np.zeros((n, k))
-    return yT - y0
+    X_s = Xi
+    if s != 0.0:
+        flow, pack, unpack = augmented(sys, n)
+        X_s = unpack(integrate(flow, 0.0, s, pack(Xi), cfg).endpoint)[0]
+    rhs, pack, unpack = augmented(sys, n, forcings=(sys,))
+
+    def y_at(t):
+        if t == s:
+            return np.zeros((n, k))
+        return unpack(integrate(rhs, s, t, pack(X_s), cfg).endpoint)[1][:, :, 0]
+
+    return y_at(sys.T) - y_at(0.0)
 
 
 class DefectField:
@@ -203,39 +247,26 @@ def defect_profile(sys, Xi, s_grid, cfg=DEFAULT_CONFIG):
     :func:`eta` route is the reference when single anchors are needed at
     full accuracy.
     """
+    return _defect_profiles(sys, (sys,), Xi, s_grid, cfg)[0]
+
+
+def _defect_profiles(sys, forcings, Xi, s_grid, cfg):
+    """:func:`defect_profile` for several forcings along the unperturbed
+    field of ``sys`` from one run; shape (len(forcings), len(s_grid), n, k).
+    """
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size and (s_grid.min() < 0 or s_grid.max() > sys.T):
         raise ValueError("s_grid must lie inside [0, T]")
     n, k = Xi.shape
-    dim = k + k * k + k
-
-    def rhs(t, z):
-        Z = z.reshape(n, dim)
-        X = Z[:, :k]
-        Y = Z[:, k:k + k * k].reshape(n, k, k)
-        W = Z[:, k + k * k:]
-        J = sys.psi_jac_many(t, X)
-        dX = sys.psi_many(t, X)
-        dY = np.einsum("nij,njl->nil", J, Y).reshape(n, k * k)
-        dW = sys.phi_many(t, X) + np.einsum("nij,nj->ni", J, W)
-        return np.concatenate([dX, dY, dW], axis=1).ravel()
-
-    z0 = np.concatenate([Xi, np.tile(np.eye(k).ravel(), (n, 1)),
-                         np.zeros((n, k))], axis=1).ravel()
+    rhs, pack, unpack = augmented(sys, n, tangents=k, forcings=forcings)
+    z0 = pack(Xi, np.eye(k, k + len(forcings)))
     vals, end = integrate_checkpoints(rhs, 0.0, sys.T, z0, s_grid, cfg)
-    endZ = end.reshape(n, dim)
-    YT = endZ[:, k:k + k * k].reshape(n, k, k)
-    wT = endZ[:, k + k * k:]
-    YT_minus_I = YT - np.eye(k)[None, :, :]
-    out = np.empty((len(s_grid), n, k))
-    for si in range(len(s_grid)):
-        Z = vals[si].reshape(n, dim)
-        Ys = Z[:, k:k + k * k].reshape(n, k, k)
-        ws = Z[:, k + k * k:]
-        corr = np.linalg.solve(Ys, ws[:, :, None])[:, :, 0]
-        out[si] = wT - np.einsum("nij,nj->ni", YT_minus_I, corr)
-    return out
+    S_T = unpack(end)[1]
+    S_s = unpack(vals)[1]
+    corr = np.linalg.solve(S_s[..., :k], S_s[..., k:])
+    out = S_T[..., k:] - (S_T[..., :k] - np.eye(k)) @ corr
+    return np.moveaxis(out, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +348,14 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
     within ``one_tol`` of 1 and every other multiplier stays at least
     ``gap_tol`` away from 1.  For an autonomous unperturbed field the unit
     multiplier is structural, so the informative number is the gap.
+
+    The linearisation along x0(t + theta) comes from integrating each
+    phase-shifted cycle point as a lane from time 0, which equals it only
+    when psi does not depend on t; other systems raise ``ValueError``.
     """
+    if not sys.psi_autonomous:
+        raise ValueError("the Floquet check integrates the cycle points from "
+                         "time 0 and needs a psi that does not depend on t")
     res = cycle_residual(cycle, sys.T)
     if res > cycle_tol:
         raise ValueError(f"input trajectory is not {sys.T}-periodic "
@@ -325,15 +363,10 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
     if theta_grid is None:
         theta_grid = np.linspace(0.0, sys.T, 65)
     thetas = np.asarray(theta_grid, dtype=float)
-    n, k = len(thetas), sys.k
-
-    def rhs(t, z):
-        pts = cycle.eval(np.mod(t + thetas, sys.T))
-        A = sys.psi_jac_many(t, pts)
-        return np.einsum("nij,njl->nil", A, z.reshape(n, k, k)).reshape(-1)
-
-    z0 = np.tile(np.eye(k).ravel(), (n, 1)).ravel()
-    M = integrate(rhs, 0.0, sys.T, z0, cfg).endpoint.reshape(n, k, k)
+    k = sys.k
+    rhs, pack, unpack = augmented(sys, len(thetas), tangents=k)
+    z0 = pack(cycle.eval(np.mod(thetas, sys.T)), np.eye(k))
+    M = unpack(integrate(rhs, 0.0, sys.T, z0, cfg).endpoint)[1]
 
     nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
     rows = []

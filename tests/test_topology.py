@@ -155,6 +155,10 @@ def test_membership_and_distance(disk):
     d = disk.distance_to_boundary(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert d[0] == pytest.approx(1.0, abs=1e-4)
     assert d[1] == pytest.approx(0.5, abs=1e-4)
+    # between two boundary samples of the 512-gon: the circle, not the polygon
+    a = np.pi / 512
+    p = 0.99 * np.array([[np.cos(a), np.sin(a)]])
+    assert disk.distance_to_boundary(p)[0] == pytest.approx(0.01, abs=1e-12)
     w = disk.winding_around(np.array([[0.0, 0.0], [2.0, 0.0]]))
     assert list(w) == [1, 0]
 
@@ -166,4 +170,4 @@ def test_product_region_membership():
     assert prod.contains([0.1, 0.1, 1.0, 1.0])
     assert not prod.contains([0.1, 0.1, 2.5, 0.0])
     d = prod.distance_to_boundary(np.array([[0.0, 0.0, 0.0, 0.0]]))
-    assert d[0] == pytest.approx(1.0, abs=5e-3)  # 64-gon apothem offset
+    assert d[0] == pytest.approx(1.0, abs=1e-12)

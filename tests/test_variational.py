@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from epsode import (defect_many, defect_profile, eta, eta_defect_field,
-                    floquet_condition_A3, flow_omega_dense, integrate,
-                    monodromy, system_from_expressions)
+from epsode import (DEFAULT_CONFIG, defect_many, defect_profile, eta,
+                    eta_defect_field, floquet_condition_A3, flow_omega_dense,
+                    integrate, monodromy, system_from_expressions)
+from epsode.variational import _defect_profiles, augmented
 
 TWO_PI = 2 * np.pi
 
@@ -161,3 +162,44 @@ def test_backward_times_from_one_anchor_run(e3):
     # psi = 0: response is the running integral of the forcing
     assert sol.values[0][0] == pytest.approx(2.0 * TWO_PI, rel=1e-9)
     assert sol.values[1][0] == pytest.approx(4.0 * TWO_PI, rel=1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("name", ["e1", "e2"])
+def test_augmented_lanes_match_single_lane(name, eps, request):
+    sysd = request.getfixturevalue(name)
+    k = sysd.k
+    drift = make_sys(("sin(t)*x2", "x1^2"), psi=("-x2", "x1"))
+    forcings = (sysd, drift)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.5, 1.5, (5, k))
+    S = rng.normal(size=(5, k, k + len(forcings)))
+    rhs, pack, unpack = augmented(sysd, 5, eps, tangents=k, forcings=forcings)
+    rhs1, pack1, _ = augmented(sysd, 1, eps, tangents=k, forcings=forcings)
+    z = pack(X, S)
+    Xb, Sb = unpack(z)
+    assert np.array_equal(Xb, X) and np.array_equal(Sb, S)
+    for t in (0.0, 0.7, 4.1):
+        many = rhs(t, z)
+        single = np.concatenate([rhs1(t, pack1(X[i], S[i])) for i in range(5)])
+        assert np.max(np.abs(many - single)) <= 1e-14
+
+
+def test_defect_profile_forcings_share_one_run(e2):
+    other = system_from_expressions("other", 2, TWO_PI, ("sin(t)*x2", "x1"),
+                                    ("-x2", "x1"))
+    pts = np.array([[np.cos(a), np.sin(a)] for a in (0.0, 1.3, 3.7)])
+    s_grid = np.array([0.0, 1.0, 4.0, TWO_PI])
+    both = _defect_profiles(e2, (e2, other), pts, s_grid, DEFAULT_CONFIG)
+    for sysd, prof in zip((e2, other), both):
+        alone = defect_profile(sysd, pts, s_grid)
+        assert np.max(np.abs(prof - alone)) <= 1e-9 * (1 + np.max(np.abs(alone)))
+
+
+def test_floquet_rejects_time_dependent_psi():
+    # x(t) = R(t + sin t) x0 is 2 pi-periodic, so only the t-dependence of
+    # psi can be the reason to refuse
+    sysd = make_sys(("0", "0"), psi=("-x2*(1 + cos(t))", "x1*(1 + cos(t))"))
+    cycle = flow_omega_dense(sysd, 0.0, TWO_PI, [1.0, 0.0])
+    with pytest.raises(ValueError, match="depend on t"):
+        floquet_condition_A3(sysd, cycle)
