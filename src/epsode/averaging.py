@@ -4,7 +4,7 @@ The averaged field is the backward-period limit Phi(xi) =
 -lim eta(-nT, 0, xi) / (nT), realised by doubling n under a Cauchy
 stopping rule monitored at seeded validation samples.  The long-horizon
 check integrates the full system and compares against the unperturbed flow
-restarted from the averaged solution, period by period.
+of the averaged solution, each grid time a lane of one run.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 from .solver import (DEFAULT_CONFIG, Trajectory, integrate,
                      integrate_checkpoints)
 from .systems import fd_jacobian, flow_omega
-from .variational import augmented
+from .variational import flow_lanes
 
 __all__ = [
     "NoConvergenceError", "AveragedField", "averaged_field",
@@ -34,10 +34,8 @@ class NoConvergenceError(RuntimeError):
 
 def _phi_n_many(sys, Xi, n, cfg):
     """Phi_n = -eta(-nT, 0, .) / (nT) for a batch of points."""
-    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-    rhs, pack, unpack = augmented(sys, len(Xi), forcings=(sys,))
-    end = integrate(rhs, 0.0, -n * sys.T, pack(Xi), cfg).endpoint
-    return -unpack(end)[1][:, :, 0] / (n * sys.T)
+    S = flow_lanes(sys, 0.0, -n * sys.T, Xi, cfg, forcings=(sys,))[1]
+    return -S[:, :, 0] / (n * sys.T)
 
 
 def _ball_samples(k, r, n_samples, seed):
@@ -103,14 +101,9 @@ def averaged_field(sys, r, n_max=256, phi_tol=1e-7, n_samples=17, seed=23,
         f"averaged field did not converge by n_max={n_max}", history)
 
 
-def solve_averaged(avg, xi0, d, cfg=DEFAULT_CONFIG):
-    """Integrate the averaged system z' = Phi(z) on [0, d].
-
-    ``avg`` is an :class:`AveragedField` or any callable z -> Phi(z).
-    Uniqueness of the averaged solution is not certified; a
-    finite-difference Lipschitz estimate of Phi along the trajectory is
-    returned as evidence.  Leaving the validated ball raises.
-    """
+def _averaged_trajectory(avg, xi0, d, cfg):
+    """Dense solution of z' = Phi(z) on [0, d]; raises when it leaves the
+    validated ball of an :class:`AveragedField`."""
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     traj = integrate(lambda t, z: avg(z), 0.0, d, xi0, cfg)
     r = getattr(avg, "r", None)
@@ -121,6 +114,18 @@ def solve_averaged(avg, xi0, d, cfg=DEFAULT_CONFIG):
                 f"averaged trajectory reached |z| = {radii.max():.3g}, "
                 f"outside the validated ball of radius {r:.3g}; rebuild the "
                 f"averaged field with a larger radius")
+    return traj
+
+
+def solve_averaged(avg, xi0, d, cfg=DEFAULT_CONFIG):
+    """Integrate the averaged system z' = Phi(z) on [0, d].
+
+    ``avg`` is an :class:`AveragedField` or any callable z -> Phi(z).
+    Uniqueness of the averaged solution is not certified; a
+    finite-difference Lipschitz estimate of Phi along the trajectory is
+    returned as evidence.  Leaving the validated ball raises.
+    """
+    traj = _averaged_trajectory(avg, xi0, d, cfg)
     lip = 0.0
     jac = getattr(avg, "jacobian", None)
     if jac is None:
@@ -151,40 +156,6 @@ class CauchyVerdict:
                 f"vs gamma {self.gamma_tol:g} -> {status}")
 
 
-def _pullback_grid(sys, times, ics, cfg):
-    """Omega(t_i, 0, ics_i) for all i: one forward batch, restarted at
-    period boundaries, each row harvested at its own time."""
-    times = np.asarray(times, dtype=float)
-    ics = np.atleast_2d(np.asarray(ics, dtype=float))
-    order = np.argsort(times, kind="stable")
-    out = np.empty_like(ics)
-    active = order.copy()
-    state = ics[active].copy()
-    done = times[active] <= 0.0
-    out[active[done]] = state[done]
-    active = active[~done]
-    state = state[~done]
-    t_cur = 0.0
-    T = sys.T
-    period = 0
-    while active.size:
-        boundary = (period + 1) * T
-        t_end = min(boundary, float(times[active].max()))
-        in_window = times[active] <= t_end + 1e-12 * (1 + t_end)
-        targets = times[active[in_window]]
-        flow, pack, unpack = augmented(sys, len(active))
-        vals, end = integrate_checkpoints(flow, t_cur, t_end, pack(state),
-                                          targets, cfg)
-        rows = np.nonzero(in_window)[0]
-        out[active[rows]] = unpack(vals)[0][np.arange(len(rows)), rows]
-        state = unpack(end)[0][~in_window]
-        active = active[~in_window]
-        t_cur = t_end
-        if t_end == boundary:
-            period += 1
-    return out
-
-
 def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
                     averaged_solution=None, avg_radius=None, n_max=256,
                     phi_tol=1e-7, grid_points=1024):
@@ -193,8 +164,9 @@ def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
     For each eps the full system is integrated from xi0 and the sup over a
     time grid of |x_eps(t) - Omega(t, 0, z(eps t))| is reported, where z
     solves the averaged system (or is supplied via ``averaged_solution`` as
-    a Trajectory or callable of slow time).  The flow factor is evaluated
-    by a batched forward integration restarted at each period boundary.
+    a Trajectory or callable of slow time).  The flow factor for the whole
+    grid comes from one run of the unperturbed flow in which each lane ends
+    at its own grid time (:func:`flow_lanes`).
     """
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     for eps in eps_list:
@@ -203,8 +175,7 @@ def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
     if averaged_solution is None:
         r = avg_radius if avg_radius is not None else 2.0 * (1 + np.linalg.norm(xi0))
         avg = averaged_field(sys, r, n_max=n_max, phi_tol=phi_tol, cfg=cfg)
-        z_traj, _ = solve_averaged(avg, xi0, d, cfg)
-        z_at = z_traj.eval
+        z_at = _averaged_trajectory(avg, xi0, d, cfg).eval
     elif isinstance(averaged_solution, Trajectory):
         z_at = averaged_solution.eval
     else:
@@ -219,7 +190,7 @@ def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
         x_vals, _ = integrate_checkpoints(sys.field(eps), 0.0, horizon, xi0,
                                           times, cfg)
         zs = np.atleast_2d(z_at(eps * times))
-        approx = _pullback_grid(sys, times, zs, cfg)
+        approx = flow_lanes(sys, 0.0, times, zs, cfg)[0]
         errors = np.linalg.norm(x_vals - approx, axis=1)
         sup = float(errors.max())
         return CauchyVerdict(float(eps), xi0.copy(), float(d),
@@ -252,10 +223,9 @@ class StandardForm:
         if t == 0.0:
             return sys.phi(0.0, z)
         x_t = flow_omega(sys, t, 0.0, z, self.cfg)
-        rhs, pack, unpack = augmented(sys, 1, tangents=1)
-        back = integrate(rhs, t, 0.0, pack(x_t, sys.phi(t, x_t)[:, None]),
-                         self.cfg)
-        return unpack(back.endpoint)[1][0, :, 0]
+        S = flow_lanes(sys, t, 0.0, x_t, self.cfg,
+                       S=sys.phi(t, x_t)[:, None], tangents=1)[1]
+        return S[0, :, 0]
 
     def periodicity_defect(self, z, t_samples=None):
         """Deviation of Omega(0, t+T, .) from Omega(0, t, .) along the orbit
@@ -271,13 +241,11 @@ class StandardForm:
         sys = self.sys
         if t_samples is None:
             t_samples = (0.0, sys.T / 3.0, 2.0 * sys.T / 3.0)
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        worst = 0.0
-        for t in t_samples:
-            w = flow_omega(sys, t, 0.0, z, self.cfg)
-            wT = flow_omega(sys, sys.T, 0.0, w, self.cfg)
-            worst = max(worst, float(np.linalg.norm(wT - w)))
-        return worst
+        t_samples = np.asarray(t_samples, dtype=float)
+        zs = np.broadcast_to(z, (len(t_samples), sys.k))
+        w = flow_lanes(sys, 0.0, t_samples, zs, self.cfg)[0]
+        wT = flow_lanes(sys, 0.0, sys.T, w, self.cfg)[0]
+        return float(np.linalg.norm(wT - w, axis=1).max())
 
     def warns(self, z):
         dev = self.periodicity_defect(z)

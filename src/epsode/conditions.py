@@ -19,7 +19,7 @@ from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
 from .systems import fd_jacobian
 from .topology import (DegreeReport, FieldVanishesError, NonConvergentError,
                        PlanarRegion, winding_number)
-from .variational import (DefectField, _defect_profiles, augmented,
+from .variational import (DefectField, _defect_profiles, flow_lanes,
                           cycle_residual, defect_profile)
 
 __all__ = [
@@ -93,9 +93,8 @@ def check_A0(sys, region, n_samples=512, a0_tol=1e-7, cfg=DEFAULT_CONFIG):
     if k != sys.k:
         raise ValueError(f"region dimension {k} does not match system k={sys.k}")
 
-    flow, pack, unpack = augmented(sys, n)
     try:
-        end = unpack(integrate(flow, 0.0, sys.T, pack(pts), cfg).endpoint)[0]
+        end = flow_lanes(sys, 0.0, sys.T, pts, cfg)[0]
     except IntegrationError as err:
         return HypothesisReport(
             "A0", "inconclusive", np.inf,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .solver import DEFAULT_CONFIG, integrate
 from .topology import PlanarRegion
-from .variational import augmented
+from .variational import augmented, flow_lanes
 
 __all__ = [
     "NewtonStalledError", "SingularJacobianError", "PeriodicOrbitResult",
@@ -51,11 +51,9 @@ class PeriodicOrbitResult:
 
 
 def _period_map(sys, eps, xi, cfg, with_jacobian=True):
-    k = sys.k
-    tangents = k if with_jacobian else 0
-    rhs, pack, unpack = augmented(sys, 1, eps, tangents)
-    X, S = unpack(integrate(rhs, 0.0, sys.T, pack(xi, np.eye(k, tangents)),
-                            cfg).endpoint)
+    tangents = sys.k if with_jacobian else 0
+    X, S = flow_lanes(sys, 0.0, sys.T, xi, cfg, S=np.eye(sys.k, tangents),
+                      eps=eps, tangents=tangents)
     return X[0] - xi, S[0] if with_jacobian else None
 
 
@@ -141,43 +139,16 @@ class MembershipReport:
     witness_time: float = None
 
 
-def _pullback_to_zero(sys, times, states, cfg):
-    """Omega(0, t_i, states_i) for all i via one descending backward sweep.
-
-    Rows are injected into a growing batch as the sweep passes their start
-    times, so the whole set costs one pass over [max(times), 0].
-    """
-    times = np.asarray(times, dtype=float)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    out = np.empty_like(states)
-    order = np.argsort(-times, kind="stable")
-    batch_rows = []
-    batch = states[:0]
-    t_cur = float(times.max())
-    for t_next in np.unique(np.append(times, 0.0))[::-1]:
-        if t_next < t_cur and batch.shape[0]:
-            flow, pack, unpack = augmented(sys, len(batch))
-            batch = unpack(integrate(flow, t_cur, t_next, pack(batch),
-                                     cfg).endpoint)[0]
-        t_cur = t_next
-        joining = order[times[order] == t_next]
-        if joining.size:
-            batch = np.vstack([batch, states[joining]])
-            batch_rows.extend(joining.tolist())
-    out[batch_rows] = batch
-    return out
-
-
 def pullback_membership(sys, orbit, region, n_time=256, cfg=DEFAULT_CONFIG):
     """Whether the flow pullback Omega(0, t, x(t)) stays inside the region.
 
-    The pullback is computed by backward flow at each grid time; interior
+    All grid points are pulled back to time 0 by one run of the unperturbed
+    flow with per-lane start times (:func:`flow_lanes`); interior
     membership is the boundary winding-number test and the margin is the
     smallest distance from the pullbacks to the boundary.
     """
     times = np.linspace(0.0, sys.T, n_time)
-    xs = orbit.eval(times)
-    pulls = _pullback_to_zero(sys, times, xs, cfg)
+    pulls = flow_lanes(sys, times, 0.0, orbit.eval(times), cfg)[0]
     if isinstance(region, PlanarRegion):
         inside = region.winding_around(pulls) == 1
     else:

@@ -18,9 +18,11 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Integration failure; carries the time and state where it happened."""
+    """Integration failure; carries its ``reason`` and the time and state
+    where it happened."""
 
     def __init__(self, message, t=None, state=None):
+        self.reason = message
         self.t = t
         self.state = None if state is None else np.asarray(state)
         if t is not None:

@@ -8,9 +8,11 @@ and monodromy matrices of the homogeneous part give Floquet multipliers.
 
 Every coupled or batched-flow integration of a system takes its
 right-hand side from :func:`augmented` (:func:`monodromy`, which integrates
-a given matrix function, stays generic).  Its state is ``n`` lanes laid
-end to end.  A lane is ``x`` (k values) followed by a k x m matrix ``S`` stored
-row by row, with ``m = tangents + len(forcings)``:
+a given matrix function, stays generic).  :func:`flow_lanes` is the entry
+point for every run that needs only end states; it also lets each lane
+start and end at its own time.  The state is ``n`` lanes laid end to end.
+A lane is ``x`` (k values) followed by a k x m matrix ``S`` stored row by
+row, with ``m = tangents + len(forcings)``:
 
     x' = eps*phi(t, x) + psi(t, x)
     S' = J S + [0 | phi_1(t, x) ... phi_f(t, x)],   J = eps*Dphi + Dpsi
@@ -26,17 +28,17 @@ One lane (``n == 1``) calls the pointwise evaluators of the system
 than a batch of one.  Wider batches call the ``*_many`` evaluators.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .solver import (DEFAULT_CONFIG, gauss_legendre_panels, integrate,
-                     integrate_checkpoints)
+from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
+                     integrate, integrate_checkpoints)
 from .systems import flow_omega
 
 __all__ = [
-    "augmented", "EtaSolution", "eta", "DefectField", "eta_defect_field",
-    "defect_profile", "MonodromyReport", "monodromy", "FloquetReport",
+    "augmented", "flow_lanes", "EtaSolution", "eta", "DefectField",
+    "eta_defect_field", "defect_profile", "MonodromyReport", "monodromy", "FloquetReport",
     "floquet_condition_A3", "cycle_residual",
 ]
 
@@ -101,6 +103,53 @@ def augmented(sys, n, eps=0.0, tangents=0, forcings=()):
         return dZ.ravel()
 
     return rhs, pack, unpack
+
+
+def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
+               tangents=0, forcings=()):
+    """End states ``(X, S)`` of the :func:`augmented` lanes started at
+    ``(t0, X, S)`` and run to ``t1``, without dense output.
+
+    ``X`` has shape (n, k) (or (k,) for one lane) and ``S`` broadcasts to
+    (n, k, m); the result has shapes (n, k) and (n, k, m).  Scalar ``t0``
+    and ``t1``, or lanes that all share them, integrate in t.  Otherwise
+    ``t0`` and ``t1`` broadcast to (n,) and lane i runs at time
+    ``t0[i] + u*(t1[i] - t0[i])`` for u in [0, 1] with its right-hand side
+    scaled by ``t1[i] - t0[i]`` (a change of independent variable), so
+    lanes may run in either direction or not at all; ``max_step`` is
+    divided by the longest lane span, so no lane steps further than
+    ``cfg.max_step`` in its own time.  A failure of such a run names u and
+    carries the lane times in its ``t``.
+    """
+    n = len(np.reshape(X, (-1, sys.k)))
+    rhs, pack, unpack = augmented(sys, n, eps, tangents, forcings)
+    z0 = pack(X, S)
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    if t0.ndim or t1.ndim:
+        t0, t1 = np.broadcast_to(t0, (n,)), np.broadcast_to(t1, (n,))
+        shared = np.all(t0 == t0[0]) and np.all(t1 == t1[0])
+        if shared or np.all(t0 == t1):
+            t0, t1 = t0[0], t1[0]
+    if not t0.ndim:
+        return unpack(integrate_checkpoints(rhs, float(t0), float(t1), z0,
+                                            (), cfg)[1])
+
+    span = t1 - t0
+    scale = np.repeat(span, len(z0) // n)
+
+    def lane_rhs(u, z):
+        return scale * rhs(t0 + u * span, z)
+
+    lane_cfg = replace(cfg, max_step=cfg.max_step / np.max(np.abs(span)))
+    try:
+        end = integrate_checkpoints(lane_rhs, 0.0, 1.0, z0, (), lane_cfg)[1]
+    except IntegrationError as err:
+        fail = IntegrationError(
+            f"{err.reason} at u={float(err.t)!r}, where lane i is at time "
+            f"t0[i] + u*(t1[i] - t0[i])", state=err.state)
+        fail.t = t0 + err.t * span
+        raise fail from err
+    return unpack(end)
 
 
 class EtaSolution:
@@ -175,18 +224,10 @@ def defect_many(sys, Xi, s=0.0, cfg=DEFAULT_CONFIG):
     All batch members share the adaptive step sequence; accuracy is
     controlled per component by the integrator tolerances.
     """
-    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-    n, k = Xi.shape
-    X_s = Xi
-    if s != 0.0:
-        flow, pack, unpack = augmented(sys, n)
-        X_s = unpack(integrate(flow, 0.0, s, pack(Xi), cfg).endpoint)[0]
-    rhs, pack, unpack = augmented(sys, n, forcings=(sys,))
+    X_s = flow_lanes(sys, 0.0, s, Xi, cfg)[0]
 
     def y_at(t):
-        if t == s:
-            return np.zeros((n, k))
-        return unpack(integrate(rhs, s, t, pack(X_s), cfg).endpoint)[1][:, :, 0]
+        return flow_lanes(sys, s, t, X_s, cfg, forcings=(sys,))[1][:, :, 0]
 
     return y_at(sys.T) - y_at(0.0)
 
@@ -363,10 +404,8 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
     if theta_grid is None:
         theta_grid = np.linspace(0.0, sys.T, 65)
     thetas = np.asarray(theta_grid, dtype=float)
-    k = sys.k
-    rhs, pack, unpack = augmented(sys, len(thetas), tangents=k)
-    z0 = pack(cycle.eval(np.mod(thetas, sys.T)), np.eye(k))
-    M = unpack(integrate(rhs, 0.0, sys.T, z0, cfg).endpoint)[1]
+    M = flow_lanes(sys, 0.0, sys.T, cycle.eval(np.mod(thetas, sys.T)), cfg,
+                   S=np.eye(sys.k), tangents=sys.k)[1]
 
     nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
     rows = []

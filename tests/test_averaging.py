@@ -118,6 +118,20 @@ def test_verify_tracks_cycle_with_constant_slow_solution(e1):
     assert verd[0].sup_error <= 0.01
 
 
+def test_verify_flow_factor_rotates_the_slow_solution(e2):
+    # psi of e2 rotates, so Omega(t, 0, z) = R(t) z at every grid time
+    def z(s):
+        return np.array([1.0 + 0.5 * s, -0.3 * s])
+
+    eps = 0.1
+    verd = verify_cauchy(e2, [1.0, 0.0], 1.0, [eps], averaged_solution=z,
+                         grid_points=64)[0]
+    for t, approx in zip(verd.times, verd.approx_values):
+        c, s = np.cos(t), np.sin(t)
+        expect = np.array([[c, -s], [s, c]]) @ z(eps * t)
+        assert np.max(np.abs(approx - expect)) <= 1e-8
+
+
 def test_verify_rejects_nonpositive_eps(e3):
     with pytest.raises(ValueError, match="positive"):
         verify_cauchy(e3, [1.0], 0.5, [0.0],

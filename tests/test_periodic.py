@@ -5,7 +5,8 @@ from epsode import (IntegratorConfig, NewtonStalledError,
                     SingularJacobianError, PlanarRegion, eps_sweep,
                     equilibrium_candidates, integrate, pullback_membership,
                     melnikov_profile, orbit_amplitude, resonance_H,
-                    resonance_initial_point, shoot, system_from_expressions)
+                    resonance_initial_point, shoot, system_from_expressions,
+                    variational)
 
 TWO_PI = 2 * np.pi
 
@@ -79,6 +80,27 @@ def test_membership_static_center():
     rep = pullback_membership(sysd, outside, disk, n_time=32)
     assert not rep.in_region
     assert rep.witness_time == 0.0
+
+
+def test_membership_pulls_back_a_rotating_orbit_in_one_run(e2, disk,
+                                                            monkeypatch):
+    # psi of e2 rotates, so every grid point pulls back to (0.5, 0)
+    orbit = integrate(e2.psi, 0.0, TWO_PI, [0.5, 0.0])
+    calls = []
+    real = variational.integrate_checkpoints
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "integrate_checkpoints", counting)
+    rep = pullback_membership(e2, orbit, disk)
+    assert rep.in_region and rep.margin == pytest.approx(0.5, abs=1e-9)
+    assert len(calls) == 1
+    # off-centre, the margin also checks the angle of each pullback
+    shifted = PlanarRegion.circle(0.3, 0.0, 1.0, 512)
+    rep = pullback_membership(e2, orbit, shifted)
+    assert rep.in_region and rep.margin == pytest.approx(0.8, abs=1e-9)
 
 
 def test_membership_of_found_orbit(e1, disk):

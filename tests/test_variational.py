@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from epsode import (DEFAULT_CONFIG, defect_many, defect_profile, eta,
-                    eta_defect_field, floquet_condition_A3, flow_omega_dense,
-                    integrate, monodromy, system_from_expressions)
-from epsode.variational import _defect_profiles, augmented
+from epsode import (DEFAULT_CONFIG, IntegrationError, defect_many,
+                    defect_profile, eta, eta_defect_field,
+                    floquet_condition_A3, flow_omega, flow_omega_dense,
+                    integrate, monodromy, system_from_callables,
+                    system_from_expressions)
+from epsode.variational import _defect_profiles, augmented, flow_lanes
 
 TWO_PI = 2 * np.pi
 
@@ -203,3 +205,64 @@ def test_floquet_rejects_time_dependent_psi():
     cycle = flow_omega_dense(sysd, 0.0, TWO_PI, [1.0, 0.0])
     with pytest.raises(ValueError, match="depend on t"):
         floquet_condition_A3(sysd, cycle)
+
+
+def rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+def test_flow_lanes_per_lane_times_rotate_exactly(e2):
+    # psi of e2 is (-x2, x1), so Omega(t1, t0, x) = R(t1 - t0) x
+    t0 = np.array([0.0, 1.0, 5.0, -2.0, 3.0, 3.0, 10.0])
+    t1 = np.array([2.0, -1.0, 0.5, 4.0, 3.0, 7.0, -3.0])
+    X = np.random.default_rng(3).uniform(-1.5, 1.5, (7, 2))
+    out, S = flow_lanes(e2, t0, t1, X)
+    assert S.shape == (7, 2, 0)
+    for i in range(7):
+        assert np.max(np.abs(out[i] - rotation(t1[i] - t0[i]) @ X[i])) <= 1e-9
+    assert np.array_equal(out[4], X[4])  # the lane with t0 == t1
+    assert np.array_equal(flow_lanes(e2, t0, t0, X)[0], X)
+
+
+def test_flow_lanes_time_dependent_psi_matches_flow_omega():
+    psi = ("-x2*(1 + 0.5*cos(t)) + 0.2*sin(t)*x1",
+           "x1 - 0.3*x2^3 + 0.1*cos(2*t)")
+
+    def psi_fn(t, x):
+        return np.array([-x[1] * (1 + 0.5 * np.cos(t)) + 0.2 * np.sin(t) * x[0],
+                         x[0] - 0.3 * x[1] ** 3 + 0.1 * np.cos(2 * t)])
+
+    built = (system_from_expressions("tpsi", 2, TWO_PI, ("0", "0"), psi),
+             system_from_callables("tpsi", 2, TWO_PI,
+                                   lambda t, x: np.zeros(2), psi_fn))
+    t0 = np.array([0.3, 4.0, 2.0, 6.0, 1.0])
+    t1 = np.array([3.1, 0.5, 2.0, -1.0, 9.0])
+    X = np.random.default_rng(8).uniform(-1.0, 1.0, (5, 2))
+    for sysd in built:
+        out = flow_lanes(sysd, t0, t1, X)[0]
+        for i in range(5):
+            ref = flow_omega(sysd, t1[i], t0[i], X[i])
+            assert np.max(np.abs(out[i] - ref)) <= 1e-9
+
+
+def test_flow_lanes_scalar_times_equal_integrate(e1):
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1.0, 1.0, (3, 2))
+    S = rng.normal(size=(3, 2, 3))
+    rhs, pack, unpack = augmented(e1, 3, 1e-2, tangents=2, forcings=(e1,))
+    ref = unpack(integrate(rhs, 0.5, 4.0, pack(X, S)).endpoint)
+    got = flow_lanes(e1, 0.5, 4.0, X, S=S, eps=1e-2, tangents=2,
+                     forcings=(e1,))
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_flow_lanes_failure_names_the_common_variable(e1):
+    # backward from t = 2 pi, the e1 orbit of (1.5, 0) blows up near t = 5.99
+    with pytest.raises(IntegrationError) as err:
+        flow_lanes(e1, np.array([TWO_PI, np.pi]), 0.0,
+                   np.array([[1.5, 0.0], [0.5, 0.0]]))
+    msg = str(err.value)
+    assert " at u=0.04" in msg and "t0[i] + u*(t1[i] - t0[i])" in msg
+    assert " at t=" not in msg
+    assert err.value.t[0] == pytest.approx(5.99, abs=0.01)
+    assert err.value.t[1] == pytest.approx(err.value.t[0] / 2)
