@@ -17,9 +17,9 @@ from .solver import (IntegratorConfig, DEFAULT_CONFIG, Trajectory,
 from .expressions import (Expr, ParseError, EvalError, parse, differentiate,
                           to_string, evaluate, compile_expr, VectorExpr)
 from .systems import (SystemDef, system_from_expressions,
-                      system_from_callables, flow_omega, flow_omega_dense,
-                      builtin_names, builtin_system)
-from .variational import (EtaSolution, eta, eta_defect_field, DefectField,
+                      system_from_callables, builtin_names, builtin_system)
+from .variational import (flow_omega, flow_omega_dense, EtaSolution, eta,
+                          eta_defect_field, DefectField,
                           defect_many, defect_profile, MonodromyReport,
                           monodromy, FloquetReport, floquet_condition_A3,
                           cycle_residual)

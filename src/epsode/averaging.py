@@ -13,8 +13,8 @@ import numpy as np
 
 from .solver import (DEFAULT_CONFIG, Trajectory, integrate,
                      integrate_checkpoints)
-from .systems import fd_jacobian, flow_omega
-from .variational import flow_lanes
+from .systems import fd_jacobian
+from .variational import augmented, flow_lanes, flow_omega
 
 __all__ = [
     "NoConvergenceError", "AveragedField", "averaged_field",
@@ -187,8 +187,8 @@ def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
     def one(eps):
         horizon = d / eps
         times = np.linspace(0.0, horizon, grid_points)
-        x_vals, _ = integrate_checkpoints(sys.field(eps), 0.0, horizon, xi0,
-                                          times, cfg)
+        x_vals, _ = integrate_checkpoints(augmented(sys, 1, eps)[0], 0.0,
+                                          horizon, xi0, times, cfg)
         zs = np.atleast_2d(z_at(eps * times))
         approx = flow_lanes(sys, 0.0, times, zs, cfg)[0]
         errors = np.linalg.norm(x_vals - approx, axis=1)

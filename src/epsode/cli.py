@@ -26,13 +26,13 @@ from .conditions import (check_A0, check_A1, check_A2, melnikov_profile,
 from .expressions import ParseError, compile_expr, parse as parse_expr
 from .solver import IntegrationError, IntegratorConfig
 from .svgplot import write_svg
-from .systems import (builtin_system, flow_omega_dense,
-                      system_from_expressions)
+from .systems import builtin_system, system_from_expressions
 from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
                        winding_number)
 from .periodic import (NewtonStalledError, SingularJacobianError, eps_sweep,
                        shoot)
-from .variational import cycle_residual, floquet_condition_A3
+from .variational import (cycle_residual, floquet_condition_A3,
+                          flow_omega_dense)
 
 __all__ = ["run", "main", "ConfigError", "DEFAULT_SEED"]
 

@@ -20,7 +20,7 @@ from .systems import fd_jacobian
 from .topology import (DegreeReport, FieldVanishesError, NonConvergentError,
                        PlanarRegion, winding_number)
 from .variational import (DefectField, _defect_profiles, flow_lanes,
-                          cycle_residual, defect_profile)
+                          cycle_residual, defect_profile, lane_field)
 
 __all__ = [
     "HypothesisReport", "check_A0", "check_A1", "check_A2",
@@ -238,7 +238,7 @@ def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
 
     nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
     xq = cycle.eval(nodes)
-    vq = sys.psi_many(nodes, xq)
+    vq = lane_field(sys, nodes, xq)[0]
     perp = _perp(vq)
 
     # integrated divergence along the cycle as a 1-D ODE on the dense output
@@ -248,7 +248,7 @@ def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
 
     values = np.empty(len(thetas))
     for i, th in enumerate(thetas):
-        fq = sys.phi_many(nodes - th, xq)
+        fq = lane_field(sys, nodes - th, xq, forcings=(sys,))[1][:, :, 0]
         values[i] = float(np.dot(weights, wq * np.einsum("nd,nd->n", fq, perp)))
     return MelnikovProfile(thetas, values, float(np.min(np.abs(values))),
                            (float(wq.min()), float(wq.max())), panels, order)
@@ -269,7 +269,7 @@ def defect_normal_profile(sys, cycle, s_grid=None, theta_grid=None,
     s_grid = np.asarray(s_grid, dtype=float)
     thetas = np.asarray(theta_grid, dtype=float)
     pts = cycle.eval(np.mod(thetas, sys.T))
-    vel = sys.psi_many(thetas, pts)
+    vel = lane_field(sys, thetas, pts)[0]
     normals = _perp(vel)
     prof = defect_profile(sys, pts, s_grid, cfg)
     proj = np.einsum("snd,nd->sn", prof, normals)

@@ -555,13 +555,23 @@ def _scalar_sign(u):
     return 0.0 if u == 0 else math.copysign(1.0, u)
 
 
+def _scalar_pow(a, b):
+    """a^b as numpy computes it: nan where no real power exists."""
+    try:
+        return math.pow(a, b)
+    except ValueError:
+        return math.nan
+
+
 _SCALAR_ENV = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
     "log": math.log, "sqrt": math.sqrt, "abs": abs, "sign": _scalar_sign,
+    "pow": _scalar_pow,
 }
 _ARRAY_ENV = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign,
+    "pow": np.power,
 }
 
 
@@ -578,12 +588,25 @@ def _codegen(e, params):
         return f"(-{_codegen(e.child, params)})"
     if isinstance(e, Call):
         return f"_{e.fn}({_codegen(e.arg, params)})"
+    if isinstance(e, (list, tuple)):
+        return "[" + ", ".join(_codegen(c, params) for c in e) + "]"
     if isinstance(e, BinOp):
         a = _codegen(e.left, params)
         b = _codegen(e.right, params)
+        integral = isinstance(e.right, Num) and e.right.value.is_integer()
+        if e.op == "^" and not integral:  # ** could return a complex
+            return f"_pow({a}, {b})"
         op = "**" if e.op == "^" else e.op
         return f"({a}{op}{b})"
     raise TypeError(f"not an expression: {e!r}")
+
+
+def compile_source(src, arrays=False):
+    """Execute generated source that defines ``f`` and return ``f``, with
+    the functions bound to ``math`` or, for ``arrays=True``, to numpy."""
+    ns = {f"_{k}": v for k, v in (_ARRAY_ENV if arrays else _SCALAR_ENV).items()}
+    exec(src, ns)  # noqa: S102 - controlled codegen
+    return ns["f"]
 
 
 def compile_expr(e, params=None, arrays=False):
@@ -593,11 +616,10 @@ def compile_expr(e, params=None, arrays=False):
     rows of ``x`` and broadcasts; the scalar flavour uses ``math`` for speed.
     The compiled path trades the checked errors of :func:`evaluate` for
     speed; domain violations surface as ``ValueError``/non-finite values.
+    A (nested) list of expressions compiles to lists of their values.
     """
-    code = _codegen(e, params or {})
-    env = dict(_ARRAY_ENV if arrays else _SCALAR_ENV)
-    ns = {f"_{k}": v for k, v in env.items()}
-    return eval(f"lambda t, x: {code}", ns)  # noqa: S307 - controlled codegen
+    return compile_source(
+        f"def f(t, x):\n    return {_codegen(e, params or {})}\n", arrays)
 
 
 class VectorExpr:

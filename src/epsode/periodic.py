@@ -115,8 +115,7 @@ def _finish(sys, eps, seed, xi, res, iterations, converged, M, singular,
             history, region, cfg, shoot_tol):
     orbit = None
     if converged:
-        rhs, pack, _ = augmented(sys, 1, eps)
-        orbit = integrate(rhs, 0.0, sys.T, pack(xi), cfg)
+        orbit = integrate(augmented(sys, 1, eps)[0], 0.0, sys.T, xi, cfg)
     result = PeriodicOrbitResult(
         eps=float(eps), seed=np.asarray(seed, dtype=float),
         xi_star=xi.copy(), residual=res, iterations=iterations,

@@ -1,37 +1,38 @@
 """System definitions for x' = eps*phi(t, x) + psi(t, x).
 
 A :class:`SystemDef` bundles the two fields with their period, dimension
-and exact (or finite-difference) Jacobians.  Systems defined through
-expression strings get machine-accurate Jacobians and divergences from the
-symbolic differentiator, plus vectorised evaluators used by the batched
-grid engines.
+and exact (or finite-difference) Jacobians as pointwise evaluators.
+Systems defined through expression strings get machine-accurate Jacobians
+and divergences from the symbolic differentiator and keep their
+expressions, from which :func:`epsode.variational.augmented` generates the
+batched lane evaluators that every integration of the system runs on.
 """
+
+import functools
 
 import numpy as np
 
 from . import expressions as ex
-from .solver import DEFAULT_CONFIG, integrate
 
 __all__ = [
     "SystemDef", "system_from_expressions", "system_from_callables",
-    "fd_jacobian", "flow_omega", "flow_omega_dense", "builtin_names",
-    "builtin_system",
+    "fd_jacobian", "builtin_names", "builtin_system",
 ]
 
 
 class SystemDef:
     """The pair (phi, psi) with dimension k and period T.
 
-    ``phi``/``psi`` are pointwise callables ``(t, x) -> (k,)``; the
-    ``*_many`` variants take ``t`` scalar or ``(n,)`` and ``x`` of shape
-    ``(n, k)`` and return stacked values.  ``psi_div`` is the trace of
-    ``psi_jac`` by construction.
+    ``phi``/``psi`` are pointwise callables ``(t, x) -> (k,)``, ``phi_jac``
+    and ``psi_jac`` return (k, k) and :meth:`psi_div` is the trace of
+    ``psi_jac``.  They are the one-point API.  Runs of a system with
+    expressions (``phi_exprs`` and ``psi_exprs``) do not call them:
+    :func:`epsode.variational.augmented` generates one lane function per
+    variant and keeps it in ``lane_cache``.
     """
 
-    def __init__(self, name, k, T, phi, psi, phi_jac, psi_jac, psi_div,
-                 phi_many, psi_many, phi_jac_many, psi_jac_many, psi_div_many,
-                 params=None, jacobian_mode="exact",
-                 phi_exprs=None, psi_exprs=None,
+    def __init__(self, name, k, T, phi, psi, phi_jac, psi_jac, params=None,
+                 jacobian_mode="exact", phi_exprs=None, psi_exprs=None,
                  phi_autonomous=False, psi_autonomous=False):
         if not (int(k) > 0 and T > 0):
             raise ValueError("k and T must be positive")
@@ -42,31 +43,30 @@ class SystemDef:
         self.psi = psi
         self.phi_jac = phi_jac
         self.psi_jac = psi_jac
-        self.psi_div = psi_div
-        self.phi_many = phi_many
-        self.psi_many = psi_many
-        self.phi_jac_many = phi_jac_many
-        self.psi_jac_many = psi_jac_many
-        self.psi_div_many = psi_div_many
         self.params = dict(params or {})
         self.jacobian_mode = jacobian_mode
         self.phi_exprs = phi_exprs
         self.psi_exprs = psi_exprs
         self.phi_autonomous = phi_autonomous
         self.psi_autonomous = psi_autonomous
+        self.lane_cache = {}
 
     @property
     def autonomous(self):
         return self.phi_autonomous and self.psi_autonomous
 
+    def psi_div(self, t, x):
+        """Divergence of psi at one point."""
+        return float(np.trace(self.psi_jac(t, x)))
+
     def field(self, eps):
-        """Pointwise full field eps*phi + psi."""
+        """Pointwise full field eps*phi + psi (psi itself when eps is 0)."""
         phi, psi = self.phi, self.psi
 
         def f(t, x):
             return eps * phi(t, x) + psi(t, x)
 
-        return f
+        return f if eps else psi
 
     def field_jac(self, eps):
         phij, psij = self.phi_jac, self.psi_jac
@@ -74,7 +74,7 @@ class SystemDef:
         def J(t, x):
             return eps * phij(t, x) + psij(t, x)
 
-        return J
+        return J if eps else psij
 
     def check_periodicity(self, n_samples=7, tol=1e-8, seed=11):
         """Verify phi and psi are T-periodic in t at random sample points.
@@ -106,7 +106,8 @@ class SystemDef:
         if self.phi_exprs is not None:
             lines.append(f"phi = {self.phi_exprs}")
             lines.append(f"psi = {self.psi_exprs}")
-            div = self._psi_div_expr
+            jac = self.psi_exprs.jacobian_exprs()
+            div = functools.reduce(ex._add, (jac[i][i] for i in range(self.k)))
             lines.append(f"div psi = {ex.to_string(div)}")
         return lines
 
@@ -114,53 +115,20 @@ class SystemDef:
         return f"SystemDef({self.name!r}, k={self.k}, T={self.T!r})"
 
 
-def _vector_callables(vexpr):
-    """Pointwise and batched evaluators for a VectorExpr."""
-    scalar_fns = [ex.compile_expr(c, vexpr.params, arrays=False)
-                  for c in vexpr.components]
-    array_fns = [ex.compile_expr(c, vexpr.params, arrays=True)
-                 for c in vexpr.components]
+def _pointwise(exprs, params):
+    f = ex.compile_expr(exprs, params)
 
     def pointwise(t, x):
-        return np.array([f(t, x) for f in scalar_fns])
+        return np.array(f(t, x), dtype=float)
 
-    def many(t, X):
-        X = np.asarray(X, dtype=float)
-        cols = [np.broadcast_to(f(t, X.T), X.shape[:1]) for f in array_fns]
-        return np.column_stack(cols)
-
-    return pointwise, many
-
-
-def _matrix_callables(entries, params):
-    k = len(entries)
-    scalar_fns = [[ex.compile_expr(e, params, arrays=False) for e in row]
-                  for row in entries]
-    array_fns = [[ex.compile_expr(e, params, arrays=True) for e in row]
-                 for row in entries]
-
-    def pointwise(t, x):
-        return np.array([[f(t, x) for f in row] for row in scalar_fns])
-
-    def many(t, X):
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        out = np.empty((n, k, k))
-        for i, row in enumerate(array_fns):
-            for j, f in enumerate(row):
-                out[:, i, j] = np.broadcast_to(f(t, X.T), (n,))
-        return out
-
-    return pointwise, many
+    return pointwise
 
 
 def system_from_expressions(name, k, T, phi, psi, params=None,
                             check_periodicity=True):
     """Build a SystemDef from expression strings for phi and psi.
 
-    Jacobians, the divergence of psi and the Jacobian of phi are exact
-    symbolic derivatives; the divergence is the literal trace (sum of the
-    diagonal derivative expressions).
+    The Jacobians of phi and psi are exact symbolic derivatives.
     """
     params = dict(params or {})
     vphi = ex.VectorExpr(phi, k, params)
@@ -168,36 +136,15 @@ def system_from_expressions(name, k, T, phi, psi, params=None,
     if len(vphi) != k or len(vpsi) != k:
         raise ValueError(f"expected {k} components for phi and psi")
 
-    phi_pt, phi_many = _vector_callables(vphi)
-    psi_pt, psi_many = _vector_callables(vpsi)
-
-    jac_phi = vphi.jacobian_exprs()
-    jac_psi = vpsi.jacobian_exprs()
-    phi_jac_pt, phi_jac_many = _matrix_callables(jac_phi, params)
-    psi_jac_pt, psi_jac_many = _matrix_callables(jac_psi, params)
-
-    div_expr = jac_psi[0][0]
-    for i in range(1, k):
-        div_expr = ex._add(div_expr, jac_psi[i][i])
-    div_scalar = ex.compile_expr(div_expr, params, arrays=False)
-    div_array = ex.compile_expr(div_expr, params, arrays=True)
-
-    def psi_div(t, x):
-        return div_scalar(t, x)
-
-    def psi_div_many(t, X):
-        X = np.asarray(X, dtype=float)
-        return np.broadcast_to(div_array(t, X.T), X.shape[:1]).copy()
-
+    pointwise = [_pointwise(e, params) for e in (
+        vphi.components, vpsi.components,
+        vphi.jacobian_exprs(), vpsi.jacobian_exprs())]
     sys = SystemDef(
-        name, k, T, phi_pt, psi_pt, phi_jac_pt, psi_jac_pt, psi_div,
-        phi_many, psi_many, phi_jac_many, psi_jac_many, psi_div_many,
-        params=params, jacobian_mode="exact",
+        name, k, T, *pointwise, params=params, jacobian_mode="exact",
         phi_exprs=vphi, psi_exprs=vpsi,
         phi_autonomous=not vphi.uses_time(),
         psi_autonomous=not vpsi.uses_time(),
     )
-    sys._psi_div_expr = div_expr
     if check_periodicity:
         sys.check_periodicity()
     return sys
@@ -218,15 +165,6 @@ def fd_jacobian(f, x, rel=1e-6):
     return J
 
 
-def _loop_many(f):
-    def many(t, X):
-        X = np.asarray(X, dtype=float)
-        ts = np.broadcast_to(t, X.shape[:1])
-        return np.array([f(tv, x) for tv, x in zip(ts, X)])
-
-    return many
-
-
 def system_from_callables(name, k, T, phi, psi, phi_jac=None, psi_jac=None,
                           params=None, check_periodicity=True):
     """Build a SystemDef from opaque callables.
@@ -238,41 +176,15 @@ def system_from_callables(name, k, T, phi, psi, phi_jac=None, psi_jac=None,
         else "finite-difference"
     phi_jac = phi_jac or (lambda t, x: fd_jacobian(lambda y: phi(t, y), x))
     psi_jac = psi_jac or (lambda t, x: fd_jacobian(lambda y: psi(t, y), x))
-
-    def psi_div(t, x):
-        return float(np.trace(psi_jac(t, x)))
-
     sys = SystemDef(
         name, k, T,
         lambda t, x: np.asarray(phi(t, x), dtype=float),
         lambda t, x: np.asarray(psi(t, x), dtype=float),
-        phi_jac, psi_jac, psi_div,
-        _loop_many(phi), _loop_many(psi),
-        _loop_many(phi_jac), _loop_many(psi_jac),
-        lambda t, X: np.array([psi_div(tv, x) for tv, x in
-                               zip(np.broadcast_to(t, np.asarray(X).shape[:1]),
-                                   np.asarray(X))]),
-        params=params, jacobian_mode=mode,
+        phi_jac, psi_jac, params=params, jacobian_mode=mode,
     )
     if check_periodicity:
         sys.check_periodicity()
     return sys
-
-
-# ---------------------------------------------------------------------------
-# Unperturbed flow
-# ---------------------------------------------------------------------------
-
-def flow_omega(sys, t, t0, xi, cfg=DEFAULT_CONFIG):
-    """Omega(t, t0, xi): the eps = 0 solution through (t0, xi) at time t."""
-    if t == t0:
-        return np.atleast_1d(np.asarray(xi, dtype=float)).copy()
-    return integrate(sys.psi, t0, t, xi, cfg).endpoint
-
-
-def flow_omega_dense(sys, t0, t1, xi, cfg=DEFAULT_CONFIG):
-    """Dense unperturbed flow trajectory from (t0, xi) to t1."""
-    return integrate(sys.psi, t0, t1, xi, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from epsode import (IntegrationError, IntegratorConfig,
                     gauss_legendre_panels, integrate, integrate_checkpoints)
+from epsode.variational import augmented
 
 
 def rotation(t, x):
@@ -87,8 +88,7 @@ def test_stacked_batch_matches_pointwise(e1):
     xis = np.array([[1.0, 0.0], [0.5, 0.2], [-0.3, 0.9]])
     n, k = xis.shape
 
-    def stacked(t, z):
-        return e1.psi_many(t, z.reshape(n, k)).ravel()
+    stacked = augmented(e1, n)[0]
 
     batch_end = integrate(stacked, 0.0, 3.0, xis.ravel()).endpoint.reshape(n, k)
     for i in range(n):

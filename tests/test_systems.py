@@ -3,6 +3,7 @@ import pytest
 
 from epsode import (builtin_names, builtin_system, flow_omega,
                     system_from_callables, system_from_expressions)
+from epsode.variational import lane_field
 
 
 def test_registry_names():
@@ -78,13 +79,21 @@ def test_batch_evaluators_match_pointwise(e2):
     rng = np.random.default_rng(8)
     X = rng.uniform(-1.5, 1.5, (7, 2))
     t = 0.37
-    phi_b = e2.phi_many(t, X)
-    jac_b = e2.psi_jac_many(t, X)
-    div_b = e2.psi_div_many(t, X)
+    phi_b = lane_field(e2, t, X, forcings=(e2,))[1][:, :, 0]
+    jac_b = lane_field(e2, t, X, np.eye(2), tangents=2)[1]
+    div_b = np.trace(jac_b, axis1=1, axis2=2)
     for i in range(len(X)):
         assert np.allclose(phi_b[i], e2.phi(t, X[i]), atol=1e-15)
         assert np.allclose(jac_b[i], e2.psi_jac(t, X[i]), atol=1e-15)
         assert div_b[i] == e2.psi_div(t, X[i])
+
+
+def test_fractional_power_of_negative_value_is_a_float_nan():
+    sysd = system_from_expressions("p", 2, 2 * np.pi, ("0", "0"),
+                                   ("-1", "x1^0.5"), check_periodicity=False)
+    value = sysd.psi(0.0, [-1.0, 0.0])
+    assert value.dtype == np.float64
+    assert value[0] == -1.0 and np.isnan(value[1])
 
 
 def test_describe_mentions_fields_and_divergence(e1, e2):

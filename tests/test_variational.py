@@ -170,21 +170,63 @@ def test_backward_times_from_one_anchor_run(e3):
 @pytest.mark.parametrize("name", ["e1", "e2"])
 def test_augmented_lanes_match_single_lane(name, eps, request):
     sysd = request.getfixturevalue(name)
+    # the callable copy runs the generic lane loop, sysd the generated lanes
+    loop = system_from_callables(name, sysd.k, sysd.T, sysd.phi, sysd.psi,
+                                 sysd.phi_jac, sysd.psi_jac)
     k = sysd.k
     drift = make_sys(("sin(t)*x2", "x1^2"), psi=("-x2", "x1"))
-    forcings = (sysd, drift)
     rng = np.random.default_rng(5)
-    X = rng.uniform(-1.5, 1.5, (5, k))
-    S = rng.normal(size=(5, k, k + len(forcings)))
-    rhs, pack, unpack = augmented(sysd, 5, eps, tangents=k, forcings=forcings)
-    rhs1, pack1, _ = augmented(sysd, 1, eps, tangents=k, forcings=forcings)
-    z = pack(X, S)
-    Xb, Sb = unpack(z)
-    assert np.array_equal(Xb, X) and np.array_equal(Sb, S)
-    for t in (0.0, 0.7, 4.1):
-        many = rhs(t, z)
-        single = np.concatenate([rhs1(t, pack1(X[i], S[i])) for i in range(5)])
-        assert np.max(np.abs(many - single)) <= 1e-14
+    for n in (5, 2):
+        X = rng.uniform(-1.5, 1.5, (n, k))
+        S = rng.normal(size=(n, k, k + 2))
+        values = []
+        for s in (sysd, loop):
+            forcings = (s, drift)
+            rhs, pack, unpack = augmented(s, n, eps, tangents=k,
+                                          forcings=forcings)
+            rhs1, pack1, _ = augmented(s, 1, eps, tangents=k,
+                                       forcings=forcings)
+            z = pack(X, S)
+            Xb, Sb = unpack(z)
+            assert np.array_equal(Xb, X) and np.array_equal(Sb, S)
+            for t in (0.0, 0.7, 4.1):
+                many = rhs(t, z)
+                single = np.concatenate([rhs1(t, pack1(X[i], S[i]))
+                                         for i in range(n)])
+                assert np.max(np.abs(many - single)) <= 1e-14
+                values.append(many)
+        for generated, looped in zip(values[:3], values[3:]):
+            assert np.max(np.abs(generated - looped)) <= 1e-14
+
+
+def test_lane_code_is_generated_once_per_variant(monkeypatch):
+    import epsode.variational as var
+
+    source, calls = var._lane_source, []
+
+    def counting(*args):
+        calls.append(args)
+        return source(*args)
+
+    monkeypatch.setattr(var, "_lane_source", counting)
+    sysd = make_sys(("1", "0"), psi=("-x2", "x1"))
+    X = np.array([[1.0, 0.0], [0.5, 0.5]])
+    for _ in range(2):
+        flow_lanes(sysd, 0.0, 1.0, X, eps=1e-2, forcings=(sysd,))
+    assert len(calls) == 1
+    flow_lanes(sysd, 0.0, 1.0, X[0], eps=1e-2, forcings=(sysd,))
+    assert len(calls) == 1  # one source serves both bindings
+
+
+@pytest.mark.parametrize("X", [[0.5, 0.0], [[0.5, 0.0], [1.0, 0.0]]],
+                         ids=["one-lane", "two-lanes"])
+def test_fractional_power_of_negative_value_stops_the_run(X):
+    # x1 = 0.5 - t turns negative at t = 0.5, where x1^0.5 has no real value
+    sysd = system_from_expressions("p", 2, TWO_PI, ("0", "0"),
+                                   ("-1", "x1^0.5"), check_periodicity=False)
+    with pytest.raises(IntegrationError) as err:
+        flow_lanes(sysd, 0.0, 1.0, X)
+    assert err.value.t == pytest.approx(0.5, abs=1e-3)
 
 
 def test_defect_profile_forcings_share_one_run(e2):
