@@ -132,8 +132,8 @@ def solve_averaged(avg, xi0, d, cfg=DEFAULT_CONFIG):
         def jac(xi):
             return fd_jacobian(avg, xi)
 
-    for t in np.linspace(0.0, d, 9):
-        lip = max(lip, float(np.linalg.norm(jac(traj.eval(t)), 2)))
+    for x in traj.eval(np.linspace(0.0, d, 9)):
+        lip = max(lip, float(np.linalg.norm(jac(x), 2)))
     return traj, {"lipschitz_estimate": lip}
 
 

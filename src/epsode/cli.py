@@ -380,9 +380,7 @@ def _cmd_check(args, cfg):
                                                  "vanish_tol", 1e-9),
                             cfg=icfg)
         if isinstance(region, PlanarRegion):
-            from .variational import eta_defect_field
-            pts = region.boundary_points(n_boundary)
-            vals = eta_defect_field(sys_def, 0.0, icfg).eval_many(pts)
+            pts, vals = rep.data["points"], rep.data["values"]
             norms = np.linalg.norm(vals, axis=1)
             out.write_csv(("x1", "x2", "F1", "F2", "norm"),
                           [(p[0], p[1], v[0], v[1], float(n))

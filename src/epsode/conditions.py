@@ -10,15 +10,16 @@ degree, and the resonance map of a harmonically forced linear center.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import expressions as ex
 from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
                      integrate)
-from .systems import fd_jacobian
-from .topology import (DegreeReport, FieldVanishesError, NonConvergentError,
-                       PlanarRegion, winding_number)
+from .systems import damped_newton, fd_jacobian
+from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
+                       product_degree, winding_number)
 from .variational import (DefectField, _defect_profiles, flow_lanes,
                           cycle_residual, defect_profile, lane_field)
 
@@ -144,51 +145,52 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     product region the field is sliced into coordinate pairs with the other
     factors pinned at their star centers, which is exact when the system
     decouples into planar blocks (the only case the product generalisation
-    covers).  Returns ``(HypothesisReport, DegreeReport or None)``.
+    covers).  On a planar region ``data`` holds the initial boundary grid
+    (``points``) and the defect field there (``values``), whatever the
+    verdict.  Returns ``(HypothesisReport, DegreeReport or None)``.
     """
     fld = DefectField(sys, 0.0, cfg)
     grids = {"boundary_samples": boundary_samples}
     tols = {"vanish_tol": vanish_tol}
+    planar = isinstance(region, PlanarRegion)
+    report = None
     try:
-        if isinstance(region, PlanarRegion):
+        if planar:
             report = winding_number(fld.eval_many, region, n0=boundary_samples,
                                     vectorized=True, vanish_tol=vanish_tol)
         else:
-            degree = 1
-            min_norm = np.inf
-            samples = 0
-            refined = False
             centers = np.concatenate([f.star_center for f in region.factors])
-            for i, factor in enumerate(region.factors):
-                def slice_field(P, i=i):
-                    full = np.tile(centers, (len(P), 1))
-                    full[:, 2 * i:2 * i + 2] = P
-                    return fld.eval_many(full)[:, 2 * i:2 * i + 2]
 
-                rep = winding_number(slice_field, factor, n0=boundary_samples,
-                                     vectorized=True, vanish_tol=vanish_tol)
-                degree *= rep.degree
-                min_norm = min(min_norm, rep.min_field_norm)
-                samples = max(samples, rep.samples_used)
-                refined = refined or rep.refined
-            report = DegreeReport(degree, min_norm, samples, refined)
+            def slice_field(P, i):
+                full = np.tile(centers, (len(P), 1))
+                full[:, 2 * i:2 * i + 2] = P
+                return fld.eval_many(full)[:, 2 * i:2 * i + 2]
+
+            report = product_degree(
+                [partial(slice_field, i=i) for i in range(len(region.factors))],
+                region, n0=boundary_samples, vectorized=True,
+                vanish_tol=vanish_tol)
     except FieldVanishesError as err:
-        return HypothesisReport(
+        hyp = HypothesisReport(
             "A2", "inconclusive", 0.0,
             witness={"point": err.point, "norm": err.norm,
                      "reason": "defect field vanishes on the boundary"},
-            grids=grids, tolerances=tols), None
+            grids=grids, tolerances=tols)
     except NonConvergentError as err:
-        return HypothesisReport(
+        hyp = HypothesisReport(
             "A2", "inconclusive", 0.0, witness={"reason": str(err)},
-            grids=grids, tolerances=tols), None
-    verdict = "holds" if report.degree != 0 else "fails"
-    hyp = HypothesisReport(
-        "A2", verdict, float(abs(report.degree)),
-        witness={"degree": report.degree,
-                 "min_field_norm": report.min_field_norm},
-        grids={**grids, "samples_used": report.samples_used},
-        tolerances=tols)
+            grids=grids, tolerances=tols)
+    else:
+        verdict = "holds" if report.degree != 0 else "fails"
+        hyp = HypothesisReport(
+            "A2", verdict, float(abs(report.degree)),
+            witness={"degree": report.degree,
+                     "min_field_norm": report.min_field_norm},
+            grids={**grids, "samples_used": report.samples_used},
+            tolerances=tols)
+    if planar:  # the first refinement round cached these values
+        pts = region.boundary_points(boundary_samples)
+        hyp.data = {"points": pts, "values": fld.eval_many(pts)}
     return hyp, report
 
 
@@ -440,29 +442,8 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     tol = zero_tol * max(1.0, scale)
     zeros = []
     for seed in np.column_stack([AA.ravel(), TT.ravel()]):
-        p = seed.copy()
-        ok = False
-        for it in range(max_iter):
-            val = H(p)
-            r = np.linalg.norm(val)
-            if r <= tol:
-                ok = True
-                break
-            try:
-                d = np.linalg.solve(fd_jacobian(H, p, rel=1e-5), -val)
-            except np.linalg.LinAlgError:
-                break
-            alpha = 1.0
-            accepted = False
-            for _ in range(30):
-                cand = p + alpha * d
-                if np.linalg.norm(H(cand)) < r:
-                    p = cand
-                    accepted = True
-                    break
-                alpha /= 2
-            if not accepted:
-                break
+        p, r, it, ok = damped_newton(
+            H, lambda q: fd_jacobian(H, q, rel=1e-5), seed, tol, max_iter)
         if not ok:
             continue
         if not (a_lo - 1e-9 <= p[0] <= a_hi + 1e-9
@@ -472,8 +453,7 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
                for z in zeros):
             continue
         det = float(np.linalg.det(fd_jacobian(H, p, rel=1e-5)))
-        zeros.append(ResonanceZero(float(p[0]), float(p[1]),
-                                   float(np.linalg.norm(H(p))), det, it))
+        zeros.append(ResonanceZero(float(p[0]), float(p[1]), r, det, it))
     zeros.sort(key=lambda z: (z.a, z.theta))
     return ResonanceMap(H, H_many, zeros, False, tuple(a_range),
                         tuple(theta_range))

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .solver import DEFAULT_CONFIG, integrate
+from .systems import damped_newton
 from .topology import PlanarRegion
 from .variational import augmented, flow_lanes
 
@@ -194,30 +195,9 @@ def equilibrium_candidates(sys, eps, region=None, n_grid=3, tol=1e-12,
         seeds.append(np.zeros(sys.k))
     found = []
     for seed in seeds:
-        x = np.asarray(seed, dtype=float).copy()
-        for _ in range(max_iter):
-            v = fld(0.0, x)
-            r = float(np.linalg.norm(v))
-            if r <= tol:
-                break
-            try:
-                d = np.linalg.solve(jac(0.0, x), -v)
-            except np.linalg.LinAlgError:
-                r = np.inf
-                break
-            alpha = 1.0
-            moved = False
-            for _ in range(30):
-                cand = x + alpha * d
-                if float(np.linalg.norm(fld(0.0, cand))) < r:
-                    x = cand
-                    moved = True
-                    break
-                alpha /= 2.0
-            if not moved:
-                r = np.inf
-                break
-        if r <= tol:
+        x, _, _, ok = damped_newton(lambda y: fld(0.0, y),
+                                    lambda y: jac(0.0, y), seed, tol, max_iter)
+        if ok:
             if region is not None and not region.contains(x):
                 continue
             if not any(np.linalg.norm(x - y) <= 1e-8 for y in found):

@@ -1,9 +1,15 @@
 """Adaptive ODE integration with dense output.
 
 One fixed stepper is used everywhere: the Dormand-Prince 5(4) embedded
-pair (scipy's ``RK45``) with its quartic continuous extension, driven step
-by step so that backward integration is direct negative stepping and every
-quadrature over a solution can reuse the same dense output.
+pair (scipy's ``RK45``) with its quartic continuous extension, driven by
+one loop over accepted steps, so backward integration is direct negative
+stepping.  :func:`integrate` keeps the quartic coefficients of every step
+as one array; :func:`integrate_checkpoints` evaluates them only on the
+steps that contain a requested time.
+
+The field goes to scipy as it is.  Finiteness is checked at the start and
+once per accepted step: a later non-finite field value makes the error
+norm non-finite, so scipy rejects the step until it fails.
 """
 
 from dataclasses import dataclass
@@ -52,37 +58,42 @@ class IntegratorConfig:
 DEFAULT_CONFIG = IntegratorConfig()
 
 
+def _quartic(x, h, y_old, coeffs):
+    """The continuous extension y_old + h*(c1 x + c2 x^2 + c3 x^3 + c4 x^4)
+    of a step of length h at the fraction x of the step; ``coeffs`` holds
+    c1..c4 along its last axis (scipy's ``K.T @ P``)."""
+    c1, c2, c3, c4 = np.moveaxis(coeffs, -1, 0)
+    return y_old + h * x * (c1 + x * (c2 + x * (c3 + x * c4)))
+
+
 class Trajectory:
     """Dense-output solution on the time interval between ``t0`` and ``t1``.
 
-    Nodes are the accepted solver steps, strictly ordered in the direction
-    of integration; evaluation between nodes uses the stepper's continuous
-    extension, evaluation at a node returns the stored state exactly, and
-    evaluation outside the covered interval raises.
+    Nodes ``ts`` are the accepted solver steps, strictly ordered in the
+    direction of integration, with states ``states``; step i has the
+    quartic coefficients ``coeffs[i]`` of shape (dim, 4).  Evaluation
+    between nodes uses the continuous extension, evaluation at a node
+    returns the stored state exactly, and evaluation outside the covered
+    interval raises.
     """
 
-    def __init__(self, ts, states, segments, cfg):
+    def __init__(self, ts, states, coeffs):
         self.ts = np.asarray(ts, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self.segments = segments
-        self.cfg = cfg
-        if len(self.ts) > 1:
-            d = np.diff(self.ts)
-            if not (np.all(d > 0) or np.all(d < 0)):
-                raise ValueError("node times must be strictly ordered in the "
-                                 "direction of integration")
+        self.coeffs = np.reshape(np.asarray(coeffs, dtype=float),
+                                 (len(self.ts) - 1, self.dim, 4))
+        self._h = np.diff(self.ts)
+        if not (np.all(self._h > 0) or np.all(self._h < 0)):
+            raise ValueError("node times must be strictly ordered in the "
+                             "direction of integration")
         self.t0 = float(self.ts[0])
         self.t1 = float(self.ts[-1])
         self._lo = min(self.t0, self.t1)
         self._hi = max(self.t0, self.t1)
         self._slack = 1e-9 * (1.0 + self._hi - self._lo)
-        self._forward = self.t1 >= self.t0
-        self._node_index = None
-        # ascending views for segment lookup
-        if self._forward:
-            self._asc = self.ts
-        else:
-            self._asc = self.ts[::-1]
+        # node times signed by the direction ascend in both directions
+        self._sign = 1.0 if self.t1 >= self.t0 else -1.0
+        self._keys = self._sign * self.ts
 
     @property
     def dim(self):
@@ -95,70 +106,62 @@ class Trajectory:
     def eval(self, t):
         """State at time ``t`` (scalar or 1-D array of times)."""
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
         ts = np.atleast_1d(t_arr)
-        if np.any(ts < self._lo - self._slack) or np.any(ts > self._hi + self._slack):
-            bad = ts[(ts < self._lo - self._slack) | (ts > self._hi + self._slack)][0]
+        outside = (ts < self._lo - self._slack) | (ts > self._hi + self._slack)
+        if np.any(outside):
             raise ValueError(
-                f"time {bad!r} outside trajectory interval "
+                f"time {ts[outside][0]!r} outside trajectory interval "
                 f"[{self._lo!r}, {self._hi!r}]")
-        out = np.empty((len(ts), self.dim))
-        if not self.segments:
-            out[:] = self.states[0]
+        j = np.searchsorted(self._keys, self._sign * ts, side="right") - 1
+        node = np.clip(j, 0, len(self.ts) - 1)
+        if len(self.coeffs):
+            step = np.clip(j, 0, len(self.coeffs) - 1)
+            h = self._h[step, None]
+            out = _quartic((ts - self.ts[step])[:, None] / h, h,
+                           self.states[step], self.coeffs[step])
         else:
-            j = np.clip(np.searchsorted(self._asc, ts, side="right") - 1,
-                        0, len(self._asc) - 2)
-            seg_idx = j if self._forward else len(self.ts) - 2 - j
-            for u in np.unique(seg_idx):
-                mask = seg_idx == u
-                vals = self.segments[u](ts[mask])
-                out[mask] = vals.T if vals.ndim == 2 else vals
-        # exact node times reproduce the stored node states
-        if self._node_index is None:
-            self._node_index = {float(tv): i for i, tv in enumerate(self.ts)}
-        for i, tv in enumerate(ts):
-            hit = self._node_index.get(float(tv))
-            if hit is not None:
-                out[i] = self.states[hit]
-        return out[0] if scalar else out
+            out = self.states[node]
+        hit = self.ts[node] == ts
+        out[hit] = self.states[node[hit]]
+        return out[0] if t_arr.ndim == 0 else out
 
     __call__ = eval
 
 
-def _wrap_field(field):
-    def fun(t, y):
-        try:
-            v = np.asarray(field(t, y), dtype=float)
-        except (ValueError, ArithmeticError, FloatingPointError) as exc:
-            raise IntegrationError(f"field evaluation failed ({exc})", t, y) from exc
-        if not np.all(np.isfinite(v)):
-            raise IntegrationError("non-finite field value", t, y)
-        return v
-
-    return fun
-
-
-def _drive(field, t0, t1, xi, cfg, on_step):
-    """Step from t0 to t1 calling ``on_step(solver)`` after each accepted step."""
-    fun = _wrap_field(field)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+def _accepted_steps(field, t0, t1, xi, cfg):
+    """Yield the scipy ``RK45`` solver after each accepted step from
+    ``(t0, xi)`` to ``t1``; failures raise :class:`IntegrationError`."""
     if t1 == t0:
-        return xi
+        return
+    solver = None
     with np.errstate(all="ignore"):
-        solver = RK45(fun, t0, xi, t_bound=t1, rtol=cfg.rel_tol,
-                      atol=cfg.abs_tol, max_step=cfg.max_step)
-        steps = 0
-        while solver.status == "running":
-            if steps >= cfg.max_steps:
+        try:
+            solver = RK45(field, t0, xi, t_bound=t1, rtol=cfg.rel_tol,
+                          atol=cfg.abs_tol, max_step=cfg.max_step)
+            # a non-finite start would make every step size nan, and scipy
+            # would reject nan steps forever
+            if not (np.isfinite(solver.f).all()
+                    and np.isfinite(solver.h_abs)):
                 raise IntegrationError(
-                    f"step count exceeded max_steps={cfg.max_steps}",
-                    solver.t, solver.y)
-            msg = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(f"step failed ({msg})", solver.t, solver.y)
-            steps += 1
-            on_step(solver)
-    return solver.y
+                    "non-finite initial derivative or step size", t0, xi)
+            for _ in range(cfg.max_steps):
+                msg = solver.step()
+                if solver.status == "failed":
+                    raise IntegrationError(f"step failed ({msg})",
+                                           solver.t, solver.y)
+                if not np.isfinite(solver.y).all():
+                    raise IntegrationError("non-finite state", solver.t,
+                                           solver.y)
+                yield solver
+                if solver.status != "running":
+                    return
+            raise IntegrationError(
+                f"step count exceeded max_steps={cfg.max_steps}",
+                solver.t, solver.y)
+        except (ValueError, ArithmeticError) as exc:
+            t, y = (t0, xi) if solver is None else (solver.t, solver.y)
+            raise IntegrationError(f"field evaluation failed ({exc})",
+                                   t, y) from exc
 
 
 def integrate(field, t0, t1, xi, cfg=DEFAULT_CONFIG):
@@ -167,17 +170,12 @@ def integrate(field, t0, t1, xi, cfg=DEFAULT_CONFIG):
     ``t1 < t0`` integrates backward.  Returns a :class:`Trajectory`.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    ts = [float(t0)]
-    states = [xi.copy()]
-    segments = []
-
-    def on_step(solver):
-        ts.append(solver.t)
-        states.append(solver.y.copy())
-        segments.append(solver.dense_output())
-
-    _drive(field, t0, t1, xi, cfg, on_step)
-    return Trajectory(np.array(ts), np.array(states), segments, cfg)
+    ts, states, coeffs = [float(t0)], [xi], []
+    for s in _accepted_steps(field, t0, t1, xi, cfg):
+        ts.append(s.t)
+        states.append(s.y)
+        coeffs.append(s.K.T @ s.P)
+    return Trajectory(ts, states, coeffs)
 
 
 def integrate_checkpoints(field, t0, t1, xi, times, cfg=DEFAULT_CONFIG):
@@ -195,33 +193,21 @@ def integrate_checkpoints(field, t0, t1, xi, times, cfg=DEFAULT_CONFIG):
                        or times.max() > hi + 1e-12 * (1 + hi - lo)):
         raise ValueError("checkpoint outside integration interval")
     values = np.empty((len(times), len(xi)))
-    forward = t1 >= t0
-    order = np.argsort(times if forward else -times, kind="stable")
-    pending = list(order)
-    for idx in list(pending):
-        if times[idx] == t0:
-            values[idx] = xi
-            pending.remove(idx)
-
-    def on_step(solver):
-        if not pending:
-            return
-        seg = None
-        while pending:
-            idx = pending[0]
-            tv = times[idx]
-            covered = (solver.t_old <= tv <= solver.t) if forward \
-                else (solver.t <= tv <= solver.t_old)
-            if not covered:
-                break
-            if seg is None:
-                seg = solver.dense_output()
-            values[idx] = seg(tv)
-            pending.pop(0)
-
-    end = _drive(field, t0, t1, xi, cfg, on_step)
-    for idx in pending:  # times exactly at t1 when t0 == t1 or rounding
-        values[idx] = end
+    sign = 1.0 if t1 >= t0 else -1.0
+    order = np.argsort(sign * times, kind="stable")
+    keys = sign * times[order]
+    done = 0
+    end = xi
+    for s in _accepted_steps(field, t0, t1, xi, cfg):
+        end = s.y
+        if done < len(keys) and keys[done] <= sign * s.t:
+            stop = np.searchsorted(keys, sign * s.t, side="right")
+            idx = order[done:stop]
+            h = s.t - s.t_old
+            values[idx] = _quartic((times[idx, None] - s.t_old) / h, h,
+                                   s.y_old, s.K.T @ s.P)
+            done = stop
+    values[order[done:]] = end  # t0 == t1, or past t1 within the slack
     return values, end
 
 

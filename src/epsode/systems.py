@@ -16,7 +16,7 @@ from . import expressions as ex
 
 __all__ = [
     "SystemDef", "system_from_expressions", "system_from_callables",
-    "fd_jacobian", "builtin_names", "builtin_system",
+    "fd_jacobian", "damped_newton", "builtin_names", "builtin_system",
 ]
 
 
@@ -163,6 +163,38 @@ def fd_jacobian(f, x, rel=1e-6):
         xm[j] -= h
         J[:, j] = (np.atleast_1d(f(xp)) - np.atleast_1d(f(xm))) / (2 * h)
     return J
+
+
+def damped_newton(f, jac, x, tol, max_iter):
+    """Newton's method for f(x) = 0 from ``x`` with step halving.
+
+    Each iteration takes the full Newton step or the first of up to 30
+    halvings of it that lowers the residual |f(x)|; it stops on a singular
+    Jacobian or when no halving does.  Returns ``(x, residual, iterations,
+    converged)``, converged meaning the residual is within ``tol``.
+    """
+    x = np.array(x, dtype=float)
+    v = f(x)
+    r = float(np.linalg.norm(v))
+    it = 0
+    while r > tol and it < max_iter:
+        try:
+            d = np.linalg.solve(jac(x), -v)
+        except np.linalg.LinAlgError:
+            break
+        alpha = 1.0
+        for _ in range(30):
+            cand = x + alpha * d
+            v_cand = f(cand)
+            r_cand = float(np.linalg.norm(v_cand))
+            if r_cand < r:
+                break
+            alpha /= 2
+        else:
+            break
+        x, v, r = cand, v_cand, r_cand
+        it += 1
+    return x, r, it, r <= tol
 
 
 def system_from_callables(name, k, T, phi, psi, phi_jac=None, psi_jac=None,

@@ -233,18 +233,21 @@ class EtaSolution:
         self._bwd = backward
         self._unpack = augmented(sys, 1, forcings=(sys,))[2]
         self.times = np.asarray(eval_times, dtype=float)
-        self.values = np.array([self.y_at(t) for t in self.times]) \
-            if self.times.size else np.zeros((0, sys.k))
+        self.values = self.y_at(self.times)
 
     def _leg_state(self, t):
-        """(x, y) at time t."""
-        if t == self.s:
-            return self.x_s, np.zeros(self.sys.k)
-        leg = self._fwd if t > self.s else self._bwd
-        if leg is None:
-            raise ValueError(f"time {t} not covered")
-        X, S = self._unpack(leg.eval(t))
-        return X[0], S[0, :, 0]
+        """(x, y) at the time or 1-D array of times t."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        X = np.empty((len(ts), self.sys.k))
+        Y = np.zeros_like(X)
+        X[ts == self.s] = self.x_s
+        for leg, on in ((self._fwd, ts > self.s), (self._bwd, ts < self.s)):
+            if np.any(on):
+                if leg is None:
+                    raise ValueError(f"time {ts[on][0]} not covered")
+                Xl, Sl = self._unpack(leg.eval(ts[on]))
+                X[on], Y[on] = Xl[:, 0], Sl[:, 0, :, 0]
+        return (X, Y) if np.ndim(t) else (X[0], Y[0])
 
     def y_at(self, t):
         return self._leg_state(t)[1]

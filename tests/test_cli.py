@@ -110,6 +110,37 @@ def test_check_a2_inline_holds(inline_cfg, tmp_path, capsys):
     assert "A2 holds" in capsys.readouterr().out
 
 
+def test_check_a2_evaluates_the_boundary_once(inline_cfg, tmp_path,
+                                              monkeypatch):
+    from epsode import variational
+    from epsode.cli import build_integrator, build_region, build_system
+    from epsode.conditions import check_A2
+
+    real = variational.defect_many
+    lanes = []
+
+    def counting(sys_def, Xi, *args):
+        lanes.append(len(Xi))
+        return real(sys_def, Xi, *args)
+
+    monkeypatch.setattr(variational, "defect_many", counting)
+    cfg = parse_config(inline_cfg, ["grids.boundary_samples=64"])
+    sys_def, icfg = build_system(cfg), build_integrator(cfg)
+    check_A2(sys_def, build_region(cfg), boundary_samples=64, cfg=icfg)
+    direct = sum(lanes)
+    lanes.clear()
+    out = tmp_path / "a2.csv"
+    assert run(["check", "A2", "--config", inline_cfg, "--out", str(out),
+                "--set", "grids.boundary_samples=64"]) == 0
+    assert 0 < sum(lanes) <= direct
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "x1,x2,F1,F2,norm"
+    rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+    # the values of a fresh 64-lane batch over the same boundary grid
+    fresh = real(sys_def, rows[:, :2], 0.0, icfg)
+    assert len(rows) == 64 and np.array_equal(rows[:, 2:4], fresh)
+
+
 def test_check_a2_inconclusive_on_cycle_boundary(e1_cfg, capsys):
     rc = run(["check", "A2", "--config", e1_cfg,
               "--set", "grids.boundary_samples=128"])

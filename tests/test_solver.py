@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from epsode import (IntegrationError, IntegratorConfig,
                     gauss_legendre_panels, integrate, integrate_checkpoints)
@@ -41,9 +41,29 @@ def test_degenerate_interval():
 
 
 def test_nodes_reproduced_exactly():
-    traj = integrate(rotation, 0.0, 3.0, [1.0, 0.0])
-    for i in (0, len(traj.ts) // 2, -1):
-        assert np.array_equal(traj.eval(traj.ts[i]), traj.states[i])
+    for t1 in (3.0, -3.0):
+        traj = integrate(rotation, 0.0, t1, [1.0, 0.0])
+        for i in (0, len(traj.ts) // 2, -1):
+            assert np.array_equal(traj.eval(traj.ts[i]), traj.states[i])
+
+
+def test_vector_eval_equals_scalar_eval():
+    rng = np.random.default_rng(5)
+    for t1 in (3.0, -3.0):
+        traj = integrate(rotation, 0.0, t1, [1.0, 0.0])
+        ts = traj.ts
+        # every node, both sides of each node (beyond both ends within the
+        # slack) and the midpoints, in random order
+        times = np.concatenate([ts, np.nextafter(ts, np.inf),
+                                np.nextafter(ts, -np.inf),
+                                0.5 * (ts[:-1] + ts[1:])])
+        times = rng.permutation(times)
+        vec = traj.eval(times)
+        assert np.array_equal(vec, [traj.eval(t) for t in times])
+        ref = solve_ivp(rotation, (0.0, t1), [1.0, 0.0], rtol=1e-10,
+                        atol=1e-12, dense_output=True)
+        assert np.array_equal(ref.t, ts)
+        assert np.max(np.abs(vec - ref.sol(times).T)) <= 1e-15
 
 
 def test_eval_outside_interval_raises():
@@ -69,6 +89,14 @@ def test_nonfinite_field_reports_location():
     assert err.value.t is not None
 
 
+def test_nonfinite_initial_derivative_raises():
+    # a nan derivative at t0 makes scipy's first step nan, and scipy
+    # rejects a nan step forever
+    with pytest.raises(IntegrationError, match="non-finite initial") as err:
+        integrate(lambda t, x: np.array([np.nan]), 0.0, 1.0, [1.0])
+    assert err.value.t == 0.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=-1.0)
@@ -82,6 +110,15 @@ def test_checkpoints_match_dense_output():
     vals, end = integrate_checkpoints(rotation, 0.0, 2.0, [1.0, 0.0], times)
     assert np.allclose(vals, traj.eval(times), atol=1e-12)
     assert np.allclose(end, traj.endpoint, atol=1e-15)
+
+
+def test_checkpoint_within_slack_before_start():
+    # a time just before t0 (allowed by the checkpoint slack) must not stop
+    # the later checkpoints from being matched
+    vals, _ = integrate_checkpoints(rotation, 0.0, 2.0, [1.0, 0.0],
+                                    [-1e-13, 1.0])
+    assert np.allclose(vals, [[1.0, 0.0], [np.cos(1.0), np.sin(1.0)]],
+                       atol=1e-9)
 
 
 def test_stacked_batch_matches_pointwise(e1):
