@@ -3,10 +3,12 @@
 Subcommands: describe, check (A0|A1|A2|A3), melnikov, degree, resonance,
 average, verify-cauchy, find-periodic, sweep.  Configuration is a
 sectioned key-value text file; ``--set section.key=value`` overrides
-individual entries.  CSV output starts with comment lines recording the
-tool version, the config hash and the seed, so identical configurations
-give byte-identical files.  Exit codes: 0 holds/converged, 2 fails,
-3 inconclusive, 1 usage or configuration error.
+individual entries.  A key left unset takes the default of the library
+function it feeds, unless ``_KEYS`` states the CLI's own.  CSV output
+starts with comment lines recording the tool version, the config hash and
+the seed, so identical configurations give byte-identical files.  Exit
+codes: 0 holds/converged, 2 fails, 3 inconclusive, 1 usage or
+configuration error.
 """
 
 import argparse
@@ -48,23 +50,80 @@ class ConfigError(ValueError):
     pass
 
 
-_SECTIONS = {
-    "system": {"builtin", "k", "T"},  # plus phiN / psiN / param.NAME
-    "region": {"shape", "star_center"},
-    "integrator": {"rel_tol", "abs_tol", "max_step", "max_steps"},
-    "grids": {"s_points", "theta_points", "boundary_samples", "a0_samples",
-              "membership_points", "quad_panels", "quad_order"},
-    "tolerances": {"a0_tol", "a1_tol", "a3_tol", "vanish_tol", "shoot_tol",
-                   "phi_tol", "gamma_tol", "cycle_tol"},
-    "cycle": {"seed"},
-    "run": {"seed"},
-    "shoot": {"eps", "seed"},
-    "sweep": {"eps", "strategy", "seed"},
-    "average": {"radius", "n_max", "samples"},
-    "verify": {"xi0", "d", "eps"},
-    "resonance": {"g", "a_range", "theta_range", "grid"},
-    "field": set(),  # fN entries
+# -- config keys ------------------------------------------------------------
+
+def _unquote(text):
+    text = text.strip()
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        return text[1:-1]
+    return text
+
+
+def _parser(convert, failure):
+    """Parser that unquotes the raw text and converts it, or names
+    ``failure``."""
+    def parse(key, raw):
+        try:
+            return convert(_unquote(raw))
+        except ValueError as err:
+            raise ConfigError(f"{key}: {failure}: {raw!r}") from err
+    return parse
+
+
+def _numbers(text):
+    vals = [float(p) for p in text.strip("()[]").split(",") if p.strip()]
+    if not vals:
+        raise ValueError("no numbers")
+    return vals
+
+
+def _strategy_name(text):
+    if text not in ("continuation", "fixed"):
+        raise ValueError(text)
+    return text
+
+
+_float = _parser(float, "not a number")
+_int = _parser(int, "not an integer")
+_list = _parser(_numbers, "not a number list")
+_counts = _parser(lambda text: tuple(int(v) for v in _numbers(text)),
+                  "not a number list")
+_point = _parser(lambda text: np.asarray(_numbers(text)), "not a number list")
+_strategy = _parser(_strategy_name, "not continuation or fixed")
+_text = _parser(str, "not text")
+
+# Every fixed key and its parser.  A (parser, default) pair marks a key
+# whose default belongs to the CLI, because the library has none or a
+# different one; every other key is passed on only when the config sets it.
+_KEYS = {
+    "system.builtin": _text, "system.k": _int, "system.T": _float,
+    "region.shape": _text, "region.star_center": _point,
+    "integrator.rel_tol": _float, "integrator.abs_tol": _float,
+    "integrator.max_step": _float, "integrator.max_steps": _int,
+    "grids.s_points": _int, "grids.theta_points": _int,
+    "grids.a0_samples": _int, "grids.quad_panels": _int,
+    "grids.quad_order": _int,
+    # for degree; winding_number would start from the region's n_hint
+    "grids.boundary_samples": (_int, 512),
+    "tolerances.a0_tol": _float, "tolerances.a1_tol": _float,
+    "tolerances.a3_tol": (_float, 1e-8), "tolerances.vanish_tol": _float,
+    "tolerances.shoot_tol": _float, "tolerances.phi_tol": _float,
+    "tolerances.gamma_tol": _float,
+    "tolerances.cycle_tol": (_float, 1e-6),  # the closure test of build_cycle
+    "cycle.seed": _point,
+    "run.seed": (_int, DEFAULT_SEED),  # the CSV header; averaged_field's is 23
+    "shoot.eps": _float, "shoot.seed": _point,
+    "sweep.eps": _list, "sweep.strategy": _strategy, "sweep.seed": _point,
+    # average; for verify-cauchy unset or 0 lets verify_cauchy pick the ball
+    "average.radius": (_float, 2.0),
+    "average.n_max": _int, "average.samples": _int,
+    "verify.xi0": _point, "verify.d": _float, "verify.eps": _list,
+    "resonance.g": _text, "resonance.a_range": (_list, (0.5, 3.5)),
+    "resonance.theta_range": (_list, (0.0, 2 * np.pi)),
+    "resonance.grid": _counts,
 }
+_KEYS = {key: spec if isinstance(spec, tuple) else (spec, None)
+         for key, spec in _KEYS.items()}
 
 _DYNAMIC_KEY = {
     "system": re.compile(r"^(phi[1-9][0-9]*|psi[1-9][0-9]*|param\.\w+)$"),
@@ -73,14 +132,14 @@ _DYNAMIC_KEY = {
 
 
 def _check_keys(cfg):
+    sections = {key.split(".")[0] for key in _KEYS} | set(_DYNAMIC_KEY)
     for section in cfg:
-        if section == "DEFAULT":
-            continue
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigError(
                 f"unknown config section [{section}]; valid sections: "
-                + ", ".join(sorted(_SECTIONS)))
-        allowed = _SECTIONS[section]
+                + ", ".join(sorted(sections)))
+        allowed = {key.split(".", 1)[1] for key in _KEYS
+                   if key.startswith(section + ".")}
         dyn = _DYNAMIC_KEY.get(section)
         for key in cfg[section]:
             if key in allowed or (dyn and dyn.match(key)):
@@ -89,6 +148,34 @@ def _check_keys(cfg):
             raise ConfigError(
                 f"unknown key {key!r} in section [{section}]; valid keys: "
                 + ", ".join(valid))
+
+
+def _value(cfg, key):
+    """The parsed value of a fixed key; None when the config leaves it unset."""
+    section, name = key.split(".", 1)
+    raw = cfg.get(section, {}).get(name)
+    return None if raw is None else _KEYS[key][0](key, raw)
+
+
+def _get(cfg, key):
+    """The value of a fixed key, else its CLI default, else an error."""
+    for value in (_value(cfg, key), _KEYS[key][1]):
+        if value is not None:
+            return value
+    raise ConfigError(f"missing {key}")
+
+
+def _given(cfg, **params):
+    """Keyword arguments for the library parameters whose key the config
+    sets; every other parameter keeps the default of its signature."""
+    return {name: value for name, key in params.items()
+            if (value := _value(cfg, key)) is not None}
+
+
+def _phase_grid(cfg, key, T):
+    """``linspace(0, T, n)`` for a set key, else None: the library's grid."""
+    n = _value(cfg, key)
+    return None if n is None else np.linspace(0.0, T, n)
 
 
 def parse_config(path, overrides=()):
@@ -122,79 +209,26 @@ def config_hash(cfg):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-# -- value coercion ---------------------------------------------------------
-
-def _unquote(text):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    return text
-
-
-def _as_float(cfg, section, key, default=None):
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing {section}.{key}")
-        return default
-    try:
-        return float(_unquote(raw))
-    except ValueError as err:
-        raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from err
-
-
-def _as_int(cfg, section, key, default=None):
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing {section}.{key}")
-        return default
-    try:
-        return int(_unquote(raw))
-    except ValueError as err:
-        raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from err
-
-
-def _as_floats(cfg, section, key, default=None):
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing {section}.{key}")
-        return default
-    raw = _unquote(raw).strip().strip("()[]")
-    try:
-        return [float(p) for p in raw.split(",") if p.strip()]
-    except ValueError as err:
-        raise ConfigError(f"{section}.{key}: not a number list: {raw!r}") from err
-
-
-def _as_point(cfg, section, key, default=None):
-    vals = _as_floats(cfg, section, key, default)
-    return np.asarray(vals, dtype=float)
-
-
 # -- builders ---------------------------------------------------------------
 
 def build_system(cfg):
     sec = cfg.get("system", {})
+    params = {k.split(".", 1)[1]: float(_unquote(v))
+              for k, v in sec.items() if k.startswith("param.")}
     if "builtin" in sec:
-        params = {k.split(".", 1)[1]: float(_unquote(v))
-                  for k, v in sec.items() if k.startswith("param.")}
         try:
-            return builtin_system(_unquote(sec["builtin"]), params or None)
+            return builtin_system(_get(cfg, "system.builtin"), params or None)
         except KeyError as err:
             raise ConfigError(str(err)) from err
     if "k" not in sec:
         raise ConfigError("section [system] needs either builtin or an "
                           "inline definition (k, T, phiN, psiN)")
-    k = _as_int(cfg, "system", "k")
-    T = _as_float(cfg, "system", "T")
+    k = _get(cfg, "system.k")
+    T = _get(cfg, "system.T")
     phi = [_unquote(sec.get(f"phi{i + 1}", "")) for i in range(k)]
     psi = [_unquote(sec.get(f"psi{i + 1}", "")) for i in range(k)]
     if any(not c for c in phi) or any(not c for c in psi):
         raise ConfigError(f"inline system needs phi1..phi{k} and psi1..psi{k}")
-    params = {kk.split(".", 1)[1]: float(_unquote(v))
-              for kk, v in sec.items() if kk.startswith("param.")}
     try:
         return system_from_expressions("config-system", k, T, phi, psi, params)
     except (ParseError, ValueError) as err:
@@ -209,7 +243,7 @@ def build_region(cfg):
     if "shape" not in sec:
         raise ConfigError("missing region.shape "
                           "(circle(cx, cy, r, n) or polygon([...]))")
-    m = _SHAPE_RE.match(_unquote(sec["shape"]))
+    m = _SHAPE_RE.match(_get(cfg, "region.shape"))
     if not m:
         raise ConfigError(f"bad region.shape {sec['shape']!r}; expected "
                           "circle(cx, cy, r, n) or polygon([(x, y), ...])")
@@ -226,23 +260,19 @@ def build_region(cfg):
     except (ValueError, SyntaxError) as err:
         raise ConfigError(f"bad region.shape {sec['shape']!r}: {err}") from err
     if "star_center" in sec:
-        region.star_center = _as_point(cfg, "region", "star_center")
+        region.star_center = _get(cfg, "region.star_center")
     return region
 
 
 def build_integrator(cfg):
-    return IntegratorConfig(
-        rel_tol=_as_float(cfg, "integrator", "rel_tol", 1e-10),
-        abs_tol=_as_float(cfg, "integrator", "abs_tol", 1e-12),
-        max_step=_as_float(cfg, "integrator", "max_step", np.inf),
-        max_steps=_as_int(cfg, "integrator", "max_steps", 1_000_000),
-    )
+    return IntegratorConfig(**_given(
+        cfg, rel_tol="integrator.rel_tol", abs_tol="integrator.abs_tol",
+        max_step="integrator.max_step", max_steps="integrator.max_steps"))
 
 
 def build_cycle(cfg, sys, icfg):
-    seed = _as_point(cfg, "cycle", "seed", None)
-    cycle = flow_omega_dense(sys, 0.0, sys.T, seed, icfg)
-    tol = _as_float(cfg, "tolerances", "cycle_tol", 1e-6)
+    cycle = flow_omega_dense(sys, 0.0, sys.T, _get(cfg, "cycle.seed"), icfg)
+    tol = _get(cfg, "tolerances.cycle_tol")
     res = cycle_residual(cycle, sys.T)
     if res > tol:
         raise ConfigError(
@@ -270,7 +300,7 @@ class Output:
             f"# epsode {__version__}",
             f"# command {command}",
             f"# config {config_hash(cfg)}",
-            f"# seed {_as_int(cfg, 'run', 'seed', DEFAULT_SEED)}",
+            f"# seed {_get(cfg, 'run.seed')}",
         ]
 
     def write_csv(self, columns, rows):
@@ -327,11 +357,9 @@ def _cmd_check(args, cfg):
     cond = args.condition.upper()
     if cond == "A3":
         cycle = build_cycle(cfg, sys_def, icfg)
-        n_theta = _as_int(cfg, "grids", "theta_points", 65)
         rep = floquet_condition_A3(
-            sys_def, cycle, np.linspace(0.0, sys_def.T, n_theta),
-            cycle_tol=_as_float(cfg, "tolerances", "cycle_tol", 1e-6),
-            cfg=icfg)
+            sys_def, cycle, _phase_grid(cfg, "grids.theta_points", sys_def.T),
+            cfg=icfg, **_given(cfg, cycle_tol="tolerances.cycle_tol"))
         rows = [(r.theta, r.dist_to_one, r.gap, r.simple) for r in rep.rows]
         out.write_csv(("theta", "dist_to_one", "gap", "simple"), rows)
         out.write_plot([([r.theta for r in rep.rows],
@@ -348,10 +376,8 @@ def _cmd_check(args, cfg):
 
     region = build_region(cfg)
     if cond == "A0":
-        rep = check_A0(sys_def, region,
-                       n_samples=_as_int(cfg, "grids", "a0_samples", 512),
-                       a0_tol=_as_float(cfg, "tolerances", "a0_tol", 1e-7),
-                       cfg=icfg)
+        rep = check_A0(sys_def, region, cfg=icfg, **_given(
+            cfg, n_samples="grids.a0_samples", a0_tol="tolerances.a0_tol"))
         pts = rep.data.get("points", np.zeros((0, sys_def.k)))
         res = rep.data.get("residuals", np.zeros(0))
         rows = [(i, *pts[i], float(res[i])) for i in range(len(pts))]
@@ -361,36 +387,27 @@ def _cmd_check(args, cfg):
                        "Period-map residual on the boundary", "sample",
                        "relative residual")
     elif cond == "A1":
-        s_points = _as_int(cfg, "grids", "s_points", 65)
-        s_grid = np.linspace(0.0, sys_def.T, s_points)
-        rep = check_A1(sys_def, region, s_grid=s_grid,
-                       boundary_samples=_as_int(cfg, "grids",
-                                                "boundary_samples", 512),
-                       a1_tol=_as_float(cfg, "tolerances", "a1_tol", 1e-6),
-                       cfg=icfg)
+        rep = check_A1(
+            sys_def, region, _phase_grid(cfg, "grids.s_points", sys_def.T),
+            cfg=icfg, **_given(cfg, boundary_samples="grids.boundary_samples",
+                               a1_tol="tolerances.a1_tol"))
+        s_grid = rep.data["s_grid"]
         per_s = rep.data.get("min_norm_per_s", np.full(len(s_grid), rep.margin))
         out.write_csv(("s", "min_defect_norm"),
                       list(zip(map(float, s_grid), map(float, per_s))))
         out.write_plot([(s_grid, per_s, "min defect")],
                        "Smallest defect norm per anchor", "s", "min |defect|")
     elif cond == "A2":
-        n_boundary = _as_int(cfg, "grids", "boundary_samples", 512)
-        rep, deg = check_A2(sys_def, region, boundary_samples=n_boundary,
-                            vanish_tol=_as_float(cfg, "tolerances",
-                                                 "vanish_tol", 1e-9),
-                            cfg=icfg)
-        if isinstance(region, PlanarRegion):
-            pts, vals = rep.data["points"], rep.data["values"]
-            norms = np.linalg.norm(vals, axis=1)
-            out.write_csv(("x1", "x2", "F1", "F2", "norm"),
-                          [(p[0], p[1], v[0], v[1], float(n))
-                           for p, v, n in zip(pts, vals, norms)])
-            out.write_plot([(np.arange(len(norms)), norms, "|defect|")],
-                           "Defect field norm on the boundary", "sample",
-                           "|F|")
-        else:
-            out.write_csv(("quantity", "value"),
-                          [("degree", rep.witness.get("degree", ""))])
+        rep, _ = check_A2(sys_def, region, cfg=icfg, **_given(
+            cfg, boundary_samples="grids.boundary_samples",
+            vanish_tol="tolerances.vanish_tol"))
+        pts, vals = rep.data["points"], rep.data["values"]
+        norms = np.linalg.norm(vals, axis=1)
+        out.write_csv(("x1", "x2", "F1", "F2", "norm"),
+                      [(p[0], p[1], v[0], v[1], float(n))
+                       for p, v, n in zip(pts, vals, norms)])
+        out.write_plot([(np.arange(len(norms)), norms, "|defect|")],
+                       "Defect field norm on the boundary", "sample", "|F|")
     else:
         raise ConfigError(f"unknown condition {args.condition!r}")
     print(rep.summary())
@@ -401,18 +418,17 @@ def _cmd_melnikov(args, cfg):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
     cycle = build_cycle(cfg, sys_def, icfg)
-    n_theta = _as_int(cfg, "grids", "theta_points", 65)
     prof = melnikov_profile(
-        sys_def, cycle, np.linspace(0.0, sys_def.T, n_theta),
-        panels=_as_int(cfg, "grids", "quad_panels", 64),
-        order=_as_int(cfg, "grids", "quad_order", 8),
-        cycle_tol=_as_float(cfg, "tolerances", "cycle_tol", 1e-6), cfg=icfg)
+        sys_def, cycle, _phase_grid(cfg, "grids.theta_points", sys_def.T),
+        cfg=icfg, **_given(cfg, panels="grids.quad_panels",
+                           order="grids.quad_order",
+                           cycle_tol="tolerances.cycle_tol"))
     out = Output(args, cfg, "melnikov")
     out.write_csv(("theta", "M"),
                   list(zip(prof.thetas, prof.values)))
     out.write_plot([(prof.thetas, prof.values, "M(theta)")],
                    "Cycle integral profile", "theta", "M")
-    rel_tol = _as_float(cfg, "tolerances", "a3_tol", 1e-8)
+    rel_tol = _get(cfg, "tolerances.a3_tol")
     scale = max(1.0, float(np.max(np.abs(prof.values))))
     if prof.min_abs > rel_tol * scale:
         print(f"A3_1 holds (min |M| = {prof.min_abs:.6g}, "
@@ -443,15 +459,9 @@ def _cmd_degree(args, cfg):
     out = Output(args, cfg, "degree")
     try:
         rep = winding_number(
-            F, region,
-            n0=_as_int(cfg, "grids", "boundary_samples", 512),
-            vectorized=True,
-            vanish_tol=_as_float(cfg, "tolerances", "vanish_tol", 1e-9))
-    except FieldVanishesError as err:
-        out.write_csv(("quantity", "value"), [("degree", ""), ("note", str(err))])
-        print(f"degree inconclusive ({err})")
-        return EXIT_INCONCLUSIVE
-    except NonConvergentError as err:
+            F, region, n0=_get(cfg, "grids.boundary_samples"), vectorized=True,
+            **_given(cfg, vanish_tol="tolerances.vanish_tol"))
+    except (FieldVanishesError, NonConvergentError) as err:
         out.write_csv(("quantity", "value"), [("degree", ""), ("note", str(err))])
         print(f"degree inconclusive ({err})")
         return EXIT_INCONCLUSIVE
@@ -468,18 +478,15 @@ def _cmd_degree(args, cfg):
 
 
 def _cmd_resonance(args, cfg):
-    sec = cfg.get("resonance", {})
-    if "g" not in sec:
+    g = _value(cfg, "resonance.g")
+    if g is None:
         raise ConfigError("section [resonance] needs the forcing expression g")
-    a_range = tuple(_as_floats(cfg, "resonance", "a_range", [0.5, 3.5]))
-    theta_range = tuple(_as_floats(cfg, "resonance", "theta_range",
-                                   [0.0, 2 * np.pi]))
-    gr = [int(v) for v in _as_floats(cfg, "resonance", "grid", [12, 12])]
     try:
-        rm = resonance_H(_unquote(sec["g"]), a_range, theta_range,
-                         grid=tuple(gr),
-                         panels=_as_int(cfg, "grids", "quad_panels", 64),
-                         order=_as_int(cfg, "grids", "quad_order", 8))
+        rm = resonance_H(g, tuple(_get(cfg, "resonance.a_range")),
+                         tuple(_get(cfg, "resonance.theta_range")),
+                         **_given(cfg, grid="resonance.grid",
+                                  panels="grids.quad_panels",
+                                  order="grids.quad_order"))
     except ParseError as err:
         raise ConfigError(f"bad forcing expression: {err}") from err
     out = Output(args, cfg, "resonance")
@@ -513,13 +520,10 @@ def _cmd_average(args, cfg):
     out = Output(args, cfg, "average")
     try:
         av = averaged_field(
-            sys_def,
-            r=_as_float(cfg, "average", "radius", 2.0),
-            n_max=_as_int(cfg, "average", "n_max", 256),
-            phi_tol=_as_float(cfg, "tolerances", "phi_tol", 1e-7),
-            n_samples=_as_int(cfg, "average", "samples", 17),
-            seed=_as_int(cfg, "run", "seed", DEFAULT_SEED),
-            cfg=icfg)
+            sys_def, r=_get(cfg, "average.radius"),
+            seed=_get(cfg, "run.seed"), cfg=icfg,
+            **_given(cfg, n_max="average.n_max", phi_tol="tolerances.phi_tol",
+                     n_samples="average.samples"))
     except (NoConvergenceError, IntegrationError) as err:
         out.write_csv(("note",), [(str(err),)])
         print(f"averaged field inconclusive ({err})")
@@ -543,17 +547,17 @@ def _cmd_average(args, cfg):
 def _cmd_verify_cauchy(args, cfg):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
-    xi0 = _as_point(cfg, "verify", "xi0", None)
-    d = _as_float(cfg, "verify", "d")
-    eps_list = _as_floats(cfg, "verify", "eps")
-    gamma = _as_float(cfg, "tolerances", "gamma_tol", 0.1)
+    xi0 = _get(cfg, "verify.xi0")
+    d = _get(cfg, "verify.d")
+    eps_list = _get(cfg, "verify.eps")
     out = Output(args, cfg, "verify-cauchy")
     try:
         verdicts = verify_cauchy(
-            sys_def, xi0, d, eps_list, gamma_tol=gamma, cfg=icfg,
-            avg_radius=_as_float(cfg, "average", "radius", 0.0) or None,
-            n_max=_as_int(cfg, "average", "n_max", 256),
-            phi_tol=_as_float(cfg, "tolerances", "phi_tol", 1e-7))
+            sys_def, xi0, d, eps_list, cfg=icfg,
+            # unset or 0: verify_cauchy sizes the ball itself
+            avg_radius=_value(cfg, "average.radius") or None,
+            **_given(cfg, gamma_tol="tolerances.gamma_tol",
+                     n_max="average.n_max", phi_tol="tolerances.phi_tol"))
     except (NoConvergenceError, IntegrationError, ValueError) as err:
         out.write_csv(("note",), [(str(err),)])
         print(f"verify-cauchy inconclusive ({err})")
@@ -577,20 +581,19 @@ def _cmd_verify_cauchy(args, cfg):
         print(v.summary())
     n_pass = sum(v.passed for v in verdicts)
     print(f"verify-cauchy: {n_pass}/{len(verdicts)} pass at gamma "
-          f"{gamma:g}")
+          f"{verdicts[0].gamma_tol:g}")
     return EXIT_OK if n_pass == len(verdicts) else EXIT_FAILS
 
 
 def _cmd_find_periodic(args, cfg):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
-    eps = _as_float(cfg, "shoot", "eps")
-    seed = _as_point(cfg, "shoot", "seed", None)
     region = build_region(cfg) if "region" in cfg else None
     out = Output(args, cfg, "find-periodic")
     try:
-        res = shoot(sys_def, eps, seed, cfg=icfg, region=region,
-                    shoot_tol=_as_float(cfg, "tolerances", "shoot_tol", 1e-9))
+        res = shoot(sys_def, _get(cfg, "shoot.eps"), _get(cfg, "shoot.seed"),
+                    cfg=icfg, region=region,
+                    **_given(cfg, shoot_tol="tolerances.shoot_tol"))
     except (NewtonStalledError, SingularJacobianError) as err:
         out.write_csv(("note",), [(str(err),)])
         print(f"find-periodic failed ({err})")
@@ -627,25 +630,19 @@ def _cmd_sweep(args, cfg):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
     region = build_region(cfg) if "region" in cfg else None
-    eps_list = _as_floats(cfg, "sweep", "eps")
-    seed = _as_point(cfg, "sweep", "seed", np.array([])) \
-        if "seed" in cfg.get("sweep", {}) else None
-    cycle = None
-    prof = None
+    eps_list = _get(cfg, "sweep.eps")
+    cycle = prof = None
     if "cycle" in cfg:
         cycle = build_cycle(cfg, sys_def, icfg)
         if sys_def.k == 2:
             prof = melnikov_profile(
                 sys_def, cycle,
-                np.linspace(0.0, sys_def.T,
-                            _as_int(cfg, "grids", "theta_points", 65)),
-                cycle_tol=_as_float(cfg, "tolerances", "cycle_tol", 1e-6),
-                cfg=icfg)
-    sw = eps_sweep(sys_def, region, eps_list,
-                   seed_strategy=cfg.get("sweep", {}).get("strategy",
-                                                          "continuation"),
-                   seed=seed, cycle=cycle, melnikov=prof, cfg=icfg,
-                   shoot_tol=_as_float(cfg, "tolerances", "shoot_tol", 1e-9))
+                _phase_grid(cfg, "grids.theta_points", sys_def.T), cfg=icfg,
+                **_given(cfg, cycle_tol="tolerances.cycle_tol"))
+    sw = eps_sweep(sys_def, region, eps_list, cycle=cycle, melnikov=prof,
+                   cfg=icfg, **_given(cfg, seed_strategy="sweep.strategy",
+                                      seed="sweep.seed",
+                                      shoot_tol="tolerances.shoot_tol"))
     out = Output(args, cfg, "sweep")
     out.write_csv(_orbit_columns(sys_def),
                   [_orbit_row(sys_def, r) for r in sw.results])

@@ -124,7 +124,7 @@ def check_A1(sys, region, s_grid=None, boundary_samples=512, a1_tol=1e-6,
         return HypothesisReport(
             "A1", "inconclusive", np.inf, witness={"error": str(err)},
             grids={"s_points": len(s_grid), "boundary_samples": len(pts)},
-            tolerances={"a1_tol": a1_tol})
+            tolerances={"a1_tol": a1_tol}, data={"s_grid": s_grid})
     norms = np.linalg.norm(prof, axis=2)
     si, pi = np.unravel_index(np.argmin(norms), norms.shape)
     mn = float(norms[si, pi])
@@ -303,6 +303,8 @@ def compare_defect_degrees(sys1, sys2, region, lambda_grid=None, s_grid=None,
     the (lambda, s, boundary) grid the comparison is inconclusive and the
     witness is reported.
     """
+    if not isinstance(region, PlanarRegion):
+        raise ValueError("degree comparison implemented for planar regions")
     if sys1.k != sys2.k or abs(sys1.T - sys2.T) > 1e-12:
         raise ValueError("systems must share dimension and period")
     rng = np.random.default_rng(7)
@@ -345,12 +347,8 @@ def compare_defect_degrees(sys1, sys2, region, lambda_grid=None, s_grid=None,
     for sysi, Di in ((sys1, D1), (sys2, D2)):
         fldi = DefectField(sysi, 0.0, cfg)
         fldi.preseed(pts, Di[s0])
-        if isinstance(region, PlanarRegion):
-            rep = winding_number(fldi.eval_many, region, n0=len(pts),
-                                 vectorized=True)
-        else:
-            raise ValueError("degree comparison implemented for planar regions")
-        degrees.append(rep.degree)
+        degrees.append(winding_number(fldi.eval_many, region, n0=len(pts),
+                                      vectorized=True).degree)
     verdict = "holds" if degrees[0] == degrees[1] else "fails"
     return DegreeComparisonReport(verdict, degrees[0], degrees[1], min_defect,
                           witness, grids)

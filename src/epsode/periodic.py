@@ -221,11 +221,16 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
 
     Seeds: an explicit ``seed``; otherwise, with a cycle and its weighted
     integral profile, the cycle point where |M(theta)| peaks; otherwise the
-    region star center.  When the period map stalls or degenerates, the
-    sweep falls back to equilibria of the full field (for autonomous
-    systems) and to the star center before recording a failure.  The rate
-    fit regresses log distance-to-boundary of the found orbits on log eps.
+    region star center.  ``seed_strategy`` "continuation" starts each eps
+    from the last converged orbit, "fixed" always from that seed.  When the
+    period map stalls or degenerates, the sweep falls back to equilibria of
+    the full field (for autonomous systems) and to the star center before
+    recording a failure.  The rate fit regresses log distance-to-boundary
+    of the found orbits on log eps.
     """
+    if seed_strategy not in ("continuation", "fixed"):
+        raise ValueError(f"seed_strategy must be 'continuation' or 'fixed', "
+                         f"not {seed_strategy!r}")
     if seed is not None:
         current = np.atleast_1d(np.asarray(seed, dtype=float))
     elif cycle is not None and melnikov is not None:

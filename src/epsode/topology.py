@@ -54,6 +54,13 @@ def _segments_intersect(p, q):
     return (d1 * d2 < 0) & (d3 * d4 < 0)
 
 
+def _loop_increments(ang):
+    """Increments of angles around a closed loop along the last axis, each
+    wrapped into [-pi, pi)."""
+    inc = np.diff(np.concatenate([ang, ang[..., :1]], axis=-1), axis=-1)
+    return (inc + np.pi) % (2 * np.pi) - np.pi
+
+
 class PlanarRegion:
     """Bounded planar Jordan region with a discretisable boundary.
 
@@ -147,9 +154,7 @@ class PlanarRegion:
         pts = self.boundary_points(self.n_hint)
         P = np.atleast_2d(np.asarray(points, dtype=float))
         diff = pts[None, :, :] - P[:, None, :]
-        ang = np.arctan2(diff[:, :, 1], diff[:, :, 0])
-        inc = np.diff(np.concatenate([ang, ang[:, :1]], axis=1), axis=1)
-        inc = (inc + np.pi) % (2 * np.pi) - np.pi
+        inc = _loop_increments(np.arctan2(diff[:, :, 1], diff[:, :, 0]))
         w = inc.sum(axis=1) / (2 * np.pi)
         return np.rint(w).astype(int)
 
@@ -213,10 +218,7 @@ class DegreeReport:
 def accumulated_angle(values):
     """Total wrapped atan2 increment along a closed loop of field values."""
     values = np.asarray(values, dtype=float)
-    ang = np.arctan2(values[:, 1], values[:, 0])
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = (inc + np.pi) % (2 * np.pi) - np.pi
-    return float(inc.sum())
+    return float(_loop_increments(np.arctan2(values[:, 1], values[:, 0])).sum())
 
 
 def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
@@ -255,8 +257,7 @@ def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
     refined = False
 
     while True:
-        inc = np.diff(np.concatenate([angles, angles[:1]]))
-        inc = (inc + np.pi) % (2 * np.pi) - np.pi
+        inc = _loop_increments(angles)
         bad = np.nonzero(np.abs(inc) >= np.pi / 2)[0]
         if bad.size == 0:
             total = float(inc.sum())

@@ -347,3 +347,141 @@ def test_parse_config_rejects_bad_set(tmp_path):
     p.write_text("[system]\nbuiltin = e3-scalar\n")
     with pytest.raises(ConfigError, match="section.key"):
         parse_config(str(p), ["novalue"])
+
+
+def test_membership_points_is_an_unknown_key(e1_cfg, capsys):
+    rc = run(["describe", "--config", e1_cfg,
+              "--set", "grids.membership_points=64"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'membership_points'" in err
+
+
+def test_empty_number_list_is_rejected(tmp_path, capsys):
+    p = tmp_path / "ver.cfg"
+    p.write_text("[system]\nbuiltin = e3-scalar\n\n"
+                 "[verify]\nxi0 = (1.0)\nd = 0.5\neps = ()\n")
+    assert run(["verify-cauchy", "--config", str(p)]) == 1
+    assert "verify.eps: not a number list" in capsys.readouterr().err
+
+
+SWEEP_CFG = E1_CFG + "\n[sweep]\neps = 1e-2\n"
+
+
+def test_quoted_sweep_strategy_sweeps_by_continuation(tmp_path, monkeypatch,
+                                                      capsys):
+    from epsode import cli
+    seen = []
+    real = cli.eps_sweep
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("seed_strategy", "continuation"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "eps_sweep", spy)
+    p = tmp_path / "sw.cfg"
+    p.write_text(SWEEP_CFG + 'strategy = "continuation"\n')
+    assert run(["sweep", "--config", str(p),
+                "--out", str(tmp_path / "sw.csv")]) == 0
+    assert seen == ["continuation"]
+
+
+def test_misspelt_sweep_strategy_exits_1(tmp_path, capsys):
+    p = tmp_path / "sw.cfg"
+    p.write_text(SWEEP_CFG + "strategy = continuaton\n")
+    assert run(["sweep", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "sweep.strategy" in err
+    assert "continuation" in err and "fixed" in err
+
+
+def test_check_a1_inconclusive_writes_the_library_grid(e1_cfg, tmp_path,
+                                                       capsys):
+    out = tmp_path / "a1.csv"
+    rc = run(["check", "A1", "--config", e1_cfg, "--out", str(out),
+              "--set", "integrator.max_steps=2", "--set", "grids.s_points=5"])
+    assert rc == 3
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows[0] == "s,min_defect_norm"
+    grid = np.linspace(0.0, 2 * np.pi, 5)
+    assert [float(r.split(",")[0]) for r in rows[1:]] == list(grid)
+    assert all(r.endswith(",inf") for r in rows[1:])
+
+
+# Each subcommand that reads defaulted keys, a cheap config for it and its
+# keys set to the defaults the CLI used to write out itself.
+INTEGRATOR_DEFAULTS = ["integrator.rel_tol=1e-10", "integrator.abs_tol=1e-12",
+                       "integrator.max_step=inf",
+                       "integrator.max_steps=1000000"]
+E3_CFG = """
+[system]
+builtin = e3-scalar
+
+[shoot]
+eps = 1.0
+seed = (0.9)
+
+[verify]
+xi0 = (1.0)
+d = 0.5
+eps = 0.02
+"""
+FIELD_CFG = """
+[region]
+shape = circle(0, 0, 1, 64)
+
+[field]
+f1 = "x1^2 - x2^2"
+f2 = "2*x1*x2"
+
+[resonance]
+g = "(1 - x1^2)*x2 + cos(t)"
+"""
+DEFAULTED = {
+    "check A0": (E1_CFG, INTEGRATOR_DEFAULTS + [
+        "grids.a0_samples=512", "tolerances.a0_tol=1e-7"]),
+    "check A1": (E1_CFG, INTEGRATOR_DEFAULTS + [
+        "grids.s_points=65", "grids.boundary_samples=512",
+        "tolerances.a1_tol=1e-6"]),
+    "check A2": (INLINE_CFG, INTEGRATOR_DEFAULTS + [
+        "grids.boundary_samples=512", "tolerances.vanish_tol=1e-9"]),
+    "check A3": (E1_CFG, INTEGRATOR_DEFAULTS + [
+        "grids.theta_points=65", "tolerances.cycle_tol=1e-6"]),
+    "melnikov": (E1_CFG, INTEGRATOR_DEFAULTS + [
+        "grids.theta_points=65", "grids.quad_panels=64", "grids.quad_order=8",
+        "tolerances.cycle_tol=1e-6", "tolerances.a3_tol=1e-8"]),
+    "sweep": (SWEEP_CFG, INTEGRATOR_DEFAULTS + [
+        "sweep.strategy=continuation", "grids.theta_points=65",
+        "tolerances.cycle_tol=1e-6", "tolerances.shoot_tol=1e-9"]),
+    "degree": (FIELD_CFG, ["grids.boundary_samples=512",
+                           "tolerances.vanish_tol=1e-9"]),
+    "resonance": (FIELD_CFG, [
+        "resonance.a_range=(0.5, 3.5)",
+        "resonance.theta_range=(0, 6.283185307179586)",
+        "resonance.grid=(12, 12)", "grids.quad_panels=64",
+        "grids.quad_order=8"]),
+    "average": (E3_CFG, INTEGRATOR_DEFAULTS + [
+        "average.radius=2.0", "average.n_max=256", "tolerances.phi_tol=1e-7",
+        "average.samples=17", "run.seed=12345"]),
+    "verify-cauchy": (E3_CFG, INTEGRATOR_DEFAULTS + [
+        "tolerances.gamma_tol=0.1", "average.radius=0", "average.n_max=256",
+        "tolerances.phi_tol=1e-7"]),
+    "find-periodic": (E3_CFG, INTEGRATOR_DEFAULTS + [
+        "tolerances.shoot_tol=1e-9"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTED))
+def test_unset_keys_keep_their_former_defaults(command, tmp_path, capsys):
+    text, explicit = DEFAULTED[command]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    results = []
+    for overrides in ([], explicit):
+        out = tmp_path / f"{len(overrides)}.csv"
+        argv = command.split() + ["--config", str(cfg), "--out", str(out)]
+        rc = run(argv + [a for o in overrides for a in ("--set", o)])
+        lines = [l for l in out.read_text().splitlines()
+                 if not l.startswith("# config ")]
+        results.append((rc, lines, capsys.readouterr().out))
+    assert results[0] == results[1]

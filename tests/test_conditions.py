@@ -200,6 +200,26 @@ def test_degree_comparison_vanishing_homotopy_witness(disk):
     assert rep.min_defect <= 1e-9
 
 
+def test_degree_comparison_rejects_product_region_before_integrating(
+        monkeypatch):
+    from epsode import conditions
+    calls = []
+    real = conditions._defect_profiles
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(conditions, "_defect_profiles", counting)
+    prod = ProductRegion([PlanarRegion.circle(0, 0, 1, 64)])
+    with pytest.raises(ValueError, match="planar regions"):
+        compare_defect_degrees(trivial_sys(("-x1", "-x2")),
+                               trivial_sys(("1", "0")), prod,
+                               boundary_samples=64,
+                               s_grid=np.linspace(0, TWO_PI, 5))
+    assert calls == []
+
+
 def test_degree_comparison_rejects_mismatched_unperturbed_fields(disk):
     s1 = trivial_sys(("1", "0"))
     s2 = system_from_expressions("other", 2, TWO_PI, ("1", "0"),

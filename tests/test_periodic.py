@@ -150,6 +150,11 @@ def test_sweep_empty_list(e1, disk):
     assert sw.results == [] and sw.slope is None
 
 
+def test_eps_sweep_rejects_unknown_seed_strategy(e1, disk):
+    with pytest.raises(ValueError, match="'continuation' or 'fixed'"):
+        eps_sweep(e1, disk, [1e-2], seed_strategy="continuaton")
+
+
 def test_sweep_amplitude_approaches_resonant_root(e2):
     rm = resonance_H("(1 - x1^2)*x2 + cos(t)", (1.5, 3.0), (1.0, 2.2),
                      grid=(4, 4))
