@@ -359,7 +359,9 @@ def _cmd_check(args, cfg):
         cycle = build_cycle(cfg, sys_def, icfg)
         rep = floquet_condition_A3(
             sys_def, cycle, _phase_grid(cfg, "grids.theta_points", sys_def.T),
-            cfg=icfg, **_given(cfg, cycle_tol="tolerances.cycle_tol"))
+            cfg=icfg, **_given(cfg, panels="grids.quad_panels",
+                               order="grids.quad_order",
+                               cycle_tol="tolerances.cycle_tol"))
         rows = [(r.theta, r.dist_to_one, r.gap, r.simple) for r in rep.rows]
         out.write_csv(("theta", "dist_to_one", "gap", "simple"), rows)
         out.write_plot([([r.theta for r in rep.rows],
@@ -638,7 +640,9 @@ def _cmd_sweep(args, cfg):
             prof = melnikov_profile(
                 sys_def, cycle,
                 _phase_grid(cfg, "grids.theta_points", sys_def.T), cfg=icfg,
-                **_given(cfg, cycle_tol="tolerances.cycle_tol"))
+                **_given(cfg, panels="grids.quad_panels",
+                         order="grids.quad_order",
+                         cycle_tol="tolerances.cycle_tol"))
     sw = eps_sweep(sys_def, region, eps_list, cycle=cycle, melnikov=prof,
                    cfg=icfg, **_given(cfg, seed_strategy="sweep.strategy",
                                       seed="sweep.seed",

@@ -228,10 +228,15 @@ def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
     Sampling is refined until every consecutive angle increment is below
     pi/2 (so no winding can be skipped for the sampled field) and the total
     angle is within ``residue_tol`` radians of an integer multiple of 2 pi.
-    Refinement bisects offending boundary intervals; a residue failure
-    doubles the whole grid.  Raises :class:`FieldVanishesError` when a
-    sample norm falls below ``vanish_tol`` and :class:`NonConvergentError`
-    at the sample cap.
+    An offending interval [u_l, u_r] with end values F_l, F_r gets its
+    midpoint and, when it lies strictly inside and off the midpoint, the
+    chord point u_l + lam (u_r - u_l) with
+    lam = -<F_l, F_r - F_l> / |F_r - F_l|^2, where the segment between the
+    end values passes closest to zero; so no interval shrinks more slowly
+    than under bisection, and a boundary zero is closed in on like a
+    secant root.  A residue failure doubles the whole grid.  Raises
+    :class:`FieldVanishesError` when a sample norm falls below
+    ``vanish_tol`` and :class:`NonConvergentError` at the sample cap.
     """
     if vectorized:
         F_many = F
@@ -252,13 +257,13 @@ def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
                   getattr(region, "n_hint", 512) or 512)
     us = np.arange(n_start) / float(n_start)
     vals, norms = evaluate(us)
-    angles = np.arctan2(vals[:, 1], vals[:, 0])
     min_norm = float(norms.min())
     refined = False
 
     while True:
-        inc = _loop_increments(angles)
+        inc = _loop_increments(np.arctan2(vals[:, 1], vals[:, 0]))
         bad = np.nonzero(np.abs(inc) >= np.pi / 2)[0]
+        nxt_u = np.concatenate([us, [us[0] + 1.0]])
         if bad.size == 0:
             total = float(inc.sum())
             deg = total / (2 * np.pi)
@@ -266,10 +271,15 @@ def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
             if residue <= residue_tol:
                 return DegreeReport(int(np.rint(deg)), min_norm, len(us),
                                     refined, total, residue)
-            new_us = (us + np.diff(np.concatenate([us, [us[0] + 1.0]])) / 2) % 1.0
+            new_us = (us + np.diff(nxt_u) / 2) % 1.0
         else:
-            nxt_u = np.concatenate([us, [us[0] + 1.0]])
-            new_us = ((nxt_u[bad] + nxt_u[bad + 1]) / 2) % 1.0
+            u_l, u_r = nxt_u[bad], nxt_u[bad + 1]
+            F_l, dF = vals[bad], vals[(bad + 1) % len(us)] - vals[bad]
+            # F_r != F_l, since their angles differ by at least pi/2
+            lam = -np.sum(F_l * dF, axis=1) / np.sum(dF * dF, axis=1)
+            mid, chord = (u_l + u_r) / 2, u_l + lam * (u_r - u_l)
+            inside = (chord > u_l) & (chord < u_r) & (chord != mid)
+            new_us = np.concatenate([mid, chord[inside]]) % 1.0
         if len(us) + len(new_us) > max_samples:
             raise NonConvergentError(
                 f"no convergence with {len(us)} boundary samples "
@@ -279,9 +289,7 @@ def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
         min_norm = min(min_norm, float(new_norms.min()))
         us = np.concatenate([us, new_us])
         order = np.argsort(us, kind="stable")
-        us = us[order]
-        angles = np.concatenate([angles, np.arctan2(new_vals[:, 1],
-                                                    new_vals[:, 0])])[order]
+        us, vals = us[order], np.concatenate([vals, new_vals])[order]
 
 
 def product_degree(Fs, product_region, **kwargs):

@@ -485,3 +485,24 @@ def test_unset_keys_keep_their_former_defaults(command, tmp_path, capsys):
                  if not l.startswith("# config ")]
         results.append((rc, lines, capsys.readouterr().out))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["check", "A3"], "floquet_condition_A3"),
+    (["sweep"], "melnikov_profile"),
+])
+def test_quadrature_keys_reach_every_cycle_integral(argv, target, tmp_path,
+                                                    monkeypatch, capsys):
+    from epsode import cli
+    seen = []
+    real = getattr(cli, target)
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs.get("panels"), kwargs.get("order")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, target, spy)
+    p = tmp_path / "q.cfg"
+    p.write_text(SWEEP_CFG + "\n[grids]\nquad_panels = 32\nquad_order = 6\n")
+    run(argv + ["--config", str(p), "--out", str(tmp_path / "q.csv")])
+    assert seen == [(32, 6)]

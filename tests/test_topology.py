@@ -66,6 +66,37 @@ def test_field_vanishing_detected(disk):
     assert abs(err.value.point[0]) <= 1e-4
 
 
+def _off_grid_point_field(radius, calls):
+    # F(P) = P - c with c at an angle between the 512 boundary samples
+    a = 2 * np.pi * 0.1234567
+    c = radius * np.array([np.cos(a), np.sin(a)])
+
+    def F(P):
+        calls.append(len(P))
+        return P - c
+
+    return F, c
+
+
+def test_boundary_zero_is_located_in_few_rounds(disk):
+    calls = []
+    F, c = _off_grid_point_field(1.0, calls)
+    with pytest.raises(FieldVanishesError) as err:
+        winding_number(F, disk, vectorized=True)
+    assert np.linalg.norm(err.value.point - c) <= 1e-9
+    assert len(calls) <= 4  # bisection alone needs 24
+
+
+@pytest.mark.parametrize("radius, degree", [(1 - 1e-6, 1), (1 + 1e-6, 0)])
+def test_near_boundary_zero_resolved_in_few_rounds(disk, radius, degree):
+    calls = []
+    F, _ = _off_grid_point_field(radius, calls)
+    rep = winding_number(F, disk, vectorized=True)
+    assert rep.degree == degree and rep.refined
+    assert abs(rep.min_field_norm - 1e-6) <= 1e-8
+    assert len(calls) <= 14  # as many as bisection alone
+
+
 def test_refinement_cap():
     disk = PlanarRegion.circle(0, 0, 1, 8)
     with pytest.raises(NonConvergentError):

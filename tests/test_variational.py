@@ -176,7 +176,8 @@ def test_augmented_lanes_match_single_lane(name, eps, request):
     k = sysd.k
     drift = make_sys(("sin(t)*x2", "x1^2"), psi=("-x2", "x1"))
     rng = np.random.default_rng(5)
-    for n in (5, 2):
+    # 2 to 8 lanes run the math binding lane by lane, 9 lanes numpy
+    for n in (5, 2, 8, 9):
         X = rng.uniform(-1.5, 1.5, (n, k))
         S = rng.normal(size=(n, k, k + 2))
         values = []
@@ -189,13 +190,15 @@ def test_augmented_lanes_match_single_lane(name, eps, request):
             z = pack(X, S)
             Xb, Sb = unpack(z)
             assert np.array_equal(Xb, X) and np.array_equal(Sb, S)
-            for t in (0.0, 0.7, 4.1):
+            for t in (0.0, 0.7, 4.1, np.linspace(0.0, 4.1, n)):
+                ts = np.broadcast_to(t, (n,))
                 many = rhs(t, z)
-                single = np.concatenate([rhs1(t, pack1(X[i], S[i]))
+                single = np.concatenate([rhs1(ts[i], pack1(X[i], S[i]))
                                          for i in range(n)])
                 assert np.max(np.abs(many - single)) <= 1e-14
                 values.append(many)
-        for generated, looped in zip(values[:3], values[3:]):
+        half = len(values) // 2
+        for generated, looped in zip(values[:half], values[half:]):
             assert np.max(np.abs(generated - looped)) <= 1e-14
 
 
@@ -227,6 +230,22 @@ def test_fractional_power_of_negative_value_stops_the_run(X):
     with pytest.raises(IntegrationError) as err:
         flow_lanes(sysd, 0.0, 1.0, X)
     assert err.value.t == pytest.approx(0.5, abs=1e-3)
+
+
+def test_log_domain_error_is_the_same_for_one_and_two_lanes():
+    # x1 = 0.5 - t reaches log's domain edge at t = 0.5; batches of up to
+    # _MATH_MAX_LANES lanes run the same math binding as one lane
+    sysd = system_from_expressions("p", 2, TWO_PI, ("0", "0"),
+                                   ("-1", "log(x1)"), check_periodicity=False)
+    failures = []
+    for X in ([0.5, 0.0], [[0.5, 0.0], [1.0, 0.0]]):
+        with pytest.raises(IntegrationError) as err:
+            flow_lanes(sysd, 0.0, 1.0, X)
+        failures.append(err.value)
+    for fail in failures:
+        assert fail.reason == "field evaluation failed (math domain error)"
+    assert failures[0].t == pytest.approx(failures[1].t, abs=1e-6)
+    assert failures[0].t == pytest.approx(0.5, abs=1e-6)
 
 
 def test_defect_profile_forcings_share_one_run(e2):
