@@ -144,7 +144,9 @@ def augmented(sys, n, eps=0.0, tangents=0, forcings=()):
         return _lane_loop(sys, n, eps, tangents, forcings), pack, unpack
     one, many = _lane_functions(sys, eps, tangents, forcings)
 
-    if n == 1:  # about 1 us per call less than the lane loop below
+    # one lane skips the loop: 0.4 against 0.9 us per e2 call, and without
+    # this branch orbits and averaging-e2 ran 5% and 10% slower
+    if n == 1:
         def rhs(t, z):
             return np.array(one(t, z.tolist()))
     elif n <= _MATH_MAX_LANES:

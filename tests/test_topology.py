@@ -94,7 +94,7 @@ def test_near_boundary_zero_resolved_in_few_rounds(disk, radius, degree):
     rep = winding_number(F, disk, vectorized=True)
     assert rep.degree == degree and rep.refined
     assert abs(rep.min_field_norm - 1e-6) <= 1e-8
-    assert len(calls) <= 14  # as many as bisection alone
+    assert len(calls) <= 5  # bisection alone needs 14
 
 
 def test_refinement_cap():

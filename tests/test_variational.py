@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from epsode import (DEFAULT_CONFIG, IntegrationError, defect_many,
-                    defect_profile, eta, eta_defect_field,
+from epsode import (DEFAULT_CONFIG, IntegrationError, IntegratorConfig,
+                    defect_many, defect_profile, eta, eta_defect_field,
                     floquet_condition_A3, flow_omega, flow_omega_dense,
                     integrate, monodromy, system_from_callables,
                     system_from_expressions)
@@ -246,6 +246,28 @@ def test_log_domain_error_is_the_same_for_one_and_two_lanes():
         assert fail.reason == "field evaluation failed (math domain error)"
     assert failures[0].t == pytest.approx(failures[1].t, abs=1e-6)
     assert failures[0].t == pytest.approx(0.5, abs=1e-6)
+
+
+def test_trial_stage_overflow_stops_up_to_eight_lanes():
+    # on the solution x1 = exp(-t) the exp term is at most 1e-300, but once
+    # x1 is near the absolute tolerance a large trial step overshoots it
+    # below zero and exp overflows; the math binding of up to
+    # _MATH_MAX_LANES lanes raises there as one lane does, while the numpy
+    # binding of wider batches returns inf, which rejects the trial step
+    sysd = system_from_expressions("p", 2, TWO_PI, ("0", "0"),
+                                   ("-x1 + 1e-300*exp(-1e15*x1)", "0"),
+                                   check_periodicity=False)
+    cfg = IntegratorConfig(max_steps=5000)
+    failures = []
+    for n in (1, 2):
+        with pytest.raises(IntegrationError) as err:
+            flow_lanes(sysd, 0.0, 30.0, [[1.0, 0.0]] * n, cfg)
+        failures.append(err.value)
+    for fail in failures:
+        assert fail.reason == "field evaluation failed (math range error)"
+    assert failures[0].t == pytest.approx(failures[1].t, abs=1e-3)
+    X, _ = flow_lanes(sysd, 0.0, 30.0, [[1.0, 0.0]] * 9, cfg)
+    assert np.all(np.abs(X) <= 1e-12)
 
 
 def test_defect_profile_forcings_share_one_run(e2):
