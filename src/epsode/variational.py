@@ -124,7 +124,10 @@ def augmented(sys, n, eps=0.0, tangents=0, forcings=()):
     broadcastable to (n, k, m) and returns the flat state; ``unpack(z)``
     maps a state, or states stacked along leading axes, to ``(X, S)`` of
     shapes (..., n, k) and (..., n, k, m).  With ``eps == 0`` neither phi
-    nor Dphi of ``sys`` is evaluated.
+    nor Dphi of ``sys`` is evaluated.  For a generated variant of up to
+    ``_MATH_MAX_LANES`` lanes, ``rhs.lane(t, y)`` is the ``math`` binding for
+    a float ``t``, taking and returning the state as a list; the solver's
+    scalar kernel calls it.
     """
     k = sys.k
     m = tangents + len(forcings)
@@ -144,18 +147,23 @@ def augmented(sys, n, eps=0.0, tangents=0, forcings=()):
         return _lane_loop(sys, n, eps, tangents, forcings), pack, unpack
     one, many = _lane_functions(sys, eps, tangents, forcings)
 
-    # one lane skips the loop: 0.4 against 0.9 us per e2 call, and without
-    # this branch orbits and averaging-e2 ran 5% and 10% slower
-    if n == 1:
-        def rhs(t, z):
-            return np.array(one(t, z.tolist()))
-    elif n <= _MATH_MAX_LANES:
-        def rhs(t, z):
+    if n <= _MATH_MAX_LANES:
+        def lanes(t, y):
             out = []
-            ts = t.tolist() if getattr(t, "ndim", 0) else (t,) * n
-            for tv, x in zip(ts, z.reshape(n, dim).tolist()):
+            for i in range(0, n * dim, dim):
+                out += one(t, y[i:i + dim])
+            return out
+
+        lane = one if n == 1 else lanes  # one lane skips the loop per stage
+
+        def rhs(t, z):
+            if not getattr(t, "ndim", 0):
+                return np.array(lane(t, z.tolist()))
+            out = []
+            for tv, x in zip(t.tolist(), z.reshape(n, dim).tolist()):
                 out += one(tv, x)
             return np.array(out)
+        rhs.lane = lane
     else:
         def rhs(t, z):
             dZ = np.empty((n, dim))

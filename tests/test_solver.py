@@ -1,3 +1,9 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -169,3 +175,94 @@ def test_gauss_legendre_matches_adaptive_quadrature():
     ref, _ = quad(lambda t: np.exp(2 * t) * np.cos(t), 0.0, 2 * np.pi,
                   limit=200)
     assert abs(ours - ref) / abs(ref) <= 1e-12
+
+
+def _e1_lane(e1, n):
+    """``n`` e1 lanes with eps 1e-2, two tangents and one forcing."""
+    rhs, pack, _ = augmented(e1, n, 1e-2, 2, (e1,))
+    X = np.array([[1.0, 0.0], [0.5, 0.2], [-0.3, 0.9], [0.1, -1.1]])[:n]
+    return rhs, pack(X, np.hstack([np.eye(2), np.zeros((2, 1))]))
+
+
+def test_wrapped_lane_field_takes_the_same_steps(e1):
+    # a wrapper that copies no attributes (as the benchmark tracer's) hides
+    # the lane function unless the solver looks behind ``__wrapped__``
+    for n in (1, 4):
+        rhs, z0 = _e1_lane(e1, n)
+
+        @functools.wraps(rhs, updated=())
+        def wrapped(t, z):
+            return rhs(t, z)
+
+        plain = integrate(rhs, 0.0, 2 * np.pi, z0)
+        assert not hasattr(wrapped, "lane")
+        traced = integrate(wrapped, 0.0, 2 * np.pi, z0)
+        assert np.array_equal(plain.ts, traced.ts)
+        assert np.array_equal(plain.states, traced.states)
+
+
+def test_scalar_and_numpy_kernels_agree(e1, e2):
+    rhs_e2, pack_e2, _ = augmented(e2, 1, forcings=(e2,))
+    rhs_4, pack_4, _ = augmented(e1, 4, forcings=(e1,))
+    X4 = [[1.0, 0.0], [0.5, 0.2], [-0.3, 0.9], [0.1, -1.1]]
+    cases = [(*_e1_lane(e1, 1), 2 * np.pi),
+             (rhs_e2, pack_e2([0.5, 0.3]), -4 * np.pi),
+             (rhs_4, pack_4(X4), 2 * np.pi)]
+    for rhs, z0, t1 in cases:
+        assert hasattr(rhs, "lane")
+        lanes = integrate(rhs, 0.0, t1, z0)
+        opaque = integrate(lambda t, z, f=rhs: f(t, z), 0.0, t1, z0)
+        assert len(lanes.ts) == len(opaque.ts)
+        z = opaque.endpoint
+        assert np.all(np.abs(lanes.endpoint - z) <= 1e-12 * (1 + np.abs(z)))
+
+
+def test_opaque_batch_takes_scipy_steps(e1):
+    rhs = augmented(e1, 9)[0]
+    assert not hasattr(rhs, "lane")
+    z0 = np.random.default_rng(2).uniform(-1.0, 1.0, 18)
+    ours = integrate(rhs, 0.0, 2 * np.pi, z0)
+    ref = solve_ivp(rhs, (0.0, 2 * np.pi), z0, method="RK45", rtol=1e-10,
+                    atol=1e-12)
+    assert np.array_equal(ours.ts, ref.t)
+    assert np.array_equal(ours.states, ref.y.T)
+
+
+def test_two_dimensional_start_is_rejected():
+    with pytest.raises(IntegrationError, match="field evaluation failed "
+                       r"\(.*1-dimensional.*\)"):
+        integrate(rotation, 0.0, 1.0, [[1.0, 0.0]])
+
+
+def test_too_small_rel_tol_warns_and_is_clamped():
+    floor = 100 * np.finfo(float).eps
+    with pytest.warns(UserWarning, match="rel_tol"):
+        tiny = integrate(rotation, 0.0, 1.0, [1.0, 0.0],
+                         IntegratorConfig(rel_tol=1e-17))
+    clamped = integrate(rotation, 0.0, 1.0, [1.0, 0.0],
+                        IntegratorConfig(rel_tol=floor))
+    assert np.array_equal(tiny.ts, clamped.ts)
+    assert np.array_equal(tiny.states, clamped.states)
+
+
+def test_step_size_underflow_names_the_spacing():
+    def blows_up(t, x):
+        return np.array([np.nan if t > 0.5 else 1.0])
+
+    with pytest.raises(IntegrationError) as err:
+        integrate(blows_up, 0.0, 1.0, [0.0])
+    assert err.value.reason == ("step failed (Required step size is less "
+                                "than spacing between numbers.)")
+    assert err.value.t == pytest.approx(0.5, abs=1e-6)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, epsode.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
