@@ -396,8 +396,8 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     ``g`` is a forcing expression in ``t`` and the slots ``x1`` (position
     u) and ``x2`` (velocity v); the components of H are the quadratures of
     sin(tau) and cos(tau) against g(tau + theta, a cos tau, -a sin tau)
-    over one period.  Zeros are located by damped Newton from a seed grid;
-    each zero carries the central-difference Jacobian determinant.
+    over one period.  Zeros come from damped Newton over a seed grid, one
+    lane per seed; each carries the central-difference Jacobian determinant.
     """
     expr = ex.parse(g) if isinstance(g, str) else g
     f = ex.compile_expr(expr, arrays=True)
@@ -422,9 +422,11 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
         return np.stack([(fv * s_nodes[None, :]) @ weights,
                          (fv * c_nodes[None, :]) @ weights], axis=1)
 
+    def H_lanes(P):
+        return H_many(P[:, 0], P[:, 1])
+
     def H(p):
-        p = np.asarray(p, dtype=float)
-        return H_many(p[0:1], p[1:2])[0]
+        return H_lanes(np.asarray(p, dtype=float)[None])[0]
 
     a_lo, a_hi = a_range
     th_lo, th_hi = theta_range
@@ -437,21 +439,21 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
         return ResonanceMap(H, H_many, [], True, tuple(a_range),
                             tuple(theta_range))
 
-    tol = zero_tol * max(1.0, scale)
+    run = damped_newton(
+        lambda P, jac: (H_lanes(P), jac and fd_jacobian(H_lanes, P, rel=1e-5)),
+        np.column_stack([AA.ravel(), TT.ravel()]), zero_tol * max(1.0, scale),
+        max_iter)
     zeros = []
-    for seed in np.column_stack([AA.ravel(), TT.ravel()]):
-        p, r, it, ok = damped_newton(
-            H, lambda q: fd_jacobian(H, q, rel=1e-5), seed, tol, max_iter)
-        if not ok:
-            continue
-        if not (a_lo - 1e-9 <= p[0] <= a_hi + 1e-9
+    for p, r, J, it, s in zip(run.x, run.residual, run.jacobian,
+                              run.iterations, run.status):
+        if not (s == "converged" and a_lo - 1e-9 <= p[0] <= a_hi + 1e-9
                 and th_lo - 1e-9 <= p[1] <= th_hi + 1e-9):
             continue
         if any(abs(z.a - p[0]) <= dedupe_tol and abs(z.theta - p[1]) <= dedupe_tol
                for z in zeros):
             continue
-        det = float(np.linalg.det(fd_jacobian(H, p, rel=1e-5)))
-        zeros.append(ResonanceZero(float(p[0]), float(p[1]), r, det, it))
+        zeros.append(ResonanceZero(float(p[0]), float(p[1]), float(r),
+                                   float(np.linalg.det(J)), int(it)))
     zeros.sort(key=lambda z: (z.a, z.theta))
     return ResonanceMap(H, H_many, zeros, False, tuple(a_range),
                         tuple(theta_range))

@@ -13,7 +13,7 @@ import numpy as np
 from .solver import DEFAULT_CONFIG, integrate
 from .systems import damped_newton
 from .topology import PlanarRegion
-from .variational import augmented, flow_lanes
+from .variational import augmented, flow_lanes, lane_field
 
 __all__ = [
     "NewtonStalledError", "SingularJacobianError", "PeriodicOrbitResult",
@@ -51,13 +51,6 @@ class PeriodicOrbitResult:
     failure: str = None
 
 
-def _period_map(sys, eps, xi, cfg, with_jacobian=True):
-    tangents = sys.k if with_jacobian else 0
-    X, S = flow_lanes(sys, 0.0, sys.T, xi, cfg, S=np.eye(sys.k, tangents),
-                      eps=eps, tangents=tangents)
-    return X[0] - xi, S[0] if with_jacobian else None
-
-
 def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9,
           max_iter=25, max_halvings=40, stall_window=3, stall_factor=0.98,
           singular_tol=1e-8):
@@ -69,66 +62,40 @@ def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9,
     eps = 0 raises :class:`SingularJacobianError`; lack of progress raises
     :class:`NewtonStalledError` with the residual history.
     """
-    xi = np.atleast_1d(np.asarray(seed, dtype=float)).copy()
-    history = []
-    iterations = 0
-    for it in range(max_iter + 1):
-        P, M = _period_map(sys, eps, xi, cfg)
-        res = float(np.linalg.norm(P))
-        history.append(res)
-        iterations = it
-        if res <= shoot_tol:
-            break
-        sv = np.linalg.svd(M - np.eye(sys.k), compute_uv=False)
-        singular = sv[-1] <= singular_tol * (1.0 + sv[0])
-        if singular:
-            if eps == 0:
-                return _finish(sys, eps, seed, xi, res, iterations, False,
-                               M, True, history, region, cfg, shoot_tol)
-            raise SingularJacobianError(
-                f"period-map Jacobian singular at eps={eps} "
-                f"(smallest singular value {sv[-1]:.3e})")
-        if it == max_iter:
-            raise NewtonStalledError(history)
-        if len(history) > stall_window and \
-                history[-1] > stall_factor * history[-1 - stall_window]:
-            raise NewtonStalledError(history)
-        direction = np.linalg.solve(M - np.eye(sys.k), -P)
-        alpha = 1.0
-        accepted = False
-        for _ in range(max_halvings):
-            cand = xi + alpha * direction
-            Pc, _ = _period_map(sys, eps, cand, cfg, with_jacobian=False)
-            if float(np.linalg.norm(Pc)) < res:
-                xi = cand
-                accepted = True
-                break
-            alpha /= 2.0
-        if not accepted:
-            raise NewtonStalledError(history)
-    sv = np.linalg.svd(M - np.eye(sys.k), compute_uv=False)
-    singular = bool(sv[-1] <= singular_tol * (1.0 + sv[0]))
-    return _finish(sys, eps, seed, xi, res, iterations, True, M, singular,
-                   history, region, cfg, shoot_tol)
+    eye = np.eye(sys.k)
 
+    def period_map(X, jacobian):
+        tangents = sys.k if jacobian else 0
+        end, S = flow_lanes(sys, 0.0, sys.T, X, cfg, S=eye[:, :tangents],
+                            eps=eps, tangents=tangents)
+        return end - X, S - eye if jacobian else None
 
-def _finish(sys, eps, seed, xi, res, iterations, converged, M, singular,
-            history, region, cfg, shoot_tol):
-    orbit = None
-    if converged:
-        orbit = integrate(augmented(sys, 1, eps)[0], 0.0, sys.T, xi, cfg)
+    run = damped_newton(period_map, np.reshape(seed, (1, -1)), shoot_tol,
+                        max_iter, max_halvings, singular_tol,
+                        (stall_window, stall_factor))
+    status, history = run.status[0], run.history[0]
+    if status == "singular" and eps != 0:
+        sv = np.linalg.svd(run.jacobian[0], compute_uv=False)
+        raise SingularJacobianError(
+            f"period-map Jacobian singular at eps={eps} "
+            f"(smallest singular value {sv[-1]:.3e})")
+    if status not in ("converged", "singular"):
+        raise NewtonStalledError(history)
+    xi, converged = run.x[0], status == "converged"
     result = PeriodicOrbitResult(
-        eps=float(eps), seed=np.asarray(seed, dtype=float),
-        xi_star=xi.copy(), residual=res, iterations=iterations,
-        converged=converged, multipliers=np.linalg.eigvals(M),
-        jacobian_singular=singular, orbit=orbit,
+        float(eps), np.asarray(seed, dtype=float), xi, float(run.residual[0]),
+        int(run.iterations[0]), converged,
+        np.linalg.eigvals(run.jacobian[0] + eye), bool(run.singular[0]),
         residual_history=history)
-    if region is not None and converged:
-        mem = pullback_membership(sys, orbit, region, cfg=cfg)
-        result.in_region = mem.in_region
-        result.membership_margin = mem.margin
-        result.boundary_distance = float(
-            region.distance_to_boundary(xi[None, :])[0])
+    if converged:
+        result.orbit = integrate(augmented(sys, 1, eps)[0], 0.0, sys.T, xi,
+                                 cfg)
+        if region is not None:
+            mem = pullback_membership(sys, result.orbit, region, cfg=cfg)
+            result.in_region = mem.in_region
+            result.membership_margin = mem.margin
+            result.boundary_distance = float(
+                region.distance_to_boundary(xi[None, :])[0])
     return result
 
 
@@ -176,32 +143,27 @@ def equilibrium_candidates(sys, eps, region=None, n_grid=3, tol=1e-12,
     """
     if not sys.autonomous:
         return []
-    fld = sys.field(eps)
-    jac = sys.field_jac(eps)
-    seeds = []
-    if region is not None:
-        if isinstance(region, PlanarRegion):
-            pts = region.boundary_points(64)
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
-            axes = [np.linspace(lo[j], hi[j], n_grid) for j in range(2)]
-            grid = np.meshgrid(*axes, indexing="ij")
-            seeds.extend(np.column_stack([g.ravel() for g in grid]))
-            if region.star_center is not None:
-                seeds.append(region.star_center)
-        else:
-            centers = np.concatenate([f.star_center for f in region.factors])
-            seeds.append(centers)
+    if isinstance(region, PlanarRegion):
+        pts = region.boundary_points(64)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        axes = [np.linspace(lo[j], hi[j], n_grid) for j in range(2)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        seeds = list(np.column_stack([g.ravel() for g in grid]))
+        if region.star_center is not None:
+            seeds.append(region.star_center)
+    elif region is not None:
+        seeds = [np.concatenate([f.star_center for f in region.factors])]
     else:
-        seeds.append(np.zeros(sys.k))
+        seeds = [np.zeros(sys.k)]
+    run = damped_newton(
+        lambda X, _: lane_field(sys, 0.0, X, np.eye(sys.k), eps=eps,
+                                tangents=sys.k),
+        np.array(seeds), tol, max_iter)
     found = []
-    for seed in seeds:
-        x, _, _, ok = damped_newton(lambda y: fld(0.0, y),
-                                    lambda y: jac(0.0, y), seed, tol, max_iter)
-        if ok:
-            if region is not None and not region.contains(x):
-                continue
-            if not any(np.linalg.norm(x - y) <= 1e-8 for y in found):
-                found.append(x)
+    for x in run.x[run.status == "converged"]:
+        if (region is None or region.contains(x)) and \
+                not any(np.linalg.norm(x - y) <= 1e-8 for y in found):
+            found.append(x)
     return found
 
 
@@ -252,8 +214,7 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
             try:
                 outcome = shoot(sys, eps, attempt, cfg=cfg, region=region,
                                 shoot_tol=shoot_tol)
-            except (NewtonStalledError, SingularJacobianError,
-                    np.linalg.LinAlgError) as err:
+            except (NewtonStalledError, SingularJacobianError) as err:
                 last_error = err
                 continue
             if outcome.converged:

@@ -9,6 +9,7 @@ batched lane evaluators that every integration of the system runs on.
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,14 +68,6 @@ class SystemDef:
             return eps * phi(t, x) + psi(t, x)
 
         return f if eps else psi
-
-    def field_jac(self, eps):
-        phij, psij = self.phi_jac, self.psi_jac
-
-        def J(t, x):
-            return eps * phij(t, x) + psij(t, x)
-
-        return J if eps else psij
 
     def check_periodicity(self, n_samples=7, tol=1e-8, seed=11):
         """Verify phi and psi are T-periodic in t at random sample points.
@@ -151,50 +144,91 @@ def system_from_expressions(name, k, T, phi, psi, params=None,
 
 
 def fd_jacobian(f, x, rel=1e-6):
-    """Central finite-difference Jacobian of ``x -> f(x)`` at ``x``, with
-    step ``rel * (1 + |x_j|)`` in coordinate j."""
+    """Central finite-difference Jacobian of ``x -> f(x)`` at one point
+    (k,), or at lanes (n, k) that ``f`` maps to (n, k) in one call per
+    perturbation, with step ``rel * (1 + |x_j|)`` in coordinate j."""
     x = np.asarray(x, dtype=float)
-    J = np.empty((len(x), len(x)))
-    for j in range(len(x)):
-        h = rel * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (np.atleast_1d(f(xp)) - np.atleast_1d(f(xm))) / (2 * h)
-    return J
+    X = np.atleast_2d(x)
+    g = f if x.ndim == 2 else (lambda Y: np.atleast_1d(f(Y[0]))[None])
+    J = np.empty(X.shape + X.shape[-1:])
+    for j in range(X.shape[1]):
+        E = np.zeros_like(X)
+        E[:, j] = rel * (1.0 + np.abs(X[:, j]))
+        J[:, :, j] = (g(X + E) - g(X - E)) / (2 * E[:, j:j + 1])
+    return J if x.ndim == 2 else J[0]
 
 
-def damped_newton(f, jac, x, tol, max_iter):
-    """Newton's method for f(x) = 0 from ``x`` with step halving.
+@dataclass
+class NewtonLanes:
+    """Per lane of :func:`damped_newton`: the last iterate ``x``, its
+    ``residual`` norm, ``jacobian`` and ``singular`` test, the accepted
+    steps, the ``status`` (converged, singular, max_iter, stalled,
+    no_descent or nonfinite) and the residual norm of every iterate."""
+    x: np.ndarray
+    residual: np.ndarray
+    jacobian: np.ndarray
+    singular: np.ndarray
+    iterations: np.ndarray
+    status: np.ndarray
+    history: list
 
-    Each iteration takes the full Newton step or the first of up to 30
-    halvings of it that lowers the residual |f(x)|; it stops on a singular
-    Jacobian or when no halving does.  Returns ``(x, residual, iterations,
-    converged)``, converged meaning the residual is within ``tol``.
+
+def _lane_norms(V):  # np.linalg.norm of each row of V, bit for bit
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+def damped_newton(fj, X, tol, max_iter, halvings=30, singular_tol=0.0,
+                  stall=None):
+    """Newton's method with step halving (Deuflhard, *Newton Methods for
+    Nonlinear Problems*, ch. 3) for f(x) = 0 from each row of ``X`` (n, k).
+
+    ``fj(X, jacobian)`` returns f at the lanes X (n, k) and, if asked, their
+    Jacobians J (n, k, k), in one call per stage.  At each iterate a lane
+    stops, in this order, when |f| <= ``tol``, when f or J is not finite,
+    when J is exactly singular or ``s_min <= singular_tol * (1 + s_max)``,
+    after ``max_iter`` steps, or, with ``stall = (window, factor)``, when |f|
+    exceeds ``factor`` times its value ``window`` iterates back; else it
+    steps to the first of x + d, x + d/2, ... (``halvings`` tries) that
+    lowers |f|, or stops there (no_descent).
     """
-    x = np.array(x, dtype=float)
-    v = f(x)
-    r = float(np.linalg.norm(v))
-    it = 0
-    while r > tol and it < max_iter:
-        try:
-            d = np.linalg.solve(jac(x), -v)
-        except np.linalg.LinAlgError:
-            break
-        alpha = 1.0
-        for _ in range(30):
-            cand = x + alpha * d
-            v_cand = f(cand)
-            r_cand = float(np.linalg.norm(v_cand))
-            if r_cand < r:
+    X = np.array(X, dtype=float)
+    n, k = X.shape
+    hist, Jac = np.full((n, max_iter + 1), np.nan), np.full((n, k, k), np.nan)
+    singular, its = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
+    status = np.full(n, "", dtype=object)
+    live = np.arange(n)
+    while live.size:
+        V, J = fj(X[live], True)
+        r, i = _lane_norms(V), its[live]
+        hist[live, i], Jac[live] = r, J
+        finite = np.isfinite(r) & np.isfinite(J).all(axis=(1, 2))
+        Jf = np.where(finite[:, None, None], J, 0.0)  # svd raises on nan
+        sv = np.linalg.svd(Jf, compute_uv=False)
+        singular[live] = finite & ((np.linalg.det(Jf) == 0)
+                                   | (sv[:, -1] <= singular_tol * (1 + sv[:, 0])))
+        w, factor = stall or (max_iter + 1, 1.0)
+        stalled = (i >= w) & (r > factor * hist[live, np.maximum(i - w, 0)])
+        status[live] = np.select(
+            [r <= tol, ~finite, singular[live], i == max_iter, stalled],
+            ["converged", "nonfinite", "singular", "max_iter", "stalled"], "")
+        go = status[live] == ""
+        step, todo = live[go], np.arange(go.sum())
+        D = np.linalg.solve(J[go], -V[go][..., None])[..., 0]
+        alpha = np.ones(len(step))
+        for _ in range(halvings):
+            if not todo.size:
                 break
-            alpha /= 2
-        else:
-            break
-        x, v, r = cand, v_cand, r_cand
-        it += 1
-    return x, r, it, r <= tol
+            C = X[step[todo]] + alpha[todo, None] * D[todo]
+            Vc = fj(C, False)[0]
+            better = _lane_norms(Vc) < r[go][todo]
+            X[step[todo[better]]] = C[better]
+            its[step[todo[better]]] += 1
+            todo = todo[~better]
+            alpha[todo] /= 2.0
+        status[step[todo]] = "no_descent"
+        live = np.delete(step, todo)
+    return NewtonLanes(X, hist[np.arange(n), its], Jac, singular, its, status,
+                       [h[:i + 1].tolist() for h, i in zip(hist, its)])
 
 
 def system_from_callables(name, k, T, phi, psi, phi_jac=None, psi_jac=None,

@@ -235,8 +235,8 @@ def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
     end values passes closest to zero; so no interval shrinks more slowly
     than under bisection, and a boundary zero is closed in on like a
     secant root.  A residue failure doubles the whole grid.  Raises
-    :class:`FieldVanishesError` when a sample norm falls below
-    ``vanish_tol`` and :class:`NonConvergentError` at the sample cap.
+    :class:`FieldVanishesError` at the sample of smallest u whose norm falls
+    below ``vanish_tol``, and :class:`NonConvergentError` at the sample cap.
     """
     if vectorized:
         F_many = F
@@ -248,7 +248,8 @@ def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
         pts = region.boundary_points(us=us)
         vals = np.atleast_2d(np.asarray(F_many(pts), dtype=float))
         norms = np.linalg.norm(vals, axis=1)
-        j = int(np.argmin(norms))
+        # the first vanishing sample in u: their norms are rounding noise
+        j = int(np.argmin(np.where(norms < vanish_tol, us, np.inf)))
         if norms[j] < vanish_tol:
             raise FieldVanishesError(pts[j], norms[j], us[j])
         return vals, norms

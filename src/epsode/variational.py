@@ -97,7 +97,7 @@ def _lane_functions(sys, eps, tangents, forcings):
 def _lane_loop(sys, n, eps, tangents, forcings):
     """Right-hand side of ``n`` lanes from the pointwise evaluators."""
     k, m = sys.k, tangents + len(forcings)
-    fld, jac = sys.field(eps), sys.field_jac(eps)
+    fld, phij, psij = sys.field(eps), sys.phi_jac, sys.psi_jac
 
     def rhs(t, z):
         Z = np.reshape(z, (n, k * (1 + m)))
@@ -106,7 +106,8 @@ def _lane_loop(sys, n, eps, tangents, forcings):
             x = Z[i, :k]
             dZ[i, :k] = fld(tv, x)
             if m:
-                dS = jac(tv, x) @ Z[i, k:].reshape(k, m)
+                J = eps * phij(tv, x) + psij(tv, x) if eps else psij(tv, x)
+                dS = J @ Z[i, k:].reshape(k, m)
                 for j, drive in enumerate(forcings, tangents):
                     dS[:, j] += drive.phi(tv, x)
                 dZ[i, k:] = dS.ravel()

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from epsode import conditions
 from epsode import (PlanarRegion, ProductRegion, check_A0, check_A1, check_A2,
                     defect_normal_profile, melnikov_profile, resonance_H,
                     resonance_initial_point, system_from_expressions,
@@ -261,6 +262,27 @@ def test_resonance_closed_form_values():
         assert H[0] == pytest.approx(
             np.pi * (-a + a ** 3 / 4 - np.sin(th)), rel=1e-10, abs=1e-10)
         assert H[1] == pytest.approx(np.pi * np.cos(th), rel=1e-10, abs=1e-10)
+
+
+def test_resonance_newton_batches_the_seeds(monkeypatch):
+    # the 144 seeds run as lanes of one damped Newton, so each call of the
+    # forcing covers many seeds; one Newton per seed makes about 16,000
+    real, widths = conditions.ex.compile_expr, []
+
+    def counting(*args, **kwargs):
+        f = real(*args, **kwargs)
+
+        def counted(t, x):
+            widths.append(np.size(t))
+            return f(t, x)
+
+        return counted
+
+    monkeypatch.setattr(conditions.ex, "compile_expr", counting)
+    rm = resonance_H(FORCING, (0.5, 3.5), (0.0, TWO_PI), grid=(12, 12))
+    assert len(rm.zeros) == 1
+    assert len(widths) <= 2500
+    assert max(widths) <= 144 * 64 * 8  # no call wider than the seed grid
 
 
 def test_resonance_seed_point():

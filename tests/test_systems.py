@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from epsode import (builtin_names, builtin_system, flow_omega,
+from epsode import (builtin_names, builtin_system, flow_omega, resonance_H,
                     system_from_callables, system_from_expressions)
+from epsode.systems import damped_newton, fd_jacobian
 from epsode.variational import lane_field
 
 
@@ -123,3 +124,103 @@ def test_autonomy_flags(e1, e2, e3):
     assert not e2.autonomous  # forcing depends on t
     assert e2.psi_autonomous
     assert not e3.autonomous
+
+
+# ------------------------------------------------------ lane Newton --
+
+def _solo_runs(fj, X, tol, max_iter):
+    return [damped_newton(fj, x[None], tol, max_iter) for x in X]
+
+
+def _assert_lanes_match_solo(fj, X, tol, max_iter):
+    run = damped_newton(fj, X, tol, max_iter)
+    for i, solo in enumerate(_solo_runs(fj, X, tol, max_iter)):
+        assert run.status[i] == solo.status[0]
+        assert run.iterations[i] == solo.iterations[0]
+        if solo.status[0] == "converged":
+            scale = np.linalg.norm(solo.x[0])
+            assert np.linalg.norm(run.x[i] - solo.x[0]) <= 1e-12 * scale
+    return run
+
+
+def test_lane_newton_matches_solo_runs_on_e1_equilibrium_seeds(e1):
+    def fj(X, jacobian):
+        return lane_field(e1, 0.0, X, np.eye(2), eps=1e-2, tangents=2)
+
+    # the seeds equilibrium_candidates takes on the unit disk
+    a, b = np.meshgrid(*2 * [np.linspace(-1.0, 1.0, 3)], indexing="ij")
+    X = np.vstack([np.column_stack([a.ravel(), b.ravel()]), np.zeros((1, 2))])
+    run = _assert_lanes_match_solo(fj, X, 1e-12, 60)
+    converged = run.status == "converged"
+    assert converged.any()
+    for x in run.x[converged]:
+        assert np.linalg.norm(lane_field(e1, 0.0, x, eps=1e-2)[0]) <= 1e-12
+
+
+def test_lane_newton_matches_solo_runs_on_resonance_seeds():
+    rm = resonance_H("(1 - x1^2)*x2 + cos(t)", (0.5, 3.5), (0.0, 2 * np.pi),
+                     grid=(4, 4))
+
+    def H(P):
+        return rm.evaluate_many(P[:, 0], P[:, 1])
+
+    def fj(P, jacobian):
+        return H(P), fd_jacobian(H, P, rel=1e-5)
+
+    X = np.array([(2.0, 1.0), (3.0, 2.0), (0.6, 0.3), (2.5, 5.0),
+                  (1.4, 1.6)])
+    run = _assert_lanes_match_solo(fj, X, 1e-9, 40)
+    converged = run.status == "converged"
+    assert converged.any() and not converged.all()
+
+
+def _square_minus_one(X, jacobian):
+    return X ** 2 - 1.0, 2.0 * X[:, :, None]
+
+
+def test_lane_newton_singular_lane_stops_alone():
+    # x^2 - 1 has a zero derivative at x = 0
+    run = damped_newton(_square_minus_one, [[3.0], [0.0], [-0.5]], 1e-12, 40)
+    assert run.status.tolist() == ["converged", "singular", "converged"]
+    assert run.singular.tolist() == [False, True, False]
+    assert run.x[[0, 2], 0] == pytest.approx([1.0, -1.0], abs=1e-12)
+    assert run.iterations[1] == 0 and run.history[1] == [1.0]
+
+
+def test_lane_newton_nonfinite_lane_stops_alone():
+    def fj(X, jacobian):  # sqrt(x) - 1, whose derivative is inf at 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sqrt(X) - 1.0, 0.5 / np.sqrt(X)[:, :, None]
+
+    run = damped_newton(fj, [[4.0], [-1.0], [0.0], [0.25]], 1e-12, 40)
+    assert run.status.tolist() == ["converged", "nonfinite", "nonfinite",
+                                    "converged"]
+    assert run.x[[0, 3], 0] == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert np.isnan(run.history[1][0]) and run.history[2] == [1.0]
+    solo = _solo_runs(fj, np.array([[4.0], [0.25]]), 1e-12, 40)
+    assert [s.iterations[0] for s in solo] == run.iterations[[0, 3]].tolist()
+
+    # the residual of the run with the Jacobian is nan for 1.2 < x < 2, as
+    # when a period map's run with tangents fails where the plain one does not
+    def fj_band(X, jacobian):
+        V = X ** 2 - 1.0
+        if jacobian:
+            V = np.where((X > 1.2) & (X < 2.0), np.nan, V)
+        return V, 2.0 * X[:, :, None]
+
+    run = damped_newton(fj_band, [[3.0], [-3.0]], 1e-12, 40)
+    assert run.status.tolist() == ["nonfinite", "converged"]
+    assert run.iterations[0] == 1 and np.isnan(run.history[0][1])
+    assert run.x[1, 0] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_fd_jacobian_of_lanes_matches_single_points():
+    def f(X):
+        return np.column_stack([X[:, 0] * X[:, 1], np.sin(X[:, 0])])
+
+    X = np.array([[0.3, -1.2], [2.0, 0.5]])
+    J = fd_jacobian(f, X)
+    for x, Jx in zip(X, J):
+        assert np.array_equal(Jx, fd_jacobian(lambda y: f(y[None])[0], x))
+    assert J[0] == pytest.approx(np.array([[-1.2, 0.3], [np.cos(0.3), 0.0]]),
+                                 abs=1e-8)

@@ -65,6 +65,19 @@ def test_field_vanishing_detected(disk):
         winding_number(F, disk, vectorized=True)
     assert abs(err.value.point[0]) <= 1e-4
 
+    # the same zeros, scaled so that the one at larger u (0.75) has the
+    # smaller norm: the witness is still the first zero in u
+    def G(P):
+        return P * (P[:, :1] * np.where(P[:, 1:] > 0, 10.0, 1.0))
+
+    norms = np.linalg.norm(G(disk.boundary_points(us=np.array([0.25, 0.75]))),
+                           axis=1)
+    assert 0 < norms[1] < norms[0] < 1e-9
+    with pytest.raises(FieldVanishesError) as err:
+        winding_number(G, disk, vectorized=True)
+    assert err.value.u == 0.25
+    assert err.value.point[1] == pytest.approx(1.0)
+
 
 def _off_grid_point_field(radius, calls):
     # F(P) = P - c with c at an angle between the 512 boundary samples
