@@ -7,8 +7,9 @@ from epsode import (FieldVanishesError, PlanarRegion, ProductRegion,
 
 disk = PlanarRegion.circle(0.0, 0.0, 1.0, 512)
 
-print("identity:", winding_number(lambda p: p, disk).degree)
-print("constant:", winding_number(lambda p: np.array([1.0, 0.0]), disk).degree)
+print("identity:", winding_number(lambda P: P, disk).degree)
+print("constant:",
+      winding_number(lambda P: np.tile([1.0, 0.0], (len(P), 1)), disk).degree)
 
 
 def complex_square(P):
@@ -16,19 +17,19 @@ def complex_square(P):
                      2 * P[:, 0] * P[:, 1]], axis=1)
 
 
-rep = winding_number(complex_square, disk, vectorized=True)
+rep = winding_number(complex_square, disk)
 print(f"z^2: degree {rep.degree} from {rep.samples_used} samples "
       f"(min |F| = {rep.min_field_norm:.3f})")
 
 # vanishing fields are reported with a witness instead of a bogus integer
 try:
-    winding_number(lambda P: P * P[:, :1], disk, vectorized=True)
+    winding_number(lambda P: P * P[:, :1], disk)
 except FieldVanishesError as err:
     print("vanishing detected:", err)
 
 # product regions multiply the factor degrees
 prod = ProductRegion([disk, PlanarRegion.circle(0, 0, 2.0, 256)])
-rep = product_degree([complex_square, lambda p: p], prod, vectorized=True)
+rep = product_degree([complex_square, lambda P: P], prod)
 print("product degree (z^2 x identity):", rep.degree)
 
 # radial contraction about the star center

@@ -23,7 +23,7 @@ print(f"  a vs root of a^3 - 4a - 4: {abs(z.a ** 3 - 4 * z.a - 4):.2e}")
 
 box = rm.box(z, 0.2)
 deg = winding_number(lambda P: rm.evaluate_many(P[:, 0], P[:, 1]), box,
-                     n0=256, vectorized=True)
+                     n0=256)
 print(f"degree of H around the zero: {deg.degree} "
       f"(sign of det H' = {int(np.sign(z.det))})")
 

@@ -22,7 +22,8 @@ z, info = solve_averaged(av, [1.0], 1.0)
 print(f"slow solution z(1) = {z.endpoint[0]:.9f}  (exact e^-1 = "
       f"{np.exp(-1):.9f}); Lipschitz estimate {info['lipschitz_estimate']:.3f}")
 
-verdicts = verify_cauchy(e3, [1.0], 1.0, [0.01, 0.005], gamma_tol=0.1)
+verdicts = verify_cauchy(e3, [1.0], 1.0, [0.01, 0.005],
+                         averaged_field(e3, r=4.0), gamma_tol=0.1)
 for v in verdicts:
     print(" ", v.summary())
 print(f"error ratio between the two eps values: "

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import (DEFAULT_CONFIG, Trajectory, integrate,
-                     integrate_checkpoints)
+from .solver import DEFAULT_CONFIG, integrate, integrate_checkpoints
 from .systems import fd_jacobian
 from .variational import augmented, flow_lanes, flow_omega
 
@@ -80,6 +79,11 @@ def averaged_field(sys, r, n_max=256, phi_tol=1e-7, n_samples=17, seed=23,
     divergence trend when ``n_max`` is reached, which is how a failing
     uniform-limit hypothesis shows up in practice.
     """
+    if not r > 0:
+        raise ValueError(f"averaging radius must be positive, got {r!r}")
+    if n_samples < 1:
+        raise ValueError(f"need at least one validation sample, got "
+                         f"{n_samples}")
     samples = _ball_samples(sys.k, r, n_samples, seed)
     history = []
     n = 1
@@ -148,33 +152,25 @@ class CauchyVerdict:
                 f"vs gamma {self.gamma_tol:g} -> {status}")
 
 
-def verify_cauchy(sys, xi0, d, eps_list, gamma_tol=0.1, cfg=DEFAULT_CONFIG,
-                    averaged_solution=None, avg_radius=None, n_max=256,
-                    phi_tol=1e-7, grid_points=1024):
+def verify_cauchy(sys, xi0, d, eps_list, avg, gamma_tol=0.1,
+                  cfg=DEFAULT_CONFIG, grid_points=1024):
     """Compare full solutions against the averaged prediction on [0, d/eps].
 
-    For each eps the full system is integrated from xi0 and the sup over a
-    time grid of |x_eps(t) - Omega(t, 0, z(eps t))| is reported, where z
-    solves the averaged system (or is supplied via ``averaged_solution`` as
-    a Trajectory or callable of slow time).  The flow factor for the whole
-    grid comes from one run of the unperturbed flow in which each lane ends
-    at its own grid time (:func:`flow_lanes`).
+    ``avg`` is the averaged field, an :class:`AveragedField` or any callable
+    z -> Phi(z); the slow solution z solves z' = Phi(z) from xi0 on [0, d]
+    and raises ``ValueError`` when it leaves the validated ball.  For each
+    eps the full system is integrated from xi0 and the sup over a time grid
+    of |x_eps(t) - Omega(t, 0, z(eps t))| is reported.  The flow factor for
+    the whole grid comes from one run of the unperturbed flow in which each
+    lane ends at its own grid time (:func:`flow_lanes`).
     """
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
+    if not d > 0:
+        raise ValueError("the slow horizon d must be positive")
     for eps in eps_list:
         if not eps > 0:
             raise ValueError("eps values must be positive")
-    if averaged_solution is None:
-        r = avg_radius if avg_radius is not None else 2.0 * (1 + np.linalg.norm(xi0))
-        avg = averaged_field(sys, r, n_max=n_max, phi_tol=phi_tol, cfg=cfg)
-        z_at = _averaged_trajectory(avg, xi0, d, cfg).eval
-    elif isinstance(averaged_solution, Trajectory):
-        z_at = averaged_solution.eval
-    else:
-        def z_at(s):
-            s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-            vals = np.array([np.atleast_1d(averaged_solution(v)) for v in s_arr])
-            return vals if np.ndim(s) else vals[0]
+    z_at = _averaged_trajectory(avg, xi0, d, cfg).eval
 
     def one(eps):
         horizon = d / eps

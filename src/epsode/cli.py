@@ -111,11 +111,11 @@ _KEYS = {
     "tolerances.gamma_tol": _float,
     "tolerances.cycle_tol": (_float, 1e-6),  # the closure test of build_cycle
     "cycle.seed": _point,
-    "run.seed": (_int, DEFAULT_SEED),  # the CSV header; averaged_field's is 23
+    # the CSV header and the averaged field's validation samples
+    "run.seed": (_int, DEFAULT_SEED),
     "shoot.eps": _float, "shoot.seed": _point,
     "sweep.eps": _list, "sweep.strategy": _strategy, "sweep.seed": _point,
-    # average; for verify-cauchy unset or 0 lets verify_cauchy pick the ball
-    "average.radius": (_float, 2.0),
+    "average.radius": (_float, 2.0),  # for average and verify-cauchy
     "average.n_max": _int, "average.samples": _int,
     "verify.xi0": _point, "verify.d": _float, "verify.eps": _list,
     "resonance.g": _text, "resonance.a_range": (_list, (0.5, 3.5)),
@@ -461,7 +461,7 @@ def _cmd_degree(args, cfg):
     out = Output(args, cfg, "degree")
     try:
         rep = winding_number(
-            F, region, n0=_get(cfg, "grids.boundary_samples"), vectorized=True,
+            F, region, n0=_get(cfg, "grids.boundary_samples"),
             **_given(cfg, vanish_tol="tolerances.vanish_tol"))
     except (FieldVanishesError, NonConvergentError) as err:
         out.write_csv(("quantity", "value"), [("degree", ""), ("note", str(err))])
@@ -498,7 +498,7 @@ def _cmd_resonance(args, cfg):
             box = rm.box(z)
             local = winding_number(
                 lambda P: rm.evaluate_many(P[:, 0], P[:, 1]),
-                box, n0=256, vectorized=True).degree
+                box, n0=256).degree
         except (FieldVanishesError, NonConvergentError):
             local = 0
         rows.append((z.a, z.theta, z.residual, z.det, local))
@@ -516,16 +516,22 @@ def _cmd_resonance(args, cfg):
     return EXIT_FAILS
 
 
+def _averaged(cfg, sys_def, icfg):
+    """The averaged field that ``average`` reports and ``verify-cauchy``
+    checks."""
+    return averaged_field(
+        sys_def, r=_get(cfg, "average.radius"), seed=_get(cfg, "run.seed"),
+        cfg=icfg, **_given(cfg, n_max="average.n_max",
+                           phi_tol="tolerances.phi_tol",
+                           n_samples="average.samples"))
+
+
 def _cmd_average(args, cfg):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
     out = Output(args, cfg, "average")
     try:
-        av = averaged_field(
-            sys_def, r=_get(cfg, "average.radius"),
-            seed=_get(cfg, "run.seed"), cfg=icfg,
-            **_given(cfg, n_max="average.n_max", phi_tol="tolerances.phi_tol",
-                     n_samples="average.samples"))
+        av = _averaged(cfg, sys_def, icfg)
     except (NoConvergenceError, IntegrationError) as err:
         out.write_csv(("note",), [(str(err),)])
         print(f"averaged field inconclusive ({err})")
@@ -555,12 +561,9 @@ def _cmd_verify_cauchy(args, cfg):
     out = Output(args, cfg, "verify-cauchy")
     try:
         verdicts = verify_cauchy(
-            sys_def, xi0, d, eps_list, cfg=icfg,
-            # unset or 0: verify_cauchy sizes the ball itself
-            avg_radius=_value(cfg, "average.radius") or None,
-            **_given(cfg, gamma_tol="tolerances.gamma_tol",
-                     n_max="average.n_max", phi_tol="tolerances.phi_tol"))
-    except (NoConvergenceError, IntegrationError, ValueError) as err:
+            sys_def, xi0, d, eps_list, _averaged(cfg, sys_def, icfg),
+            cfg=icfg, **_given(cfg, gamma_tol="tolerances.gamma_tol"))
+    except (NoConvergenceError, IntegrationError) as err:
         out.write_csv(("note",), [(str(err),)])
         print(f"verify-cauchy inconclusive ({err})")
         return EXIT_INCONCLUSIVE

@@ -20,8 +20,9 @@ from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
 from .systems import damped_newton, fd_jacobian
 from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
                        product_degree, winding_number)
-from .variational import (DefectField, _defect_profiles, flow_lanes,
-                          cycle_residual, defect_profile, lane_field)
+from .variational import (DefectField, _defect_profiles, _phase_points,
+                          flow_lanes, cycle_residual, defect_profile,
+                          lane_field)
 
 __all__ = [
     "HypothesisReport", "check_A0", "check_A1", "check_A2",
@@ -114,9 +115,9 @@ def check_A0(sys, region, n_samples=512, a0_tol=1e-7, cfg=DEFAULT_CONFIG):
 def check_A1(sys, region, s_grid=None, boundary_samples=512, a1_tol=1e-6,
              cfg=DEFAULT_CONFIG):
     """Nonvanishing period defect over the (anchor, boundary) grid."""
-    if s_grid is None:
-        s_grid = np.linspace(0.0, sys.T, 65)
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _phase_points(s_grid, sys.T, "s_grid")
+    if boundary_samples < 1:
+        raise ValueError("boundary_samples must be positive")
     pts = _boundary_samples(region, boundary_samples)
     try:
         prof = defect_profile(sys, pts, s_grid, cfg)
@@ -149,6 +150,8 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     (``points``) and the defect field there (``values``), whatever the
     verdict.  Returns ``(HypothesisReport, DegreeReport or None)``.
     """
+    if boundary_samples < 1:
+        raise ValueError("boundary_samples must be positive")
     fld = DefectField(sys, 0.0, cfg)
     grids = {"boundary_samples": boundary_samples}
     tols = {"vanish_tol": vanish_tol}
@@ -157,7 +160,7 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     try:
         if planar:
             report = winding_number(fld.eval_many, region, n0=boundary_samples,
-                                    vectorized=True, vanish_tol=vanish_tol)
+                                    vanish_tol=vanish_tol)
         else:
             centers = np.concatenate([f.star_center for f in region.factors])
 
@@ -168,8 +171,7 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
 
             report = product_degree(
                 [partial(slice_field, i=i) for i in range(len(region.factors))],
-                region, n0=boundary_samples, vectorized=True,
-                vanish_tol=vanish_tol)
+                region, n0=boundary_samples, vanish_tol=vanish_tol)
     except FieldVanishesError as err:
         hyp = HypothesisReport(
             "A2", "inconclusive", 0.0,
@@ -234,9 +236,7 @@ def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
     if res > cycle_tol:
         raise ValueError(f"input trajectory is not {sys.T}-periodic "
                          f"(residual {res:.3e})")
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, sys.T, 65)
-    thetas = np.asarray(theta_grid, dtype=float)
+    thetas = _phase_points(theta_grid, sys.T, "theta_grid")
 
     nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
     xq = cycle.eval(nodes)
@@ -347,8 +347,8 @@ def compare_defect_degrees(sys1, sys2, region, lambda_grid=None, s_grid=None,
     for sysi, Di in ((sys1, D1), (sys2, D2)):
         fldi = DefectField(sysi, 0.0, cfg)
         fldi.preseed(pts, Di[s0])
-        degrees.append(winding_number(fldi.eval_many, region, n0=len(pts),
-                                      vectorized=True).degree)
+        degrees.append(winding_number(fldi.eval_many, region,
+                                      n0=len(pts)).degree)
     verdict = "holds" if degrees[0] == degrees[1] else "fails"
     return DegreeComparisonReport(verdict, degrees[0], degrees[1], min_defect,
                           witness, grids)

@@ -290,8 +290,9 @@ class RK45:
 def _accepted_steps(field, t0, t1, xi, cfg):
     """Yield the :class:`RK45` stepper after each accepted step from
     ``(t0, xi)`` to ``t1``; failures raise :class:`IntegrationError`.  The
-    stepper is looked up as the module global ``RK45`` on every call."""
-    if t1 == t0:
+    stepper is looked up as the module global ``RK45`` on every call.  An
+    empty state, like an empty interval, takes no step."""
+    if t1 == t0 or not np.size(xi):
         return
     solver = None
     with np.errstate(all="ignore"):

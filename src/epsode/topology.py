@@ -104,17 +104,6 @@ class PlanarRegion:
             star_center = vertices.mean(axis=0)
         return cls(vertices=vertices, star_center=star_center, n_hint=n_hint)
 
-    @classmethod
-    def from_curve(cls, fn, star_center=None, n_hint=512, vectorized=True):
-        if not vectorized:
-            scalar_fn = fn
-
-            def fn(u):
-                u = np.atleast_1d(np.asarray(u, dtype=float))
-                return np.array([scalar_fn(v) for v in u])
-
-        return cls(curve=fn, star_center=star_center, n_hint=n_hint)
-
     # -- geometry ----------------------------------------------------------
 
     def boundary_points(self, n=None, us=None):
@@ -221,9 +210,11 @@ def accumulated_angle(values):
     return float(_loop_increments(np.arctan2(values[:, 1], values[:, 0])).sum())
 
 
-def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
-                   max_samples=2 ** 20, residue_tol=0.1):
+def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20,
+                   residue_tol=0.1):
     """Winding number of the planar field F along the region boundary.
+
+    ``F`` maps boundary points of shape (n, 2) to field values (n, 2).
 
     Sampling is refined until every consecutive angle increment is below
     pi/2 (so no winding can be skipped for the sampled field) and the total
@@ -238,15 +229,9 @@ def winding_number(F, region, n0=None, vectorized=False, vanish_tol=1e-9,
     :class:`FieldVanishesError` at the sample of smallest u whose norm falls
     below ``vanish_tol``, and :class:`NonConvergentError` at the sample cap.
     """
-    if vectorized:
-        F_many = F
-    else:
-        def F_many(P):
-            return np.array([F(p) for p in P])
-
     def evaluate(us):
         pts = region.boundary_points(us=us)
-        vals = np.atleast_2d(np.asarray(F_many(pts), dtype=float))
+        vals = np.asarray(F(pts), dtype=float)
         norms = np.linalg.norm(vals, axis=1)
         # the first vanishing sample in u: their norms are rounding noise
         j = int(np.argmin(np.where(norms < vanish_tol, us, np.inf)))

@@ -231,6 +231,16 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
     return unpack(end)
 
 
+def _phase_points(grid, T, name):
+    """``grid`` as an array, 65 points over [0, T] when it is None; an empty
+    grid raises ``ValueError`` naming the parameter ``name``."""
+    grid = (np.linspace(0.0, T, 65) if grid is None
+            else np.asarray(grid, dtype=float))
+    if not grid.size:
+        raise ValueError(f"{name} is empty")
+    return grid
+
+
 def flow_omega(sys, t, t0, xi, cfg=DEFAULT_CONFIG):
     """Omega(t, t0, xi): the eps = 0 solution through (t0, xi) at time t."""
     return flow_lanes(sys, t0, t, xi, cfg)[0][0]
@@ -493,9 +503,7 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
     if res > cycle_tol:
         raise ValueError(f"input trajectory is not {sys.T}-periodic "
                          f"(residual {res:.3e})")
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, sys.T, 65)
-    thetas = np.asarray(theta_grid, dtype=float)
+    thetas = _phase_points(theta_grid, sys.T, "theta_grid")
     M = flow_lanes(sys, 0.0, sys.T, cycle.eval(np.mod(thetas, sys.T)), cfg,
                    S=np.eye(sys.k), tangents=sys.k)[1]
 

@@ -85,47 +85,46 @@ def test_verify_zero_forcing_zero_error(e1):
         "e1-z", 2, TWO_PI, ("0", "0"),
         ("-x2 + x1*(1 - x1^2 - x2^2)", "x1 + x2*(1 - x1^2 - x2^2)"))
     verd = verify_cauchy(sysd, [0.4, 0.0], 0.5, [0.05],
-                           averaged_solution=lambda s: np.array([0.4, 0.0]),
-                           grid_points=64)
+                         lambda z: np.zeros(2), grid_points=64)
     assert verd[0].sup_error <= 1e-7
     assert verd[0].passed
 
 
 def test_verify_full_pipeline_short(e3):
-    verd = verify_cauchy(e3, [1.0], 0.5, [0.02], gamma_tol=0.1,
-                           grid_points=256)
+    verd = verify_cauchy(e3, [1.0], 0.5, [0.02], averaged_field(e3, r=4.0),
+                         gamma_tol=0.1, grid_points=256)
     assert verd[0].passed
     assert verd[0].sup_error == pytest.approx(0.02, rel=0.2)
 
 
 def test_verify_error_not_increased_by_tighter_tolerances(e3):
     loose = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    a = verify_cauchy(e3, [1.0], 0.5, [0.02], cfg=loose,
-                        grid_points=128)[0].sup_error
-    b = verify_cauchy(e3, [1.0], 0.5, [0.02], cfg=loose.tightened(),
-                        grid_points=128)[0].sup_error
+    a, b = (verify_cauchy(e3, [1.0], 0.5, [0.02],
+                          averaged_field(e3, r=4.0, cfg=cfg), cfg=cfg,
+                          grid_points=128)[0].sup_error
+            for cfg in (loose, loose.tightened()))
     assert b <= a + 1e-6
 
 
 def test_verify_tracks_cycle_with_constant_slow_solution(e1):
     # the averaged limit diverges off the cycle for this system; the
     # physically correct slow solution through (1, 0) is the constant one,
-    # supplied directly
-    verd = verify_cauchy(e1, [1.0, 0.0], 0.3, [1e-3], gamma_tol=0.1,
-                           averaged_solution=lambda s: np.array([1.0, 0.0]),
-                           grid_points=256)
+    # so the zero field is supplied directly
+    verd = verify_cauchy(e1, [1.0, 0.0], 0.3, [1e-3], lambda z: np.zeros(2),
+                         gamma_tol=0.1, grid_points=256)
     assert verd[0].passed
     assert verd[0].sup_error <= 0.01
 
 
 def test_verify_flow_factor_rotates_the_slow_solution(e2):
-    # psi of e2 rotates, so Omega(t, 0, z) = R(t) z at every grid time
+    # psi of e2 rotates, so Omega(t, 0, z) = R(t) z at every grid time; the
+    # constant field (0.5, -0.3) from (1, 0) has the slow solution z below
     def z(s):
         return np.array([1.0 + 0.5 * s, -0.3 * s])
 
     eps = 0.1
-    verd = verify_cauchy(e2, [1.0, 0.0], 1.0, [eps], averaged_solution=z,
-                         grid_points=64)[0]
+    verd = verify_cauchy(e2, [1.0, 0.0], 1.0, [eps],
+                         lambda w: np.array([0.5, -0.3]), grid_points=64)[0]
     for t, approx in zip(verd.times, verd.approx_values):
         c, s = np.cos(t), np.sin(t)
         expect = np.array([[c, -s], [s, c]]) @ z(eps * t)
@@ -134,8 +133,20 @@ def test_verify_flow_factor_rotates_the_slow_solution(e2):
 
 def test_verify_rejects_nonpositive_eps(e3):
     with pytest.raises(ValueError, match="positive"):
-        verify_cauchy(e3, [1.0], 0.5, [0.0],
-                        averaged_solution=lambda s: np.array([1.0]))
+        verify_cauchy(e3, [1.0], 0.5, [0.0], lambda z: np.zeros(1))
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0])
+def test_verify_rejects_nonpositive_horizon(e3, d):
+    with pytest.raises(ValueError, match="d must be positive"):
+        verify_cauchy(e3, [1.0], d, [0.02], lambda z: np.zeros(1))
+
+
+@pytest.mark.parametrize("kwargs", [{"r": 0.0}, {"r": -1.0},
+                                    {"r": 2.0, "n_samples": 0}])
+def test_averaged_field_rejects_a_degenerate_ball(e3, kwargs):
+    with pytest.raises(ValueError):
+        averaged_field(e3, **kwargs)
 
 
 def test_standard_form_static_flow_is_identity(e3):

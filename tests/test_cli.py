@@ -464,8 +464,8 @@ DEFAULTED = {
         "average.radius=2.0", "average.n_max=256", "tolerances.phi_tol=1e-7",
         "average.samples=17", "run.seed=12345"]),
     "verify-cauchy": (E3_CFG, INTEGRATOR_DEFAULTS + [
-        "tolerances.gamma_tol=0.1", "average.radius=0", "average.n_max=256",
-        "tolerances.phi_tol=1e-7"]),
+        "tolerances.gamma_tol=0.1", "average.radius=2.0", "average.n_max=256",
+        "tolerances.phi_tol=1e-7", "average.samples=17", "run.seed=12345"]),
     "find-periodic": (E3_CFG, INTEGRATOR_DEFAULTS + [
         "tolerances.shoot_tol=1e-9"]),
 }
@@ -506,3 +506,83 @@ def test_quadrature_keys_reach_every_cycle_integral(argv, target, tmp_path,
     p.write_text(SWEEP_CFG + "\n[grids]\nquad_panels = 32\nquad_order = 6\n")
     run(argv + ["--config", str(p), "--out", str(tmp_path / "q.csv")])
     assert seen == [(32, 6)]
+
+
+def test_average_and_verify_cauchy_build_the_same_field(tmp_path, monkeypatch):
+    from epsode import cli
+    seen = []
+    real = cli.averaged_field
+
+    def spy(sys_def, *args, **kwargs):
+        seen.append((sys_def.name, args, kwargs))
+        return real(sys_def, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "averaged_field", spy)
+    p = tmp_path / "both.cfg"
+    p.write_text(E3_CFG + "\n[average]\nradius = 3.0\nn_max = 64\n"
+                 "samples = 5\n\n[tolerances]\nphi_tol = 1e-6\n\n"
+                 "[run]\nseed = 7\n")
+    for command in ("average", "verify-cauchy"):
+        assert run([command, "--config", str(p),
+                    "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert {key: seen[0][2][key] for key in
+            ("r", "n_max", "n_samples", "phi_tol", "seed")} == {
+        "r": 3.0, "n_max": 64, "n_samples": 5, "phi_tol": 1e-6, "seed": 7}
+
+
+def _usage_error(argv, capsys):
+    """Exit code and stderr of a run that must print one error line and no
+    CSV."""
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    return rc, captured.err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("verify.eps=0", "eps values must be positive"),
+    ("verify.d=0", "d must be positive"),
+    ("verify.d=-1", "d must be positive"),
+])
+def test_verify_cauchy_bad_input_is_a_usage_error(override, message,
+                                                  tmp_path, capsys):
+    p = tmp_path / "v.cfg"
+    p.write_text(E3_CFG)
+    rc, err = _usage_error(["verify-cauchy", "--config", str(p),
+                            "--set", override], capsys)
+    assert rc == 1 and message in err
+
+
+def test_verify_cauchy_ball_escape_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "v.cfg"
+    p.write_text(E3_CFG)
+    rc, err = _usage_error(["verify-cauchy", "--config", str(p),
+                            "--set", "average.radius=0.5"], capsys)
+    assert rc == 1 and "larger radius" in err
+
+
+@pytest.mark.parametrize("command", ["average", "verify-cauchy"])
+@pytest.mark.parametrize("override", [
+    "average.radius=0", "average.radius=-1", "average.samples=0"])
+def test_degenerate_averaging_ball_is_a_usage_error(command, override,
+                                                   tmp_path, capsys):
+    p = tmp_path / "v.cfg"
+    p.write_text(E3_CFG)
+    rc, _ = _usage_error([command, "--config", str(p), "--set", override],
+                         capsys)
+    assert rc == 1
+
+
+@pytest.mark.parametrize("command, key", [
+    ("check A1", "grids.s_points"),
+    ("check A1", "grids.boundary_samples"),
+    ("check A2", "grids.boundary_samples"),
+    ("check A3", "grids.theta_points"),
+    ("melnikov", "grids.theta_points"),
+])
+def test_empty_grid_is_a_usage_error(command, key, e1_cfg, capsys):
+    rc, err = _usage_error(command.split() + ["--config", e1_cfg,
+                                              "--set", f"{key}=0"], capsys)
+    assert rc == 1 and "error:" in err

@@ -251,7 +251,7 @@ def test_resonance_zero_and_jacobian():
     # local degree over a small box equals the Jacobian sign
     box = rm.box(z)
     rep = winding_number(lambda P: rm.evaluate_many(P[:, 0], P[:, 1]), box,
-                         n0=256, vectorized=True)
+                         n0=256)
     assert rep.degree == -1 == int(np.sign(z.det))
 
 
@@ -298,17 +298,17 @@ def test_defect_degree_matches_resonance_degree_up_to_orientation(e2, disk):
     z = rm.zeros[0]
     box = rm.box(z, half=0.2)
     rep_H = winding_number(lambda P: rm.evaluate_many(P[:, 0], P[:, 1]), box,
-                           n0=256, vectorized=True)
+                           n0=256)
 
     def image_curve(u):
         pts = box.boundary_points(us=np.atleast_1d(u))
         return np.stack([-pts[:, 0] * np.cos(pts[:, 1]),
                          pts[:, 0] * np.sin(pts[:, 1])], axis=-1)
 
-    image = PlanarRegion.from_curve(lambda u: image_curve(1.0 - np.atleast_1d(u)),
-                                    n_hint=512)
+    image = PlanarRegion(curve=lambda u: image_curve(1.0 - np.atleast_1d(u)),
+                         n_hint=512)
     from epsode import eta_defect_field
     fld = eta_defect_field(e2, 0.0)
-    rep_D = winding_number(fld.eval_many, image, n0=128, vectorized=True)
+    rep_D = winding_number(fld.eval_many, image, n0=128)
     assert rep_D.degree == -rep_H.degree
     assert abs(rep_D.degree) == 1

@@ -27,12 +27,12 @@ def test_region_validation():
 
 
 def test_identity_degree_one(disk):
-    rep = winding_number(lambda p: p, disk)
+    rep = winding_number(lambda P: P, disk)
     assert rep.degree == 1 and not rep.refined
 
 
 def test_constant_degree_zero(disk):
-    rep = winding_number(lambda p: np.array([1.0, 0.0]), disk)
+    rep = winding_number(lambda P: np.tile([1.0, 0.0], (len(P), 1)), disk)
     assert rep.degree == 0
 
 
@@ -42,18 +42,18 @@ def test_complex_square_degree_two(disk):
     pts = disk.boundary_points(us=us)
     oracle = accumulated_angle(complex_square(pts)) / (2 * np.pi)
     assert round(oracle) == 2
-    rep = winding_number(complex_square, disk, vectorized=True)
+    rep = winding_number(complex_square, disk)
     assert rep.degree == 2
     assert rep.residue <= 0.1
 
 
 def test_negated_identity_degree(disk):
-    rep = winding_number(lambda P: -P, disk, vectorized=True)
+    rep = winding_number(lambda P: -P, disk)
     assert rep.degree == 1  # planar antipodal map is a rotation
 
 
 def test_cube_degree_three(disk):
-    assert winding_number(complex_cube, disk, vectorized=True).degree == 3
+    assert winding_number(complex_cube, disk).degree == 3
 
 
 def test_field_vanishing_detected(disk):
@@ -62,7 +62,7 @@ def test_field_vanishing_detected(disk):
         return P * P[:, :1]
 
     with pytest.raises(FieldVanishesError) as err:
-        winding_number(F, disk, vectorized=True)
+        winding_number(F, disk)
     assert abs(err.value.point[0]) <= 1e-4
 
     # the same zeros, scaled so that the one at larger u (0.75) has the
@@ -74,7 +74,7 @@ def test_field_vanishing_detected(disk):
                            axis=1)
     assert 0 < norms[1] < norms[0] < 1e-9
     with pytest.raises(FieldVanishesError) as err:
-        winding_number(G, disk, vectorized=True)
+        winding_number(G, disk)
     assert err.value.u == 0.25
     assert err.value.point[1] == pytest.approx(1.0)
 
@@ -95,7 +95,7 @@ def test_boundary_zero_is_located_in_few_rounds(disk):
     calls = []
     F, c = _off_grid_point_field(1.0, calls)
     with pytest.raises(FieldVanishesError) as err:
-        winding_number(F, disk, vectorized=True)
+        winding_number(F, disk)
     assert np.linalg.norm(err.value.point - c) <= 1e-9
     assert len(calls) <= 4  # bisection alone needs 24
 
@@ -104,7 +104,7 @@ def test_boundary_zero_is_located_in_few_rounds(disk):
 def test_near_boundary_zero_resolved_in_few_rounds(disk, radius, degree):
     calls = []
     F, _ = _off_grid_point_field(radius, calls)
-    rep = winding_number(F, disk, vectorized=True)
+    rep = winding_number(F, disk)
     assert rep.degree == degree and rep.refined
     assert abs(rep.min_field_norm - 1e-6) <= 1e-8
     assert len(calls) <= 5  # bisection alone needs 14
@@ -113,15 +113,12 @@ def test_near_boundary_zero_resolved_in_few_rounds(disk, radius, degree):
 def test_refinement_cap():
     disk = PlanarRegion.circle(0, 0, 1, 8)
     with pytest.raises(NonConvergentError):
-        winding_number(complex_square, disk, n0=4, vectorized=True,
-                       max_samples=6)
+        winding_number(complex_square, disk, n0=4, max_samples=6)
 
 
 def test_doubling_cap_does_not_change_result(disk):
-    a = winding_number(complex_square, disk, n0=8, vectorized=True,
-                       max_samples=2 ** 20)
-    b = winding_number(complex_square, disk, n0=8, vectorized=True,
-                       max_samples=2 ** 21)
+    a = winding_number(complex_square, disk, n0=8, max_samples=2 ** 20)
+    b = winding_number(complex_square, disk, n0=8, max_samples=2 ** 21)
     assert a.degree == b.degree == 2
     assert a.refined  # n0=8 forces refinement for degree 2
 
@@ -133,9 +130,9 @@ def test_reparametrization_invariance():
     def sq_curve(u):
         return poly.boundary_points(us=u)
 
-    curve = PlanarRegion.from_curve(sq_curve, star_center=(0.0, 0.0))
-    d1 = winding_number(complex_square, poly, vectorized=True).degree
-    d2 = winding_number(complex_square, curve, vectorized=True).degree
+    curve = PlanarRegion(curve=sq_curve, star_center=(0.0, 0.0))
+    d1 = winding_number(complex_square, poly).degree
+    d2 = winding_number(complex_square, curve).degree
     assert d1 == d2 == 2
 
 
@@ -151,7 +148,7 @@ def test_homotopy_invariance_between_nonvanishing_fields(disk):
     def F(lam):
         return lambda P: complex_square(P) + lam * np.array([0.3, 0.0])
 
-    degs = {winding_number(F(lam), disk, vectorized=True).degree
+    degs = {winding_number(F(lam), disk).degree
             for lam in np.linspace(0, 1, 7)}
     assert degs == {2}
 
@@ -160,14 +157,14 @@ def test_product_degrees():
     d1 = PlanarRegion.circle(0, 0, 1, 128)
     d2 = PlanarRegion.circle(0, 0, 2, 128)
     prod = ProductRegion([d1, d2])
-    rep = product_degree([lambda p: p, lambda p: p], prod)
+    rep = product_degree([lambda P: P, lambda P: P], prod)
     assert rep.degree == 1
-    rep = product_degree([complex_square, lambda P: np.tile([1.0, 0.0], (len(P), 1))],
-                         prod, vectorized=True)
+    rep = product_degree(
+        [complex_square, lambda P: np.tile([1.0, 0.0], (len(P), 1))], prod)
     assert rep.degree == 0
     single = ProductRegion([d1])
-    assert product_degree([complex_square], single, vectorized=True).degree \
-        == winding_number(complex_square, d1, vectorized=True).degree
+    assert product_degree([complex_square], single).degree \
+        == winding_number(complex_square, d1).degree
 
 
 def test_contract_identity_and_scaling():
@@ -184,9 +181,9 @@ def test_contract_polygon_and_errors():
     sq = PlanarRegion.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
     small = contract(sq, 0.5)
     assert np.allclose(np.abs(small.vertices), 0.5)
-    no_center = PlanarRegion.from_curve(
-        lambda u: np.stack([np.cos(2 * np.pi * u), np.sin(2 * np.pi * u)],
-                           axis=-1))
+    no_center = PlanarRegion(
+        curve=lambda u: np.stack([np.cos(2 * np.pi * u),
+                                  np.sin(2 * np.pi * u)], axis=-1))
     with pytest.raises(ValueError, match="star center"):
         contract(no_center, 0.2)
     with pytest.raises(ValueError, match="delta"):

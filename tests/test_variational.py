@@ -349,3 +349,8 @@ def test_flow_lanes_failure_names_the_common_variable(e1):
     assert " at t=" not in msg
     assert err.value.t[0] == pytest.approx(5.99, abs=0.01)
     assert err.value.t[1] == pytest.approx(err.value.t[0] / 2)
+
+
+def test_flow_lanes_with_no_lanes_takes_no_step(e1):
+    X, S = flow_lanes(e1, 0.0, 1.0, np.empty((0, 2)))
+    assert X.shape == (0, 2) and S.shape == (0, 2, 0)
