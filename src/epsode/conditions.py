@@ -138,17 +138,35 @@ def check_A1(sys, region, s_grid=None, boundary_samples=512, a1_tol=1e-6,
         data={"s_grid": s_grid, "min_norm_per_s": norms.min(axis=1)})
 
 
+def _block_coupling(sys):
+    """Witness of the first component of phi or psi that reads a state
+    variable outside its planar block, or None if the blocks decouple."""
+    if sys.phi_exprs is None:
+        return {"reason": "opaque callables cannot be split into blocks"}
+    for name, vec in (("phi", sys.phi_exprs), ("psi", sys.psi_exprs)):
+        for i, c in enumerate(vec.components):
+            names = ex.free_names(c)
+            for j in range(sys.k):
+                if j // 2 != i // 2 and f"x{j + 1}" in names:
+                    return {"reason": "the planar blocks are coupled",
+                            "component": f"{name}{i + 1}",
+                            "variable": f"x{j + 1}"}
+    return None
+
+
 def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
              cfg=DEFAULT_CONFIG):
     """Rotation number of the defect field at anchor 0 over the region.
 
     Since eta(0, 0, .) = 0 this is the rotation of eta(T, 0, .).  For a
     product region the field is sliced into coordinate pairs with the other
-    factors pinned at their star centers, which is exact when the system
-    decouples into planar blocks (the only case the product generalisation
-    covers).  On a planar region ``data`` holds the initial boundary grid
-    (``points``) and the defect field there (``values``), whatever the
-    verdict.  Returns ``(HypothesisReport, DegreeReport or None)``.
+    factors pinned at their star centers.  That is exact only when
+    components 2i and 2i+1 of phi and psi read no state variable but
+    x(2i+1) and x(2i+2), so the verdict is ``inconclusive`` for any other
+    system, with the first coupling as witness, and for opaque callables,
+    whose variables cannot be read.  On a planar region ``data`` holds the
+    initial boundary grid (``points``) and the defect field there
+    (``values``), whatever the verdict.  Returns ``(HypothesisReport, DegreeReport or None)``.
     """
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be positive")
@@ -156,6 +174,10 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     grids = {"boundary_samples": boundary_samples}
     tols = {"vanish_tol": vanish_tol}
     planar = isinstance(region, PlanarRegion)
+    coupling = None if planar else _block_coupling(sys)
+    if coupling:
+        return HypothesisReport("A2", "inconclusive", 0.0, witness=coupling,
+                                grids=grids, tolerances=tols), None
     report = None
     try:
         if planar:

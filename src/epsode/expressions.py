@@ -575,30 +575,95 @@ _ARRAY_ENV = {
 }
 
 
-def _codegen(e, params):
+def _codegen(e, params, sub=None):
+    """Code of ``e`` with parameter values folded in; ``sub(child)`` gives
+    the code of each child (by default its full code)."""
+    sub = sub or (lambda c: _codegen(c, params))
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
-        return "t" if e.name == "t" else f"x[{e.index}]"
+        return "t" if e.name == "t" else f"x{e.index}"
     if isinstance(e, Param):
         if e.name not in params:
             raise EvalError(f"unbound parameter {e.name!r}", e)
         return repr(float(params[e.name]))
     if isinstance(e, Neg):
-        return f"(-{_codegen(e.child, params)})"
+        return f"(-{sub(e.child)})"
     if isinstance(e, Call):
-        return f"_{e.fn}({_codegen(e.arg, params)})"
-    if isinstance(e, (list, tuple)):
-        return "[" + ", ".join(_codegen(c, params) for c in e) + "]"
+        return f"_{e.fn}({sub(e.arg)})"
     if isinstance(e, BinOp):
-        a = _codegen(e.left, params)
-        b = _codegen(e.right, params)
+        a, b = sub(e.left), sub(e.right)
         integral = isinstance(e.right, Num) and e.right.value.is_integer()
         if e.op == "^" and not integral:  # ** could return a complex
             return f"_pow({a}, {b})"
         op = "**" if e.op == "^" else e.op
         return f"({a}{op}{b})"
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _children(e):
+    if isinstance(e, Neg):
+        return (e.child,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    return ()
+
+
+def _shared_code(roots):
+    """Code of the ``(expression, params)`` pairs ``roots`` (an expression
+    may be a nested list) that computes each repeated subtree once.
+
+    Every non-leaf subtree occurring more than once across the roots, not
+    counting the insides of its own repeats, becomes a temporary ``cN``.
+    Subtrees are keyed by their code, so equal trees under different
+    parameter values stay apart.  Nothing is rewritten, so each operation
+    keeps its operands and the values keep their bits.  Returns
+    ``(lines, codes)``: the assignments of the state components the code
+    reads to locals ``x0, x1, ...`` and of the temporaries in first-use
+    post-order, and the code of each root.
+    """
+    seen, names, lines, used, full = {}, {}, [], set(), {}
+
+    def code_of(e, params):  # full code, generated once per node
+        k = id(e), id(params)  # every node and dict lives until we return
+        if k not in full:
+            full[k] = _codegen(e, params, lambda c: code_of(c, params))
+        return full[k]
+
+    def count(e, params):
+        if isinstance(e, (list, tuple)):
+            for c in e:
+                count(c, params)
+        elif _children(e):
+            key = code_of(e, params)
+            seen[key] = seen.get(key, 0) + 1
+            if seen[key] == 1:
+                for c in _children(e):
+                    count(c, params)
+
+    def emit(e, params):
+        if isinstance(e, (list, tuple)):
+            return "[" + ", ".join(emit(c, params) for c in e) + "]"
+        if not _children(e):
+            if isinstance(e, Var) and e.name != "t":
+                used.add(e.index)
+            return code_of(e, params)
+        key = code_of(e, params)
+        if key not in names:
+            code = _codegen(e, params, lambda c: emit(c, params))
+            if seen[key] == 1:
+                return code
+            names[key] = f"c{len(names)}"
+            lines.append(f"{names[key]} = {code}")
+        return names[key]
+
+    for e, params in roots:
+        count(e, params)
+    codes = [emit(e, params) for e, params in roots]
+    # one index per component: unpacking would iterate a numpy array
+    return [f"x{i} = x[{i}]" for i in sorted(used)] + lines, codes
 
 
 def compile_source(src, arrays=False):
@@ -616,10 +681,15 @@ def compile_expr(e, params=None, arrays=False):
     rows of ``x`` and broadcasts; the scalar flavour uses ``math`` for speed.
     The compiled path trades the checked errors of :func:`evaluate` for
     speed; domain violations surface as ``ValueError``/non-finite values.
-    A (nested) list of expressions compiles to lists of their values.
+    A (nested) list of expressions compiles to lists of their values.  The
+    components of ``x`` it reads are bound to locals once, and a subtree
+    that occurs more than once is computed once (see :func:`_shared_code`),
+    with the same operations on the same operands as written out in full.
     """
+    lines, (code,) = _shared_code([(e, params or {})])
     return compile_source(
-        f"def f(t, x):\n    return {_codegen(e, params or {})}\n", arrays)
+        "def f(t, x):\n" + "".join(f"    {s}\n" for s in lines)
+        + f"    return {code}\n", arrays)
 
 
 class VectorExpr:

@@ -26,7 +26,11 @@ no columns is ``x`` itself, so such a run is the trajectory of x.
 For systems and forcings built from expressions one function of a lane,
 with the Jacobian products written out and structural zeros dropped, is
 generated per variant (eps, tangents, forcings) and kept in
-``sys.lane_cache``.  It is compiled with ``math``, which runs lane by lane
+``sys.lane_cache``.  It reads each lane component it uses once and
+computes each subtree that recurs across the field, the Jacobian entries
+and the forcing drives once (``expressions._shared_code``), with no
+algebra, so its values keep the bits of the trees written out in full.
+It is compiled with ``math``, which runs lane by lane
 on ``z.tolist()`` for batches of up to ``_MATH_MAX_LANES`` lanes (several
 times faster than numpy there, as in the refinement rounds of winding
 numbers), and with numpy for wider batches.  Opaque callables run a loop
@@ -63,25 +67,29 @@ def _lane_source(sys, eps, tangents, forcings):
     def full(a, b):  # eps*a + b, without a when eps is 0
         return ex._add(ex._mul(ex.Num(eps), a), b) if eps else b
 
-    lines = ["def f(t, x):"]
-    out = [ex._codegen(full(a, b), sys.params)
-           for a, b in zip(phi.components, psi.components)]
+    # each output is a sum of (tree, params) terms; an entry of J is in
+    # the term of every column it multiplies, so columns share it
+    outs = [[(full(a, b), sys.params)]
+            for a, b in zip(phi.components, psi.components)]
     if m:
         J = [[full(a, b) for a, b in zip(ra, rb)]
              for ra, rb in zip(phi.jacobian_exprs(), psi.jacobian_exprs())]
         J = [[(j, e) for j, e in enumerate(row) if not ex._num(e, 0)]
              for row in J]
-        lines += [f"j{i}_{j} = {ex._codegen(e, sys.params)}"
-                  for i, row in enumerate(J) for j, e in row]
         for i, col in product(range(k), range(m)):
-            terms = [f"j{i}_{j}*x[{k + j * m + col}]" for j, _ in J[i]]
+            terms = [(ex.BinOp("*", e, ex.Var(f"x{k + j * m + col + 1}")),
+                      sys.params) for j, e in J[i]]
             if col >= tangents:
                 drive = forcings[col - tangents]
                 e = drive.phi_exprs.components[i]
                 if not ex._num(e, 0):
-                    terms.append(ex._codegen(e, drive.params))
-            out.append(" + ".join(terms) or "0.0")
-    return "\n    ".join(lines + [f"return [{', '.join(out)}]"]) + "\n"
+                    terms.append((e, drive.params))
+            outs.append(terms)
+    lines, codes = ex._shared_code([t for o in outs for t in o])
+    codes = iter(codes)
+    out = [" + ".join(next(codes) for _ in o) or "0.0" for o in outs]
+    return ("def f(t, x):\n" + "".join(f"    {s}\n" for s in lines)
+            + f"    return [{', '.join(out)}]\n")
 
 
 def _lane_functions(sys, eps, tangents, forcings):
@@ -206,9 +214,9 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     if t0.ndim or t1.ndim:
         t0, t1 = np.broadcast_to(t0, (n,)), np.broadcast_to(t1, (n,))
-        shared = np.all(t0 == t0[0]) and np.all(t1 == t1[0])
+        shared = np.all(t0 == t0[:1]) and np.all(t1 == t1[:1])
         if shared or np.all(t0 == t1):
-            t0, t1 = t0[0], t1[0]
+            t0, t1 = (t0[0], t1[0]) if n else (np.float64(0.0),) * 2
     if not t0.ndim:
         return unpack(integrate_checkpoints(rhs, float(t0), float(t1), z0,
                                             (), cfg)[1])

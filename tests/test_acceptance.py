@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from epsode import (PlanarRegion, accumulated_angle, check_A0, check_A1,
@@ -407,4 +407,74 @@ def test_criterion_8_infrastructure(e1, e2, disk, tmp_path):
     crit.check(rc1 == 0 and rc2 == 0, "melnikov command failed")
     crit.check(f1.read_bytes() == f2.read_bytes(),
                "CSV reruns are not byte-identical")
+    crit.finish()
+
+
+def _e2_averaged(xi):
+    """Averaged field of e2 by quadrature: (1/2 pi) int R(-s) phi(s, R(s) xi)
+    over one period, with R(s) the rotation that psi = (-x2, x1) generates
+    (so phi_1 = 0 drops out)."""
+    def comp(j):
+        def integrand(s):
+            c, sn = np.cos(s), np.sin(s)
+            x1, x2 = c * xi[0] - sn * xi[1], sn * xi[0] + c * xi[1]
+            f2 = (1 - x1 ** 2) * x2 + np.cos(s)
+            return sn * f2 if j == 0 else c * f2
+        return quad(integrand, 0.0, TWO_PI, epsabs=1e-12, epsrel=1e-10,
+                    limit=200)[0] / TWO_PI
+    return np.array([comp(0), comp(1)])
+
+
+def test_criterion_9_positive_existence_loop_on_e2(e2):
+    crit = Criterion(9, "positive existence loop on the forced center", 10.0)
+    # psi is a rotation with period 2 pi, so Omega(2 pi, 0, xi) = xi (A0
+    # holds with zero residual) and the defect at every anchor is 2 pi
+    # Phi(xi), with Phi the averaged field.  Phi vanishes at (0, a0), a0 the
+    # root of a^3 - 4a - 4, with index 1, so on a small disk around it A1
+    # and A2 hold and the eps sweep must find orbits that approach (0, a0)
+    # at rate eps.  Oracles first: brentq, quad, arctan2 and DOP853.
+    a0 = brentq(lambda a: a ** 3 - 4 * a - 4, 2.0, 3.0, xtol=1e-14)
+    center = resonance_initial_point(a0, np.pi / 2)
+    crit.check(np.linalg.norm(center - (0.0, a0)) <= 1e-15,
+               f"resonance point {_fmt(center)} is not (0, a0)")
+    region = PlanarRegion.circle(0.0, a0, 0.3, 256)
+    pts = region.boundary_points(512)
+    avg = np.array([_e2_averaged(p) for p in pts])
+    a1_oracle = TWO_PI * np.min(np.linalg.norm(avg, axis=1))
+    turns = np.diff(np.arctan2(avg[:, 1], avg[:, 0]), append=np.arctan2(
+        avg[0, 1], avg[0, 0]))
+    winding = np.sum((turns + np.pi) % TWO_PI - np.pi) / TWO_PI
+    crit.check(abs(winding - 1) <= 1e-9, f"arctan2 winding {winding}")
+    eps_list = [1e-2, 5e-3, 2.5e-3]
+
+    a0_rep = check_A0(e2, region)
+    crit.check(a0_rep.verdict == "holds" and a0_rep.margin <= 1e-8,
+               f"A0 {a0_rep.verdict} margin {a0_rep.margin:.3e}")
+    a1 = check_A1(e2, region, boundary_samples=512)
+    crit.check(a1.verdict == "holds"
+               and abs(a1.margin - a1_oracle) <= 1e-6 * a1_oracle,
+               f"A1 {a1.verdict} margin {a1.margin:.9g} vs 2 pi min |Phi| "
+               f"{a1_oracle:.9g}")
+    a2, deg = check_A2(e2, region, boundary_samples=256)
+    crit.check(a2.verdict == "holds" and deg is not None
+               and deg.degree == round(winding),
+               f"A2 {a2.verdict} (degree {getattr(deg, 'degree', None)}) vs "
+               f"arctan2 winding {winding:.6f}")
+    sw = eps_sweep(e2, region, eps_list)
+    conv = [r for r in sw.results if r.converged and r.in_region]
+    crit.check(len(conv) == 3, f"only {len(conv)}/3 eps values converged "
+               "inside the region")
+    for r in conv:
+        def full(t, x, eps=r.eps):
+            return [-x[1], eps * ((1 - x[0] ** 2) * x[1] + np.cos(t)) + x[0]]
+        end = solve_ivp(full, (0.0, TWO_PI), r.xi_star, method="DOP853",
+                        rtol=1e-13, atol=1e-13).y[:, -1]
+        miss = np.linalg.norm(end - r.xi_star)
+        crit.check(miss <= 1e-7, f"eps {r.eps:g}: xi* {_fmt(r.xi_star)} "
+                   f"misses its DOP853 period map by {miss:.2e}")
+    if len(conv) == 3:
+        dist = [np.linalg.norm(r.xi_star - center) for r in conv]
+        slope = np.polyfit(np.log(eps_list), np.log(dist), 1)[0]
+        crit.check(0.95 <= slope <= 1.05,
+                   f"|xi* - (0, a0)| scales as eps^{slope:.4f}")
     crit.finish()

@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 from epsode import conditions
 from epsode import (PlanarRegion, ProductRegion, check_A0, check_A1, check_A2,
                     defect_normal_profile, melnikov_profile, resonance_H,
-                    resonance_initial_point, system_from_expressions,
+                    resonance_initial_point, system_from_callables,
+                    system_from_expressions,
                     compare_defect_degrees, winding_number)
 
 TWO_PI = 2 * np.pi
@@ -101,6 +102,34 @@ def test_a2_decoupled_product_system():
     rep, deg = check_A2(sysd, prod, boundary_samples=64)
     assert rep.verdict == "holds"
     assert deg.degree == 1
+
+
+def test_a2_coupled_product_system_is_not_holds():
+    # psi = 0, so the defect is 2 pi phi = 2 pi (x1 - 0.5, x2, x3 - 4 x1, x4);
+    # its only zero (0.5, 0, 2, 0) has |(x3, x4)| = 2, outside the product
+    # of unit disks, so the degree there is 0 and "holds" would be false
+    sysd = system_from_expressions("c4", 4, TWO_PI,
+                                   ("x1 - 0.5", "x2", "x3 - 4*x1", "x4"),
+                                   ("0", "0", "0", "0"))
+    zero = np.linalg.solve([[1, 0, 0, 0], [0, 1, 0, 0], [-4, 0, 1, 0],
+                            [0, 0, 0, 1]], [0.5, 0, 0, 0])
+    assert np.hypot(*zero[2:]) > 1.0
+    prod = ProductRegion([PlanarRegion.circle(0, 0, 1, 64),
+                          PlanarRegion.circle(0, 0, 1, 64)])
+    rep, deg = check_A2(sysd, prod, boundary_samples=64)
+    assert rep.verdict == "inconclusive" and deg is None
+    assert rep.witness["component"] == "phi3"
+    assert rep.witness["variable"] == "x1"
+
+
+def test_a2_opaque_system_on_product_region_is_inconclusive():
+    sysd = system_from_callables("o4", 4, TWO_PI, lambda t, x: -x,
+                                 lambda t, x: 0 * x)
+    prod = ProductRegion([PlanarRegion.circle(0, 0, 1, 64),
+                          PlanarRegion.circle(0, 0, 1, 64)])
+    rep, deg = check_A2(sysd, prod, boundary_samples=64)
+    assert rep.verdict == "inconclusive" and deg is None
+    assert "opaque" in rep.witness["reason"]
 
 
 # ---------------------------------------------------------- cycle integral -

@@ -354,3 +354,13 @@ def test_flow_lanes_failure_names_the_common_variable(e1):
 def test_flow_lanes_with_no_lanes_takes_no_step(e1):
     X, S = flow_lanes(e1, 0.0, 1.0, np.empty((0, 2)))
     assert X.shape == (0, 2) and S.shape == (0, 2, 0)
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, np.empty(0)), (np.empty(0), 1.0),
+                                   (np.empty(0), np.empty(0))],
+                         ids=["t1-per-lane", "t0-per-lane", "both-per-lane"])
+def test_flow_lanes_with_no_lanes_and_lane_times_takes_no_step(e1, t0, t1):
+    X, S = flow_lanes(e1, t0, t1, np.empty((0, 2)))
+    assert X.shape == (0, 2) and S.shape == (0, 2, 0)
+    X, S = flow_lanes(e1, t0, t1, np.empty((0, 2)), tangents=2)
+    assert X.shape == (0, 2) and S.shape == (0, 2, 2)
