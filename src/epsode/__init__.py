@@ -19,10 +19,9 @@ from .expressions import (Expr, ParseError, EvalError, parse, differentiate,
 from .systems import (SystemDef, system_from_expressions,
                       system_from_callables, builtin_names, builtin_system)
 from .variational import (flow_omega, flow_omega_dense, EtaSolution, eta,
-                          eta_defect_field, DefectField,
-                          defect_many, defect_profile, MonodromyReport,
-                          monodromy, FloquetReport, floquet_condition_A3,
-                          cycle_residual)
+                          DefectField, defect_many, defect_profile,
+                          MonodromyReport, monodromy, FloquetReport,
+                          floquet_condition_A3, cycle_residual)
 from .topology import (PlanarRegion, ProductRegion, DegreeReport,
                        FieldVanishesError, NonConvergentError, winding_number,
                        product_degree, contract, accumulated_angle)
@@ -51,7 +50,7 @@ __all__ = [
     "SystemDef", "system_from_expressions", "system_from_callables",
     "flow_omega", "flow_omega_dense", "builtin_names", "builtin_system",
     # variational
-    "EtaSolution", "eta", "eta_defect_field", "DefectField", "defect_many",
+    "EtaSolution", "eta", "DefectField", "defect_many",
     "defect_profile", "MonodromyReport", "monodromy", "FloquetReport",
     "floquet_condition_A3", "cycle_residual",
     # topology

@@ -422,9 +422,8 @@ def _cmd_melnikov(args, cfg):
     cycle = build_cycle(cfg, sys_def, icfg)
     prof = melnikov_profile(
         sys_def, cycle, _phase_grid(cfg, "grids.theta_points", sys_def.T),
-        cfg=icfg, **_given(cfg, panels="grids.quad_panels",
-                           order="grids.quad_order",
-                           cycle_tol="tolerances.cycle_tol"))
+        **_given(cfg, panels="grids.quad_panels", order="grids.quad_order",
+                 cycle_tol="tolerances.cycle_tol"))
     out = Output(args, cfg, "melnikov")
     out.write_csv(("theta", "M"),
                   list(zip(prof.thetas, prof.values)))
@@ -642,7 +641,7 @@ def _cmd_sweep(args, cfg):
         if sys_def.k == 2:
             prof = melnikov_profile(
                 sys_def, cycle,
-                _phase_grid(cfg, "grids.theta_points", sys_def.T), cfg=icfg,
+                _phase_grid(cfg, "grids.theta_points", sys_def.T),
                 **_given(cfg, panels="grids.quad_panels",
                          order="grids.quad_order",
                          cycle_tol="tolerances.cycle_tol"))

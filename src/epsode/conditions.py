@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expressions as ex
 from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
-                     integrate)
+                     gauss_legendre_running)
 from .systems import damped_newton, fd_jacobian
 from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
                        product_degree, winding_number)
@@ -244,13 +244,15 @@ def _perp(v):
 
 
 def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
-                     cycle_tol=1e-6, cfg=DEFAULT_CONFIG):
+                     cycle_tol=1e-6):
     """Weighted cycle integral M(theta) of the forcing against the cycle
     normal.
 
     M(theta) = int_0^T exp(-int_0^t div psi dtau) <phi(t - theta, x0(t)),
-    perp(x0'(t))> dt on the fixed composite Gauss-Legendre grid; the cycle
-    velocity is psi(t, x0(t)) exactly, never a difference quotient.
+    perp(x0'(t))> dt on the fixed composite Gauss-Legendre grid, with the
+    inner integral at each node from :func:`gauss_legendre_running` on the
+    same nodes; the cycle velocity is psi(t, x0(t)) exactly, never a
+    difference quotient.
     """
     if sys.k != 2:
         raise ValueError("the cycle integral is defined for planar systems")
@@ -262,13 +264,11 @@ def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
 
     nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
     xq = cycle.eval(nodes)
-    vq = lane_field(sys, nodes, xq)[0]
+    vq, jac = lane_field(sys, nodes, xq, np.eye(2), tangents=2)
     perp = _perp(vq)
-
-    # integrated divergence along the cycle as a 1-D ODE on the dense output
-    logw = integrate(lambda t, u: np.array([-sys.psi_div(t, cycle.eval(t))]),
-                     0.0, sys.T, [0.0], cfg)
-    wq = np.exp(logw.eval(nodes)[:, 0])
+    # the weight from the running quadrature of div psi = trace Dpsi
+    wq = np.exp(-gauss_legendre_running(np.trace(jac, axis1=1, axis2=2),
+                                        0.0, sys.T, panels, order))
 
     values = np.empty(len(thetas))
     for i, th in enumerate(thetas):

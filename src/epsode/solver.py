@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "IntegratorConfig", "DEFAULT_CONFIG", "Trajectory", "IntegrationError",
     "integrate", "integrate_checkpoints", "gauss_legendre_panels",
+    "gauss_legendre_running",
 ]
 
 
@@ -394,3 +395,19 @@ def gauss_legendre_panels(t0, t1, panels=64, order=8):
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
     return nodes, weights
+
+
+def gauss_legendre_running(values, t0, t1, panels=64, order=8):
+    """Integrals from t0 to each node of :func:`gauss_legendre_panels` of
+    the function with ``values`` at those nodes: the panels before a node
+    by their rule, and its own panel by the integral of the polynomial that
+    interpolates the function at the panel's nodes."""
+    leg = np.polynomial.legendre
+    xg, wg = leg.leggauss(order)
+    # row j integrates the interpolant of the panel's values from -1 to xg[j]
+    lagrange = np.linalg.inv(leg.legvander(xg, order - 1))
+    upto = leg.legvander(xg, order) @ leg.legint(lagrange, lbnd=-1, axis=0)
+    half = 0.5 * np.diff(np.linspace(t0, t1, panels + 1))
+    f = np.reshape(values, (panels, order))
+    before = np.concatenate([[0.0], np.cumsum(half * (f @ wg))[:-1]])
+    return (before[:, None] + half[:, None] * (f @ upto.T)).ravel()

@@ -228,6 +228,9 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20,
     secant root.  A residue failure doubles the whole grid.  Raises
     :class:`FieldVanishesError` at the sample of smallest u whose norm falls
     below ``vanish_tol``, and :class:`NonConvergentError` at the sample cap.
+    Fewer than 3 starting samples raise ``ValueError``: the increments of
+    one or two samples sum to 0 when none reaches pi/2, so the degree would
+    read 0 unrefined.
     """
     def evaluate(us):
         pts = region.boundary_points(us=us)
@@ -241,6 +244,8 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20,
 
     n_start = int(n0 if n0 is not None else
                   getattr(region, "n_hint", 512) or 512)
+    if n_start < 3:
+        raise ValueError(f"n0 must be at least 3, not {n_start}")
     us = np.arange(n_start) / float(n_start)
     vals, norms = evaluate(us)
     min_norm = float(norms.min())

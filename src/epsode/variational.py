@@ -8,9 +8,13 @@ and monodromy matrices of the homogeneous part give Floquet multipliers.
 
 Every coupled or batched-flow integration of a system takes its
 right-hand side from :func:`augmented` (:func:`monodromy`, which integrates
-a given matrix function, stays generic).  :func:`flow_lanes` is the entry
-point for every run that needs only end states; it also lets each lane
-start and end at its own time.  The state is ``n`` lanes laid end to end.
+a given matrix function, stays generic).  Dense output is kept only where a
+trajectory is returned: :func:`flow_lanes` computes every end state, and
+lets each lane start and end at its own time (so :func:`eta` runs one lane
+per requested time); ``integrate_checkpoints`` computes every state at known
+times; ``integrate`` runs only in :func:`flow_omega_dense` here, and in
+``periodic.shoot`` for its orbit and the averaged trajectory of
+``averaging``.  The state is ``n`` lanes laid end to end.
 A lane is ``x`` (k values) followed by a k x m matrix ``S`` stored row by
 row, with ``m = tangents + len(forcings)``:
 
@@ -48,9 +52,8 @@ from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
 
 __all__ = [
     "augmented", "lane_field", "flow_lanes", "flow_omega", "flow_omega_dense",
-    "EtaSolution", "eta", "DefectField",
-    "eta_defect_field", "defect_profile", "MonodromyReport", "monodromy", "FloquetReport",
-    "floquet_condition_A3", "cycle_residual",
+    "EtaSolution", "eta", "DefectField", "defect_profile", "MonodromyReport",
+    "monodromy", "FloquetReport", "floquet_condition_A3", "cycle_residual",
 ]
 
 
@@ -259,69 +262,32 @@ def flow_omega_dense(sys, t0, t1, xi, cfg=DEFAULT_CONFIG):
     return integrate(augmented(sys, 1)[0], t0, t1, xi, cfg)
 
 
+@dataclass
 class EtaSolution:
-    """Solution of the affine variational system with y(s) = 0.
-
-    Evaluation is split into the forward and backward legs of one coupled
-    (x, y) integration started at the anchor, so backward times reuse the
-    same run.
-    """
-
-    def __init__(self, sys, s, xi, x_s, forward, backward, eval_times):
-        self.sys = sys
-        self.s = float(s)
-        self.xi = np.asarray(xi, dtype=float)
-        self.x_s = np.asarray(x_s, dtype=float)
-        self._fwd = forward
-        self._bwd = backward
-        self._unpack = augmented(sys, 1, forcings=(sys,))[2]
-        self.times = np.asarray(eval_times, dtype=float)
-        self.values = self.y_at(self.times)
-
-    def _leg_state(self, t):
-        """(x, y) at the time or 1-D array of times t."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        X = np.empty((len(ts), self.sys.k))
-        Y = np.zeros_like(X)
-        X[ts == self.s] = self.x_s
-        for leg, on in ((self._fwd, ts > self.s), (self._bwd, ts < self.s)):
-            if np.any(on):
-                if leg is None:
-                    raise ValueError(f"time {ts[on][0]} not covered")
-                Xl, Sl = self._unpack(leg.eval(ts[on]))
-                X[on], Y[on] = Xl[:, 0], Sl[:, 0, :, 0]
-        return (X, Y) if np.ndim(t) else (X[0], Y[0])
-
-    def y_at(self, t):
-        return self._leg_state(t)[1]
-
-    def omega_at(self, t):
-        """The coefficient trajectory Omega(t, 0, xi) used for this solution."""
-        return self._leg_state(t)[0]
-
-    def defect(self):
-        """eta(T, s, xi) - eta(0, s, xi)."""
-        return self.y_at(self.sys.T) - self.y_at(0.0)
+    """eta(t, s, xi) at ``times``: ``values[i]`` is the solution y at
+    ``times[i]`` of the affine variational system along Omega(., 0, xi)
+    with y(s) = 0, and ``x_s`` is Omega(s, 0, xi)."""
+    s: float
+    xi: np.ndarray
+    x_s: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
 
 
 def eta(sys, s, xi, eval_times=(), cfg=DEFAULT_CONFIG):
-    """Solve the affine variational system along Omega(., 0, xi) with y(s) = 0.
-
-    ``eval_times`` may include negative times; the coupled run is extended
-    backward accordingly.
+    """Solve the affine variational system along Omega(., 0, xi) with
+    y(s) = 0 at ``eval_times``, which may lie on either side of s and
+    outside [0, T]: each time is a lane of one :func:`flow_lanes` run from
+    the anchor, and a time equal to s stays exactly 0.
     """
     if not 0.0 <= s <= sys.T:
         raise ValueError(f"anchor s={s} outside [0, {sys.T}]")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    eval_times = np.asarray(eval_times, dtype=float)
+    times = np.atleast_1d(np.asarray(eval_times, dtype=float))
     x_s = flow_omega(sys, s, 0.0, xi, cfg)
-    t_hi = max(sys.T, s, eval_times.max() if eval_times.size else sys.T)
-    t_lo = min(0.0, eval_times.min() if eval_times.size else 0.0)
-    rhs, pack, _ = augmented(sys, 1, forcings=(sys,))
-    z_s = pack(x_s)
-    fwd = integrate(rhs, s, t_hi, z_s, cfg) if t_hi > s else None
-    bwd = integrate(rhs, s, t_lo, z_s, cfg) if t_lo < s else None
-    return EtaSolution(sys, s, xi, x_s, fwd, bwd, eval_times)
+    Y = flow_lanes(sys, s, times, np.broadcast_to(x_s, (len(times), sys.k)),
+                   cfg, forcings=(sys,))[1]
+    return EtaSolution(float(s), xi, x_s, times, Y[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +343,6 @@ class DefectField:
     def preseed(self, Xi, values):
         for x, v in zip(Xi, values):
             self._cache[self._key(x)] = np.asarray(v, dtype=float)
-
-
-def eta_defect_field(sys, s=0.0, cfg=DEFAULT_CONFIG):
-    """The map xi -> eta(T, s, xi) - eta(0, s, xi) as a cached evaluator."""
-    return DefectField(sys, s, cfg)
 
 
 def defect_profile(sys, Xi, s_grid, cfg=DEFAULT_CONFIG):
@@ -458,7 +419,8 @@ def monodromy(matrix_fn, T, cfg=DEFAULT_CONFIG, panels=64, order=8):
     def rhs(t, z):
         return (np.asarray(matrix_fn(t)) @ z.reshape(k, k)).ravel()
 
-    M = integrate(rhs, 0.0, T, np.eye(k).ravel(), cfg).endpoint.reshape(k, k)
+    M = integrate_checkpoints(rhs, 0.0, T, np.eye(k).ravel(), (),
+                              cfg)[1].reshape(k, k)
     nodes, weights = gauss_legendre_panels(0.0, T, panels, order)
     tr = float(sum(w * np.trace(np.asarray(matrix_fn(t)))
                    for t, w in zip(nodes, weights)))
@@ -515,7 +477,12 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
     M = flow_lanes(sys, 0.0, sys.T, cycle.eval(np.mod(thetas, sys.T)), cfg,
                    S=np.eye(sys.k), tangents=sys.k)[1]
 
+    # psi is autonomous and the cycle T-periodic, so every phase shift has
+    # the same Liouville trace integral
     nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
+    jac = lane_field(sys, nodes, cycle.eval(nodes), np.eye(sys.k),
+                     tangents=sys.k)[1]
+    tr = float(np.dot(weights, np.trace(jac, axis1=1, axis2=2)))
     rows = []
     max_liou = 0.0
     for i, th in enumerate(thetas):
@@ -526,9 +493,6 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
         gap = float(others.min()) if others.size else np.inf
         rows.append(FloquetRow(float(th), mus, float(d1[j]), gap,
                                bool(d1[j] <= one_tol and gap >= gap_tol)))
-        jac = lane_field(sys, nodes, cycle.eval(np.mod(nodes + th, sys.T)),
-                         np.eye(sys.k), tangents=sys.k)[1]
-        tr = float(np.dot(weights, np.trace(jac, axis1=1, axis2=2)))
         det = float(np.linalg.det(M[i]))
         max_liou = max(max_liou, abs(det - np.exp(tr)) / np.exp(tr))
     holds = all(r.simple for r in rows)

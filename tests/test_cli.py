@@ -586,3 +586,18 @@ def test_empty_grid_is_a_usage_error(command, key, e1_cfg, capsys):
     rc, err = _usage_error(command.split() + ["--config", e1_cfg,
                                               "--set", f"{key}=0"], capsys)
     assert rc == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["degree"], FIELD_CFG),
+    (["check", "A2"], INLINE_CFG),
+], ids=["degree", "check-A2"])
+def test_one_boundary_sample_is_a_usage_error(argv, text, tmp_path, capsys):
+    p = tmp_path / "one.cfg"
+    p.write_text(text)
+    out = tmp_path / "o.csv"
+    argv = argv + ["--config", str(p), "--out", str(out),
+                   "--set", "grids.boundary_samples=1"]
+    rc, err = _usage_error(argv, capsys)
+    assert rc == 1 and "n0 must be at least 3" in err
+    assert not out.exists()

@@ -5,9 +5,9 @@ from scipy.optimize import brentq
 
 from epsode import conditions
 from epsode import (PlanarRegion, ProductRegion, check_A0, check_A1, check_A2,
-                    defect_normal_profile, melnikov_profile, resonance_H,
-                    resonance_initial_point, system_from_callables,
-                    system_from_expressions,
+                    defect_normal_profile, gauss_legendre_panels,
+                    melnikov_profile, resonance_H, resonance_initial_point,
+                    system_from_callables, system_from_expressions,
                     compare_defect_degrees, winding_number)
 
 TWO_PI = 2 * np.pi
@@ -153,6 +153,44 @@ def test_melnikov_constant_on_e1(e1, e1_cycle):
     assert spread <= 1e-8 * abs(prof.values[0])
     # quadrature nodes stop short of t = T, so the observed peak sits below
     assert prof.weight_range[1] == pytest.approx(np.exp(4 * np.pi), rel=5e-3)
+
+
+class UnitCycle:
+    """The e1 cycle (cos t, sin t) in closed form."""
+
+    def eval(self, t):
+        return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
+def test_melnikov_weight_is_running_quadrature(e1, monkeypatch):
+    # div psi = 2 - 4 r^2 = -2 on the unit circle, so the weight is e^{2t}
+    runs = []
+    real = conditions.gauss_legendre_running
+
+    def spy(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(conditions, "gauss_legendre_running", spy)
+    prof = melnikov_profile(e1, UnitCycle(), np.array([0.0]))
+    nodes, _ = gauss_legendre_panels(0.0, TWO_PI, 64, 8)
+    assert len(runs) == 1
+    assert np.max(np.abs(np.exp(-runs[0]) / np.exp(2 * nodes) - 1)) <= 1e-12
+    assert prof.weight_range == pytest.approx(
+        (np.exp(2 * nodes[0]), np.exp(2 * nodes[-1])), rel=1e-12)
+
+
+def test_melnikov_makes_no_dense_run(e1, e1_cycle, monkeypatch):
+    from epsode import solver, variational
+
+    def dense(*args, **kwargs):
+        raise AssertionError("melnikov_profile ran a dense integration")
+
+    for module in (solver, variational, conditions):
+        monkeypatch.setattr(module, "integrate", dense, raising=False)
+    prof = melnikov_profile(e1, e1_cycle, np.linspace(0, TWO_PI, 5))
+    closed = -(2.0 / 5.0) * (np.exp(4 * np.pi) - 1)
+    assert np.max(np.abs(prof.values - closed) / abs(closed)) <= 1e-6
 
 
 def test_melnikov_divergence_free_weight(e2):
@@ -336,8 +374,8 @@ def test_defect_degree_matches_resonance_degree_up_to_orientation(e2, disk):
 
     image = PlanarRegion(curve=lambda u: image_curve(1.0 - np.atleast_1d(u)),
                          n_hint=512)
-    from epsode import eta_defect_field
-    fld = eta_defect_field(e2, 0.0)
+    from epsode import DefectField
+    fld = DefectField(e2, 0.0)
     rep_D = winding_number(fld.eval_many, image, n0=128)
     assert rep_D.degree == -rep_H.degree
     assert abs(rep_D.degree) == 1

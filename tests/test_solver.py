@@ -10,6 +10,7 @@ from scipy.integrate import quad, solve_ivp
 
 from epsode import (IntegrationError, IntegratorConfig,
                     gauss_legendre_panels, integrate, integrate_checkpoints)
+from epsode.solver import gauss_legendre_running
 from epsode.variational import augmented
 
 
@@ -266,3 +267,17 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_running_quadrature_of_cos_is_sin():
+    nodes, _ = gauss_legendre_panels(0.0, 2 * np.pi, 64, 8)
+    run = gauss_legendre_running(np.cos(nodes), 0.0, 2 * np.pi, 64, 8)
+    assert np.max(np.abs(run - np.sin(nodes))) <= 1e-13
+
+
+
+def test_running_quadrature_exact_below_rule_order():
+    # the interpolant of a cubic on 4 nodes is the cubic itself
+    nodes, _ = gauss_legendre_panels(-1.0, 2.0, 5, 4)
+    run = gauss_legendre_running(nodes ** 3, -1.0, 2.0, 5, 4)
+    assert np.max(np.abs(run - (nodes ** 4 - 1.0) / 4)) <= 1e-14

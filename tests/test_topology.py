@@ -31,6 +31,18 @@ def test_identity_degree_one(disk):
     assert rep.degree == 1 and not rep.refined
 
 
+@pytest.mark.parametrize("n0", [1, 2])
+def test_too_few_start_samples_raise(disk, n0):
+    # one sample's increment is 0, and z^2 maps the two samples 1 and -1 to
+    # the same value, so both would read degree 0 without refining
+    with pytest.raises(ValueError, match="n0 must be at least 3"):
+        winding_number(complex_square, disk, n0=n0)
+
+
+def test_three_start_samples_suffice(disk):
+    assert winding_number(complex_square, disk, n0=3).degree == 2
+
+
 def test_constant_degree_zero(disk):
     rep = winding_number(lambda P: np.tile([1.0, 0.0], (len(P), 1)), disk)
     assert rep.degree == 0

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from epsode import (DEFAULT_CONFIG, IntegrationError, IntegratorConfig,
-                    defect_many, defect_profile, eta, eta_defect_field,
+                    DefectField, defect_many, defect_profile, eta,
                     floquet_condition_A3, flow_omega, flow_omega_dense,
                     integrate, monodromy, system_from_callables,
                     system_from_expressions)
@@ -34,6 +36,39 @@ def test_pure_quadrature_case():
 def test_anchor_value_is_exactly_zero(e1):
     sol = eta(e1, 2.0, [0.7, 0.1], eval_times=[2.0])
     assert np.array_equal(sol.values[0], np.zeros(2))
+
+
+def test_eta_makes_no_dense_run(e1, monkeypatch):
+    from epsode import variational
+
+    def dense(*args, **kwargs):
+        raise AssertionError("eta ran a dense integration")
+
+    monkeypatch.setattr(variational, "integrate", dense)
+    times = [-1.0, 0.0, 2.0, 3.5, TWO_PI]
+    sol = eta(e1, 2.0, [0.7, 0.1], eval_times=times)
+    assert sol.values.shape == (5, 2)
+    assert np.array_equal(sol.values[2], np.zeros(2))
+    assert np.array_equal(sol.times, times)
+
+
+def test_eta_solution_is_a_record(e1):
+    sol = eta(e1, 1.0, [0.7, 0.1], [0.0])
+    assert [f.name for f in dataclasses.fields(sol)] == [
+        "s", "xi", "x_s", "times", "values"]
+    assert np.array_equal(sol.x_s, flow_omega(e1, 1.0, 0.0, [0.7, 0.1]))
+
+
+@pytest.mark.parametrize("s", [0.0, 1.5, 5.0])
+def test_eta_period_defect_matches_defect_many(e1, s):
+    # from s = 5 the backward run to 0 amplifies step errors by about e^10,
+    # so at the default tolerances both routes sit 2e-6 from a tight
+    # reference; at rel_tol 1e-13 they agree to 1e-10
+    cfg = DEFAULT_CONFIG.tightened(1000.0)
+    xi = np.array([0.8, -0.3])
+    at_T, at_0 = eta(e1, s, xi, [e1.T, 0.0], cfg).values
+    d = defect_many(e1, xi[None], s, cfg)[0]
+    assert np.max(np.abs((at_T - at_0) - d)) <= 1e-9 * np.max(np.abs(d))
 
 
 def test_response_is_affine_in_forcing(e1):
@@ -82,7 +117,7 @@ def test_e1_boundary_defect_closed_form(e1):
 
 
 def test_defect_field_caches(e1):
-    fld = eta_defect_field(e1, 0.0)
+    fld = DefectField(e1, 0.0)
     xi = np.array([1.0, 0.0])
     first = fld(xi)
     again = fld(xi)
@@ -132,6 +167,23 @@ def test_floquet_condition_on_cycle(e1, e1_cycle):
     for row in rep.rows:
         assert row.dist_to_one <= 1e-6
         assert row.gap == pytest.approx(1 - np.exp(-4 * np.pi), abs=1e-6)
+    assert rep.max_liouville_rel_err <= 1e-6
+
+
+def test_floquet_liouville_trace_from_one_field_call(e1, e1_cycle,
+                                                     monkeypatch):
+    from epsode import variational
+    calls = []
+    real = variational.lane_field
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "lane_field", spy)
+    rep = floquet_condition_A3(e1, e1_cycle,
+                               theta_grid=np.linspace(0, TWO_PI, 17))
+    assert len(rep.rows) == 17 and len(calls) == 1
     assert rep.max_liouville_rel_err <= 1e-6
 
 
