@@ -34,8 +34,9 @@ print(f"cycle integral: M = {prof.values[0]:.6e} "
       f"(constant in theta, min |M| = {prof.min_abs:.3e})")
 print(f"  closed form -(2/5)(e^(4 pi) - 1) = "
       f"{-(2 / 5) * (np.exp(4 * np.pi) - 1):.6e}")
+print(prof.check_A3_1().summary())
 
 flo = floquet_condition_A3(e1, cycle, theta_grid=np.linspace(0, e1.T, 9))
-print(f"unit Floquet multiplier simple for all phases: {flo.holds} "
-      f"(gap {flo.rows[0].gap:.6f}, other multiplier e^(-4 pi) = "
-      f"{np.exp(-4 * np.pi):.3e})")
+print(flo.summary())
+print(f"  smallest gap {flo.margin:.6f} = 1 - e^(-4 pi), the other "
+      f"multiplier e^(-4 pi) = {np.exp(-4 * np.pi):.3e}")

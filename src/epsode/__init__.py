@@ -20,14 +20,14 @@ from .systems import (SystemDef, system_from_expressions,
                       system_from_callables, builtin_names, builtin_system)
 from .variational import (flow_omega, flow_omega_dense, EtaSolution, eta,
                           DefectField, defect_many, defect_profile,
-                          MonodromyReport, monodromy, FloquetReport,
-                          floquet_condition_A3, cycle_residual)
+                          MonodromyReport, monodromy, cycle_residual)
 from .topology import (PlanarRegion, ProductRegion, DegreeReport,
                        FieldVanishesError, NonConvergentError, winding_number,
                        product_degree, contract, accumulated_angle)
 from .conditions import (HypothesisReport, check_A0, check_A1, check_A2,
-                         MelnikovProfile, melnikov_profile,
-                         defect_normal_profile, DegreeComparisonReport,
+                         floquet_condition_A3, MelnikovProfile,
+                         melnikov_profile, defect_normal_profile,
+                         DegreeComparisonReport,
                          compare_defect_degrees, ResonanceMap, ResonanceZero,
                          resonance_H, resonance_initial_point)
 from .averaging import (NoConvergenceError, AveragedField, averaged_field,
@@ -51,15 +51,15 @@ __all__ = [
     "flow_omega", "flow_omega_dense", "builtin_names", "builtin_system",
     # variational
     "EtaSolution", "eta", "DefectField", "defect_many",
-    "defect_profile", "MonodromyReport", "monodromy", "FloquetReport",
-    "floquet_condition_A3", "cycle_residual",
+    "defect_profile", "MonodromyReport", "monodromy", "cycle_residual",
     # topology
     "PlanarRegion", "ProductRegion", "DegreeReport", "FieldVanishesError",
     "NonConvergentError", "winding_number", "product_degree", "contract",
     "accumulated_angle",
     # conditions
     "HypothesisReport", "check_A0", "check_A1", "check_A2",
-    "MelnikovProfile", "melnikov_profile", "defect_normal_profile",
+    "floquet_condition_A3", "MelnikovProfile", "melnikov_profile",
+    "defect_normal_profile",
     "DegreeComparisonReport", "compare_defect_degrees", "ResonanceMap", "ResonanceZero",
     "resonance_H", "resonance_initial_point",
     # averaging

@@ -8,7 +8,7 @@ function it feeds, unless ``_KEYS`` states the CLI's own.  CSV output
 starts with comment lines recording the tool version, the config hash and
 the seed, so identical configurations give byte-identical files.  Exit
 codes: 0 holds/converged, 2 fails, 3 inconclusive, 1 usage or
-configuration error.
+configuration error; ``_FAILURES`` maps library failures to 3 or 2.
 """
 
 import argparse
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .averaging import NoConvergenceError, averaged_field, verify_cauchy
-from .conditions import (check_A0, check_A1, check_A2, melnikov_profile,
-                         resonance_H)
+from .conditions import (check_A0, check_A1, check_A2, floquet_condition_A3,
+                         melnikov_profile, resonance_H)
 from .expressions import ParseError, compile_expr, parse as parse_expr
 from .solver import IntegrationError, IntegratorConfig
 from .svgplot import write_svg
@@ -33,8 +33,7 @@ from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
                        winding_number)
 from .periodic import (NewtonStalledError, SingularJacobianError, eps_sweep,
                        shoot)
-from .variational import (cycle_residual, floquet_condition_A3,
-                          flow_omega_dense)
+from .variational import cycle_residual, flow_omega_dense
 
 __all__ = ["run", "main", "ConfigError", "DEFAULT_SEED"]
 
@@ -44,6 +43,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILS = 2
 EXIT_INCONCLUSIVE = 3
+
+# The exit code of each verdict, and the word for each library failure that
+# ends a command without an answer: the flow blew up or a refinement did not
+# settle (inconclusive), or shooting's Newton iteration did not converge.
+_EXIT = {"holds": EXIT_OK, "fails": EXIT_FAILS, "failed": EXIT_FAILS,
+         "inconclusive": EXIT_INCONCLUSIVE}
+_FAILURES = {IntegrationError: "inconclusive",
+             NoConvergenceError: "inconclusive",
+             FieldVanishesError: "inconclusive",
+             NonConvergentError: "inconclusive",
+             NewtonStalledError: "failed", SingularJacobianError: "failed"}
 
 
 class ConfigError(ValueError):
@@ -323,13 +333,12 @@ class Output:
 
 
 def _verdict_exit(report):
-    return {"holds": EXIT_OK, "fails": EXIT_FAILS,
-            "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
+    return _EXIT[report.verdict]
 
 
 # -- commands ---------------------------------------------------------------
 
-def _cmd_describe(args, cfg):
+def _cmd_describe(args, cfg, out):
     sys_def = build_system(cfg)
     for line in sys_def.describe_lines():
         print(line)
@@ -350,35 +359,23 @@ def _cmd_describe(args, cfg):
     return EXIT_OK
 
 
-def _cmd_check(args, cfg):
+def _cmd_check(args, cfg, out):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
-    out = Output(args, cfg, f"check {args.condition}")
-    cond = args.condition.upper()
-    if cond == "A3":
-        cycle = build_cycle(cfg, sys_def, icfg)
+    if args.condition == "A3":
         rep = floquet_condition_A3(
-            sys_def, cycle, _phase_grid(cfg, "grids.theta_points", sys_def.T),
+            sys_def, build_cycle(cfg, sys_def, icfg),
+            _phase_grid(cfg, "grids.theta_points", sys_def.T),
             cfg=icfg, **_given(cfg, panels="grids.quad_panels",
                                order="grids.quad_order",
                                cycle_tol="tolerances.cycle_tol"))
-        rows = [(r.theta, r.dist_to_one, r.gap, r.simple) for r in rep.rows]
-        out.write_csv(("theta", "dist_to_one", "gap", "simple"), rows)
-        out.write_plot([([r.theta for r in rep.rows],
-                         [r.gap for r in rep.rows], "gap")],
+        cols = ("theta", "dist_to_one", "gap", "simple")
+        out.write_csv(cols, zip(*(rep.data.get(c, ()) for c in cols)))
+        out.write_plot([(rep.data.get("theta", ()), rep.data.get("gap", ()),
+                         "gap")],
                        "Floquet simplicity gap", "theta", "|mu_j - 1|")
-        worst = min(rep.rows, key=lambda r: r.gap)
-        if rep.holds:
-            print(f"A3 holds (unit multiplier simple for all theta; "
-                  f"min gap {worst.gap:.6g})")
-            return EXIT_OK
-        print(f"A3 fails (theta={worst.theta:.6g}: dist to 1 "
-              f"{worst.dist_to_one:.3g}, gap {worst.gap:.3g})")
-        return EXIT_FAILS
-
-    region = build_region(cfg)
-    if cond == "A0":
-        rep = check_A0(sys_def, region, cfg=icfg, **_given(
+    elif args.condition == "A0":
+        rep = check_A0(sys_def, build_region(cfg), cfg=icfg, **_given(
             cfg, n_samples="grids.a0_samples", a0_tol="tolerances.a0_tol"))
         pts = rep.data.get("points", np.zeros((0, sys_def.k)))
         res = rep.data.get("residuals", np.zeros(0))
@@ -388,9 +385,10 @@ def _cmd_check(args, cfg):
         out.write_plot([(np.arange(len(res)), res, "residual")],
                        "Period-map residual on the boundary", "sample",
                        "relative residual")
-    elif cond == "A1":
+    elif args.condition == "A1":
         rep = check_A1(
-            sys_def, region, _phase_grid(cfg, "grids.s_points", sys_def.T),
+            sys_def, build_region(cfg),
+            _phase_grid(cfg, "grids.s_points", sys_def.T),
             cfg=icfg, **_given(cfg, boundary_samples="grids.boundary_samples",
                                a1_tol="tolerances.a1_tol"))
         s_grid = rep.data["s_grid"]
@@ -399,24 +397,23 @@ def _cmd_check(args, cfg):
                       list(zip(map(float, s_grid), map(float, per_s))))
         out.write_plot([(s_grid, per_s, "min defect")],
                        "Smallest defect norm per anchor", "s", "min |defect|")
-    elif cond == "A2":
-        rep, _ = check_A2(sys_def, region, cfg=icfg, **_given(
+    else:
+        rep, _ = check_A2(sys_def, build_region(cfg), cfg=icfg, **_given(
             cfg, boundary_samples="grids.boundary_samples",
             vanish_tol="tolerances.vanish_tol"))
-        pts, vals = rep.data["points"], rep.data["values"]
+        pts = rep.data.get("points", np.zeros((0, 2)))
+        vals = rep.data.get("values", np.zeros((0, 2)))
         norms = np.linalg.norm(vals, axis=1)
         out.write_csv(("x1", "x2", "F1", "F2", "norm"),
                       [(p[0], p[1], v[0], v[1], float(n))
                        for p, v, n in zip(pts, vals, norms)])
         out.write_plot([(np.arange(len(norms)), norms, "|defect|")],
                        "Defect field norm on the boundary", "sample", "|F|")
-    else:
-        raise ConfigError(f"unknown condition {args.condition!r}")
     print(rep.summary())
     return _verdict_exit(rep)
 
 
-def _cmd_melnikov(args, cfg):
+def _cmd_melnikov(args, cfg, out):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
     cycle = build_cycle(cfg, sys_def, icfg)
@@ -424,23 +421,16 @@ def _cmd_melnikov(args, cfg):
         sys_def, cycle, _phase_grid(cfg, "grids.theta_points", sys_def.T),
         **_given(cfg, panels="grids.quad_panels", order="grids.quad_order",
                  cycle_tol="tolerances.cycle_tol"))
-    out = Output(args, cfg, "melnikov")
     out.write_csv(("theta", "M"),
                   list(zip(prof.thetas, prof.values)))
     out.write_plot([(prof.thetas, prof.values, "M(theta)")],
                    "Cycle integral profile", "theta", "M")
-    rel_tol = _get(cfg, "tolerances.a3_tol")
-    scale = max(1.0, float(np.max(np.abs(prof.values))))
-    if prof.min_abs > rel_tol * scale:
-        print(f"A3_1 holds (min |M| = {prof.min_abs:.6g}, "
-              f"weight range {prof.weight_range[0]:.3g}.."
-              f"{prof.weight_range[1]:.3g})")
-        return EXIT_OK
-    print(f"A3_1 fails (min |M| = {prof.min_abs:.6g})")
-    return EXIT_FAILS
+    rep = prof.check_A3_1(**_given(cfg, a3_tol="tolerances.a3_tol"))
+    print(rep.summary())
+    return _verdict_exit(rep)
 
 
-def _cmd_degree(args, cfg):
+def _cmd_degree(args, cfg, out):
     region = build_region(cfg)
     sec = cfg.get("field", {})
     comps = [sec.get("f1"), sec.get("f2")]
@@ -457,15 +447,9 @@ def _cmd_degree(args, cfg):
                 for f in fns]
         return np.column_stack(cols)
 
-    out = Output(args, cfg, "degree")
-    try:
-        rep = winding_number(
-            F, region, n0=_get(cfg, "grids.boundary_samples"),
-            **_given(cfg, vanish_tol="tolerances.vanish_tol"))
-    except (FieldVanishesError, NonConvergentError) as err:
-        out.write_csv(("quantity", "value"), [("degree", ""), ("note", str(err))])
-        print(f"degree inconclusive ({err})")
-        return EXIT_INCONCLUSIVE
+    rep = winding_number(
+        F, region, n0=_get(cfg, "grids.boundary_samples"),
+        **_given(cfg, vanish_tol="tolerances.vanish_tol"))
     pts = region.boundary_points(min(rep.samples_used, 1024))
     vals = F(pts)
     out.write_csv(("x1", "x2", "F1", "F2"),
@@ -478,7 +462,7 @@ def _cmd_degree(args, cfg):
     return EXIT_OK if rep.degree != 0 else EXIT_FAILS
 
 
-def _cmd_resonance(args, cfg):
+def _cmd_resonance(args, cfg, out):
     g = _value(cfg, "resonance.g")
     if g is None:
         raise ConfigError("section [resonance] needs the forcing expression g")
@@ -490,7 +474,6 @@ def _cmd_resonance(args, cfg):
                                   order="grids.quad_order"))
     except ParseError as err:
         raise ConfigError(f"bad forcing expression: {err}") from err
-    out = Output(args, cfg, "resonance")
     rows = []
     for z in rm.zeros:
         try:
@@ -525,16 +508,9 @@ def _averaged(cfg, sys_def, icfg):
                            n_samples="average.samples"))
 
 
-def _cmd_average(args, cfg):
+def _cmd_average(args, cfg, out):
     sys_def = build_system(cfg)
-    icfg = build_integrator(cfg)
-    out = Output(args, cfg, "average")
-    try:
-        av = _averaged(cfg, sys_def, icfg)
-    except (NoConvergenceError, IntegrationError) as err:
-        out.write_csv(("note",), [(str(err),)])
-        print(f"averaged field inconclusive ({err})")
-        return EXIT_INCONCLUSIVE
+    av = _averaged(cfg, sys_def, build_integrator(cfg))
     vals = av.eval_many(av.samples)
     cols = (tuple(f"xi{j + 1}" for j in range(sys_def.k))
             + tuple(f"Phi{j + 1}" for j in range(sys_def.k))
@@ -551,21 +527,15 @@ def _cmd_average(args, cfg):
     return EXIT_OK
 
 
-def _cmd_verify_cauchy(args, cfg):
+def _cmd_verify_cauchy(args, cfg, out):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
     xi0 = _get(cfg, "verify.xi0")
     d = _get(cfg, "verify.d")
     eps_list = _get(cfg, "verify.eps")
-    out = Output(args, cfg, "verify-cauchy")
-    try:
-        verdicts = verify_cauchy(
-            sys_def, xi0, d, eps_list, _averaged(cfg, sys_def, icfg),
-            cfg=icfg, **_given(cfg, gamma_tol="tolerances.gamma_tol"))
-    except (NoConvergenceError, IntegrationError) as err:
-        out.write_csv(("note",), [(str(err),)])
-        print(f"verify-cauchy inconclusive ({err})")
-        return EXIT_INCONCLUSIVE
+    verdicts = verify_cauchy(
+        sys_def, xi0, d, eps_list, _averaged(cfg, sys_def, icfg),
+        cfg=icfg, **_given(cfg, gamma_tol="tolerances.gamma_tol"))
     k = sys_def.k
     rows = []
     series = []
@@ -589,21 +559,13 @@ def _cmd_verify_cauchy(args, cfg):
     return EXIT_OK if n_pass == len(verdicts) else EXIT_FAILS
 
 
-def _cmd_find_periodic(args, cfg):
+def _cmd_find_periodic(args, cfg, out):
     sys_def = build_system(cfg)
-    icfg = build_integrator(cfg)
     region = build_region(cfg) if "region" in cfg else None
-    out = Output(args, cfg, "find-periodic")
-    try:
-        res = shoot(sys_def, _get(cfg, "shoot.eps"), _get(cfg, "shoot.seed"),
-                    cfg=icfg, region=region,
-                    **_given(cfg, shoot_tol="tolerances.shoot_tol"))
-    except (NewtonStalledError, SingularJacobianError) as err:
-        out.write_csv(("note",), [(str(err),)])
-        print(f"find-periodic failed ({err})")
-        return EXIT_FAILS
-    rows = [_orbit_row(sys_def, res)]
-    out.write_csv(_orbit_columns(sys_def), rows)
+    res = shoot(sys_def, _get(cfg, "shoot.eps"), _get(cfg, "shoot.seed"),
+                cfg=build_integrator(cfg), region=region,
+                **_given(cfg, shoot_tol="tolerances.shoot_tol"))
+    out.write_csv(_orbit_columns(sys_def), [_orbit_row(sys_def, res)])
     if res.orbit is not None and sys_def.k == 2:
         ts = np.linspace(0.0, sys_def.T, 256)
         pts = res.orbit.eval(ts)
@@ -630,7 +592,7 @@ def _orbit_row(sys_def, r):
                "" if r.boundary_distance is None else r.boundary_distance))
 
 
-def _cmd_sweep(args, cfg):
+def _cmd_sweep(args, cfg, out):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
     region = build_region(cfg) if "region" in cfg else None
@@ -649,7 +611,6 @@ def _cmd_sweep(args, cfg):
                    cfg=icfg, **_given(cfg, seed_strategy="sweep.strategy",
                                       seed="sweep.seed",
                                       shoot_tol="tolerances.shoot_tol"))
-    out = Output(args, cfg, "sweep")
     out.write_csv(_orbit_columns(sys_def),
                   [_orbit_row(sys_def, r) for r in sw.results])
     conv = sw.converged()
@@ -696,14 +657,24 @@ def _build_parser():
 
 
 def run(argv):
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.  A library failure in
+    ``_FAILURES`` is written as the CSV's one ``note`` and printed."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_OK if err.code == 0 else EXIT_USAGE
+    command = args.command
+    if command == "check":
+        command += f" {args.condition}"
     try:
         cfg = parse_config(args.config, args.overrides)
-        return _COMMANDS[args.command](args, cfg)
+        out = Output(args, cfg, command)
+        return _COMMANDS[args.command](args, cfg, out)
+    except tuple(_FAILURES) as err:
+        word = next(w for e, w in _FAILURES.items() if isinstance(err, e))
+        out.write_csv(("note",), [(str(err),)])
+        print(f"{command} {word} ({err})")
+        return _EXIT[word]
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,9 +4,10 @@ Each check returns a report with a verdict (holds / fails / inconclusive),
 the worst-case witness and the margins, so results read as evidence at the
 grid resolution used rather than proof.  Covered: boundary periodicity of
 the unperturbed flow (A0), nonvanishing period defect (A1), the rotation
-number of the defect field (A2), the weighted cycle integral driving the
-planar persistence condition (A3_1), homotopy invariance of the defect
-degree, and the resonance map of a harmonically forced linear center.
+number of the defect field (A2), a simple unit Floquet multiplier (A3),
+the weighted cycle integral driving the planar persistence condition
+(A3_1), homotopy invariance of the defect degree, and the resonance map of
+a harmonically forced linear center.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from .variational import (DefectField, _defect_profiles, _phase_points,
 
 __all__ = [
     "HypothesisReport", "check_A0", "check_A1", "check_A2",
+    "floquet_condition_A3",
     "MelnikovProfile", "melnikov_profile", "defect_normal_profile",
     "DegreeComparisonReport", "compare_defect_degrees",
     "ResonanceZero", "ResonanceMap", "resonance_H", "resonance_initial_point",
@@ -47,6 +49,17 @@ class HypothesisReport:
             return f"{self.condition} holds (margin {self.margin:.6g})"
         w = ", ".join(f"{k}={v}" for k, v in self.witness.items())
         return f"{self.condition} {self.verdict} ({w})"
+
+
+def _flow(condition, run, **context):
+    """``(run(), None)``, or ``(None, report)`` when the flow inside ``run``
+    fails: the ``inconclusive`` report of ``condition`` with the failure as
+    witness and ``context`` (grids, tolerances, data) as known so far."""
+    try:
+        return run(), None
+    except IntegrationError as err:
+        return None, HypothesisReport(condition, "inconclusive", np.inf,
+                                      witness={"error": str(err)}, **context)
 
 
 def _boundary_samples(region, n):
@@ -95,21 +108,18 @@ def check_A0(sys, region, n_samples=512, a0_tol=1e-7, cfg=DEFAULT_CONFIG):
     if k != sys.k:
         raise ValueError(f"region dimension {k} does not match system k={sys.k}")
 
-    try:
-        end = flow_lanes(sys, 0.0, sys.T, pts, cfg)[0]
-    except IntegrationError as err:
-        return HypothesisReport(
-            "A0", "inconclusive", np.inf,
-            witness={"error": str(err)},
-            grids={"n_samples": n}, tolerances={"a0_tol": a0_tol})
+    context = {"grids": {"n_samples": n}, "tolerances": {"a0_tol": a0_tol}}
+    end, failed = _flow("A0", lambda: flow_lanes(sys, 0.0, sys.T, pts, cfg)[0],
+                        **context)
+    if failed:
+        return failed
     rel = np.linalg.norm(end - pts, axis=1) / (1.0 + np.linalg.norm(pts, axis=1))
     worst = int(np.argmax(rel))
     verdict = "holds" if rel[worst] <= a0_tol else "fails"
     return HypothesisReport(
         "A0", verdict, float(rel[worst]),
         witness={"point": pts[worst], "residual": float(rel[worst])},
-        grids={"n_samples": n}, tolerances={"a0_tol": a0_tol},
-        data={"points": pts, "residuals": rel})
+        data={"points": pts, "residuals": rel}, **context)
 
 
 def check_A1(sys, region, s_grid=None, boundary_samples=512, a1_tol=1e-6,
@@ -119,13 +129,12 @@ def check_A1(sys, region, s_grid=None, boundary_samples=512, a1_tol=1e-6,
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be positive")
     pts = _boundary_samples(region, boundary_samples)
-    try:
-        prof = defect_profile(sys, pts, s_grid, cfg)
-    except IntegrationError as err:
-        return HypothesisReport(
-            "A1", "inconclusive", np.inf, witness={"error": str(err)},
-            grids={"s_points": len(s_grid), "boundary_samples": len(pts)},
-            tolerances={"a1_tol": a1_tol}, data={"s_grid": s_grid})
+    context = {"grids": {"s_points": len(s_grid), "boundary_samples": len(pts)},
+               "tolerances": {"a1_tol": a1_tol}}
+    prof, failed = _flow("A1", lambda: defect_profile(sys, pts, s_grid, cfg),
+                         data={"s_grid": s_grid}, **context)
+    if failed:
+        return failed
     norms = np.linalg.norm(prof, axis=2)
     si, pi = np.unravel_index(np.argmin(norms), norms.shape)
     mn = float(norms[si, pi])
@@ -133,9 +142,8 @@ def check_A1(sys, region, s_grid=None, boundary_samples=512, a1_tol=1e-6,
     return HypothesisReport(
         "A1", verdict, mn,
         witness={"s": float(s_grid[si]), "point": pts[pi], "norm": mn},
-        grids={"s_points": len(s_grid), "boundary_samples": len(pts)},
-        tolerances={"a1_tol": a1_tol},
-        data={"s_grid": s_grid, "min_norm_per_s": norms.min(axis=1)})
+        data={"s_grid": s_grid, "min_norm_per_s": norms.min(axis=1)},
+        **context)
 
 
 def _block_coupling(sys):
@@ -166,7 +174,8 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     system, with the first coupling as witness, and for opaque callables,
     whose variables cannot be read.  On a planar region ``data`` holds the
     initial boundary grid (``points``) and the defect field there
-    (``values``), whatever the verdict.  Returns ``(HypothesisReport, DegreeReport or None)``.
+    (``values``), unless the flow failed.  Returns ``(HypothesisReport,
+    DegreeReport or None)``.
     """
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be positive")
@@ -178,22 +187,34 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     if coupling:
         return HypothesisReport("A2", "inconclusive", 0.0, witness=coupling,
                                 grids=grids, tolerances=tols), None
+
+    def degree():
+        if planar:
+            return winding_number(fld.eval_many, region, n0=boundary_samples,
+                                  vanish_tol=vanish_tol)
+        centers = np.concatenate([f.star_center for f in region.factors])
+
+        def slice_field(P, i):
+            full = np.tile(centers, (len(P), 1))
+            full[:, 2 * i:2 * i + 2] = P
+            return fld.eval_many(full)[:, 2 * i:2 * i + 2]
+
+        return product_degree(
+            [partial(slice_field, i=i) for i in range(len(region.factors))],
+            region, n0=boundary_samples, vanish_tol=vanish_tol)
+
     report = None
     try:
-        if planar:
-            report = winding_number(fld.eval_many, region, n0=boundary_samples,
-                                    vanish_tol=vanish_tol)
-        else:
-            centers = np.concatenate([f.star_center for f in region.factors])
-
-            def slice_field(P, i):
-                full = np.tile(centers, (len(P), 1))
-                full[:, 2 * i:2 * i + 2] = P
-                return fld.eval_many(full)[:, 2 * i:2 * i + 2]
-
-            report = product_degree(
-                [partial(slice_field, i=i) for i in range(len(region.factors))],
-                region, n0=boundary_samples, vanish_tol=vanish_tol)
+        report, failed = _flow("A2", degree, grids=grids, tolerances=tols)
+        if failed:  # filling data would rerun the failing flow
+            return failed, None
+        verdict = "holds" if report.degree != 0 else "fails"
+        hyp = HypothesisReport(
+            "A2", verdict, float(abs(report.degree)),
+            witness={"degree": report.degree,
+                     "min_field_norm": report.min_field_norm},
+            grids={**grids, "samples_used": report.samples_used},
+            tolerances=tols)
     except FieldVanishesError as err:
         hyp = HypothesisReport(
             "A2", "inconclusive", 0.0,
@@ -204,18 +225,68 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
         hyp = HypothesisReport(
             "A2", "inconclusive", 0.0, witness={"reason": str(err)},
             grids=grids, tolerances=tols)
-    else:
-        verdict = "holds" if report.degree != 0 else "fails"
-        hyp = HypothesisReport(
-            "A2", verdict, float(abs(report.degree)),
-            witness={"degree": report.degree,
-                     "min_field_norm": report.min_field_norm},
-            grids={**grids, "samples_used": report.samples_used},
-            tolerances=tols)
     if planar:  # the first refinement round cached these values
         pts = region.boundary_points(boundary_samples)
         hyp.data = {"points": pts, "values": fld.eval_many(pts)}
     return hyp, report
+
+
+def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
+                         gap_tol=1e-3, cycle_tol=1e-6, cfg=DEFAULT_CONFIG,
+                         panels=64, order=8):
+    """Check that 1 is a simple Floquet multiplier of the linearisation
+    along every phase shift of the cycle.
+
+    A phase holds when some multiplier is within ``one_tol`` of 1 and every
+    other stays at least ``gap_tol`` away from 1.  For an autonomous
+    unperturbed field the unit multiplier is structural, so the margin is
+    the smallest gap; the witness is the phase of smallest gap among those
+    that fail (all when none does).  ``data`` holds the per-phase arrays
+    ``theta``, ``multipliers``, ``dist_to_one``, ``gap`` and ``simple``, and
+    the worst Liouville determinant error ``max_liouville_rel_err``.
+
+    The linearisation along x0(t + theta) comes from integrating each
+    phase-shifted cycle point as a lane from time 0, which equals it only
+    when psi does not depend on t; other systems raise ``ValueError``.
+    """
+    if not sys.psi_autonomous:
+        raise ValueError("the Floquet check integrates the cycle points from "
+                         "time 0 and needs a psi that does not depend on t")
+    res = cycle_residual(cycle, sys.T)
+    if res > cycle_tol:
+        raise ValueError(f"input trajectory is not {sys.T}-periodic "
+                         f"(residual {res:.3e})")
+    thetas = _phase_points(theta_grid, sys.T, "theta_grid")
+    context = {"grids": {"theta_points": len(thetas)},
+               "tolerances": {"one_tol": one_tol, "gap_tol": gap_tol}}
+    M, failed = _flow("A3", lambda: flow_lanes(
+        sys, 0.0, sys.T, cycle.eval(np.mod(thetas, sys.T)), cfg,
+        S=np.eye(sys.k), tangents=sys.k)[1], **context)
+    if failed:
+        return failed
+
+    mus = np.linalg.eigvals(M)
+    d1 = np.sort(np.abs(mus - 1.0), axis=1)
+    dist = d1[:, 0]
+    gap = d1[:, 1] if sys.k > 1 else np.full(len(thetas), np.inf)
+    simple = (dist <= one_tol) & (gap >= gap_tol)
+    holds = bool(simple.all())
+    worst = int(np.argmin(gap if holds else np.where(simple, np.inf, gap)))
+    # psi is autonomous and the cycle T-periodic, so every phase shift has
+    # the same Liouville trace integral
+    nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
+    jac = lane_field(sys, nodes, cycle.eval(nodes), np.eye(sys.k),
+                     tangents=sys.k)[1]
+    liou = np.exp(float(np.dot(weights, np.trace(jac, axis1=1, axis2=2))))
+    return HypothesisReport(
+        "A3", "holds" if holds else "fails", float(gap.min()),
+        witness={"theta": float(thetas[worst]),
+                 "dist_to_one": float(dist[worst]), "gap": float(gap[worst])},
+        data={"theta": thetas, "multipliers": mus, "dist_to_one": dist,
+              "gap": gap, "simple": simple,
+              "max_liouville_rel_err": float(np.max(
+                  np.abs(np.linalg.det(M) - liou)) / liou)},
+        **context)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +305,20 @@ class MelnikovProfile:
     def argmax_abs(self):
         return float(self.thetas[int(np.argmax(np.abs(self.values)))])
 
-    def nonvanishing(self, tol=0.0):
-        return self.min_abs > tol
+    def check_A3_1(self, a3_tol=1e-8):
+        """A3_1: M(theta) stays away from 0, that is min |M| exceeds
+        ``a3_tol * max(1, max |M|)``; the witness is the phase of
+        smallest |M|."""
+        i = int(np.argmin(np.abs(self.values)))
+        scale = max(1.0, float(np.max(np.abs(self.values))))
+        return HypothesisReport(
+            "A3_1", "holds" if self.min_abs > a3_tol * scale else "fails",
+            self.min_abs,
+            witness={"theta": float(self.thetas[i]),
+                     "M": float(self.values[i])},
+            grids={"theta_points": len(self.thetas), "panels": self.panels,
+                   "order": self.order},
+            tolerances={"a3_tol": a3_tol})
 
 
 def _perp(v):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import DEFAULT_CONFIG, integrate
+from .solver import DEFAULT_CONFIG, IntegrationError, integrate
 from .systems import damped_newton
 from .topology import PlanarRegion
 from .variational import augmented, flow_lanes, lane_field
@@ -185,10 +185,11 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
     integral profile, the cycle point where |M(theta)| peaks; otherwise the
     region star center.  ``seed_strategy`` "continuation" starts each eps
     from the last converged orbit, "fixed" always from that seed.  When the
-    period map stalls or degenerates, the sweep falls back to equilibria of
-    the full field (for autonomous systems) and to the star center before
-    recording a failure.  The rate fit regresses log distance-to-boundary
-    of the found orbits on log eps.
+    period map stalls, degenerates or its flow fails, the sweep falls back
+    to equilibria of the full field (for autonomous systems) and to the
+    star center before recording a failure that names the last error.  The
+    rate fit regresses log distance-to-boundary of the found orbits on log
+    eps.
     """
     if seed_strategy not in ("continuation", "fixed"):
         raise ValueError(f"seed_strategy must be 'continuation' or 'fixed', "
@@ -214,7 +215,8 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
             try:
                 outcome = shoot(sys, eps, attempt, cfg=cfg, region=region,
                                 shoot_tol=shoot_tol)
-            except (NewtonStalledError, SingularJacobianError) as err:
+            except (NewtonStalledError, SingularJacobianError,
+                    IntegrationError) as err:
                 last_error = err
                 continue
             if outcome.converged:

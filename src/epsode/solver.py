@@ -36,7 +36,7 @@ class IntegrationError(RuntimeError):
         self.t = t
         self.state = None if state is None else np.asarray(state)
         if t is not None:
-            message = f"{message} at t={t!r}"
+            message = f"{message} at t={float(t)!r}"
         super().__init__(message)
 
 

@@ -286,7 +286,7 @@ def test_criterion_7_floquet_multipliers(e1, e1_cycle):
     liou.append(monodromy(lambda t: np.zeros((2, 2)), TWO_PI).liouville_rel_err)
     a3 = floquet_condition_A3(e1, e1_cycle,
                               theta_grid=np.linspace(0.0, TWO_PI, 9))
-    liou.append(a3.max_liouville_rel_err)
+    liou.append(a3.data["max_liouville_rel_err"])
     crit.check(max(liou) <= 1e-6,
                f"worst Liouville relative error {max(liou):.2e}")
     crit.finish()

@@ -1,4 +1,6 @@
+import re
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -601,3 +603,35 @@ def test_one_boundary_sample_is_a_usage_error(argv, text, tmp_path, capsys):
     rc, err = _usage_error(argv, capsys)
     assert rc == 1 and "n0 must be at least 3" in err
     assert not out.exists()
+
+
+BLOWUP_CFG = Path(__file__).with_name("blowup.cfg")
+
+
+@pytest.mark.parametrize("command, rc", [
+    ("check A0", 3), ("check A1", 3), ("check A2", 3), ("check A3", 3),
+    ("melnikov", 3), ("find-periodic", 3), ("average", 3),
+    ("verify-cauchy", 3), ("sweep", 2),
+])
+def test_flow_failure_exit_codes(command, rc, tmp_path, capsys):
+    text = BLOWUP_CFG.read_text()
+    if command == "sweep":  # with a cycle the sweep fails building it
+        text = re.sub(r"\[cycle\][^[]*", "", text)
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run(command.split() + ["--config", str(cfg), "--out", str(out)]) \
+        == rc
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "np.float64" not in captured.out
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    if command == "sweep":  # the CSV has no column for the failure
+        assert captured.out == "sweep: 0/2 converged, distance slope n/a\n"
+        assert [l.split(",")[:2] for l in lines[1:]] == [
+            ["0.1", "false"], ["0.05", "false"]]
+    elif command in ("check A0", "check A1", "check A2"):
+        assert captured.out.startswith(f"{command[-2:]} inconclusive (error=")
+    else:  # ended by the library failure: its message is the one note
+        assert captured.out.startswith(f"{command} inconclusive (step failed")
+        assert lines[0] == "note" and lines[1].startswith("step failed")

@@ -5,10 +5,11 @@ from scipy.optimize import brentq
 
 from epsode import conditions
 from epsode import (PlanarRegion, ProductRegion, check_A0, check_A1, check_A2,
-                    defect_normal_profile, gauss_legendre_panels,
-                    melnikov_profile, resonance_H, resonance_initial_point,
-                    system_from_callables, system_from_expressions,
-                    compare_defect_degrees, winding_number)
+                    defect_normal_profile, floquet_condition_A3,
+                    gauss_legendre_panels, melnikov_profile, resonance_H,
+                    resonance_initial_point, system_from_callables,
+                    system_from_expressions, compare_defect_degrees,
+                    winding_number)
 
 TWO_PI = 2 * np.pi
 
@@ -130,6 +131,56 @@ def test_a2_opaque_system_on_product_region_is_inconclusive():
     rep, deg = check_A2(sysd, prod, boundary_samples=64)
     assert rep.verdict == "inconclusive" and deg is None
     assert "opaque" in rep.witness["reason"]
+
+
+# ------------------------------------------------------- flow failures ----
+
+def test_flow_failure_is_inconclusive_with_the_error_as_witness(
+        e1_cycle, monkeypatch):
+    # x1' = x1^2 + 1 escapes to infinity at t = pi/4 from x1 = 1
+    blowup = system_from_expressions("blow-up", 2, TWO_PI, ("1", "0"),
+                                     ("x1^2 + 1", "x2"))
+    disk = PlanarRegion.circle(0.0, 0.0, 1.0, 32)
+    from epsode import variational
+    real, calls = variational.defect_many, []
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(variational, "defect_many", counting)
+    a2, degree = check_A2(blowup, disk, boundary_samples=32)
+    # one failing round, and no second run of it to fill data
+    assert degree is None and a2.data == {} and calls == [32]
+    reports = [check_A0(blowup, disk, n_samples=32),
+               check_A1(blowup, disk, [0.0, 1.0], boundary_samples=32), a2,
+               # the e1 cycle closes up, so the flow fails only in the check
+               floquet_condition_A3(blowup, e1_cycle, [0.0, 1.0])]
+    for cond, rep in zip(("A0", "A1", "A2", "A3"), reports):
+        assert (rep.condition, rep.verdict) == (cond, "inconclusive")
+        assert list(rep.witness) == ["error"]
+        assert rep.witness["error"].startswith("step failed")
+        assert rep.summary().startswith(f"{cond} inconclusive (error=step")
+
+
+# ------------------------------------------------------------------ A3_1 ----
+
+@pytest.mark.parametrize("values, a3_tol, verdict", [
+    ([3.0, -2.0, 5.0], 1e-8, "holds"),
+    ([3.0, 1e-9, 5.0], 1e-8, "fails"),   # 1e-9 < 1e-8 * max(1, 5)
+    ([0.5, 6e-9, 0.2], 1e-8, "fails"),   # the scale is at least 1
+    ([0.5, 6e-9, 0.2], 5e-9, "holds"),
+])
+def test_a3_1_rule(values, a3_tol, verdict):
+    thetas = np.array([0.0, 1.0, 2.0])
+    values = np.array(values)
+    prof = conditions.MelnikovProfile(thetas, values,
+                                      float(np.min(np.abs(values))),
+                                      (1.0, 1.0), 64, 8)
+    rep = prof.check_A3_1(a3_tol)
+    assert (rep.condition, rep.verdict) == ("A3_1", verdict)
+    assert rep.margin == np.min(np.abs(values))
+    assert rep.witness == {"theta": 1.0, "M": values[1]}  # smallest |M|
 
 
 # ---------------------------------------------------------- cycle integral -

@@ -145,6 +145,25 @@ def test_sweep_on_drifting_cycle_finds_interior_orbits(e1, disk, e1_cycle):
     assert sw.slope is not None and abs(sw.slope) < 0.1
 
 
+def test_sweep_records_a_flow_failure_and_keeps_the_other_rows():
+    # x' = eps*x^2 + cos t - x: small eps keep an orbit near 1/2, at eps = 5
+    # the flow from there escapes to infinity within the period
+    sysd = system_from_expressions("quadratic", 1, TWO_PI, ("x1^2",),
+                                   ("cos(t) - x1",))
+    with_bad = eps_sweep(sysd, None, [0.05, 5.0, 0.1], seed=[0.0]).results
+    without = eps_sweep(sysd, None, [0.05, 0.1], seed=[0.0]).results
+    bad = with_bad.pop(1)
+    assert (bad.eps, bad.converged) == (5.0, False)
+    assert bad.failure.startswith("step failed")
+    assert np.all(np.isnan(bad.xi_star)) and bad.residual == np.inf
+    for a, b in zip(with_bad, without):
+        assert a.converged and (a.eps, a.iterations, a.failure) == \
+            (b.eps, b.iterations, b.failure)
+        assert np.array_equal(a.xi_star, b.xi_star) and a.residual == b.residual
+        assert a.residual_history == b.residual_history
+        assert np.array_equal(a.multipliers, b.multipliers)
+
+
 def test_sweep_empty_list(e1, disk):
     sw = eps_sweep(e1, disk, [])
     assert sw.results == [] and sw.slope is None

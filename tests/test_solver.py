@@ -257,6 +257,20 @@ def test_step_size_underflow_names_the_spacing():
     assert err.value.t == pytest.approx(0.5, abs=1e-6)
 
 
+def test_failure_message_prints_a_plain_time():
+    # opaque callables run the numpy kernel, whose step times are np.float64
+    from epsode import flow_omega, system_from_callables
+    blowup = system_from_callables(
+        "blow-up", 1, 2 * np.pi, lambda t, x: np.zeros(1),
+        lambda t, x: x ** 2 + 1.0, check_periodicity=False)
+    with pytest.raises(IntegrationError) as err:
+        flow_omega(blowup, 1.0, 0.0, [1.0])
+    assert isinstance(err.value.t, np.floating)
+    assert err.value.t == pytest.approx(np.pi / 4, abs=1e-6)
+    assert str(err.value) == f"{err.value.reason} at t={float(err.value.t)!r}"
+    assert "np.float64" not in str(err.value)
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, epsode.cli; "
             "print(sorted(m for m in sys.modules "

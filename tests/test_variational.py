@@ -71,6 +71,19 @@ def test_eta_period_defect_matches_defect_many(e1, s):
     assert np.max(np.abs((at_T - at_0) - d)) <= 1e-9 * np.max(np.abs(d))
 
 
+@pytest.mark.parametrize("s", [1.5, 5.0])
+def test_defect_profile_is_accurate_at_late_anchors(e1, s):
+    # the profile runs forward only; the direct route's backward run from
+    # s = 5 is about 2.5e-6 relative off at the default tolerances
+    tight = DEFAULT_CONFIG.tightened(1000.0)
+    xi = np.array([[0.8, -0.3]])
+    ref = defect_many(e1, xi, s, tight)[0]
+    assert np.linalg.norm(defect_profile(e1, xi, [s], tight)[0, 0] - ref) \
+        <= 1e-8 * np.linalg.norm(ref)
+    assert np.linalg.norm(defect_profile(e1, xi, [s])[0, 0] - ref) \
+        <= 1e-8 * np.linalg.norm(ref)
+
+
 def test_response_is_affine_in_forcing(e1):
     psi = ("-x2 + x1*(1 - x1^2 - x2^2)", "x1 + x2*(1 - x1^2 - x2^2)")
     s1 = system_from_expressions("p1", 2, TWO_PI, ("1", "0"), psi)
@@ -163,28 +176,28 @@ def test_e1_cycle_multipliers(e1, e1_cycle):
 def test_floquet_condition_on_cycle(e1, e1_cycle):
     rep = floquet_condition_A3(e1, e1_cycle,
                                theta_grid=np.linspace(0, TWO_PI, 17))
-    assert rep.holds
-    for row in rep.rows:
-        assert row.dist_to_one <= 1e-6
-        assert row.gap == pytest.approx(1 - np.exp(-4 * np.pi), abs=1e-6)
-    assert rep.max_liouville_rel_err <= 1e-6
+    assert rep.verdict == "holds"
+    for dist, gap in zip(rep.data["dist_to_one"], rep.data["gap"]):
+        assert dist <= 1e-6
+        assert gap == pytest.approx(1 - np.exp(-4 * np.pi), abs=1e-6)
+    assert rep.data["max_liouville_rel_err"] <= 1e-6
 
 
 def test_floquet_liouville_trace_from_one_field_call(e1, e1_cycle,
                                                      monkeypatch):
-    from epsode import variational
+    from epsode import conditions
     calls = []
-    real = variational.lane_field
+    real = conditions.lane_field
 
     def spy(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(variational, "lane_field", spy)
+    monkeypatch.setattr(conditions, "lane_field", spy)
     rep = floquet_condition_A3(e1, e1_cycle,
                                theta_grid=np.linspace(0, TWO_PI, 17))
-    assert len(rep.rows) == 17 and len(calls) == 1
-    assert rep.max_liouville_rel_err <= 1e-6
+    assert len(rep.data["theta"]) == 17 and len(calls) == 1
+    assert rep.data["max_liouville_rel_err"] <= 1e-6
 
 
 def test_floquet_rejects_nonperiodic_input(e1):
@@ -198,17 +211,17 @@ def test_floquet_trivial_field_not_simple():
     cycle = flow_omega_dense(sysd, 0.0, TWO_PI, [0.3, 0.3])
     rep = floquet_condition_A3(sysd, cycle,
                                theta_grid=np.linspace(0, TWO_PI, 5))
-    assert not rep.holds  # identity monodromy: double multiplier 1
-    for row in rep.rows:
-        assert row.dist_to_one <= 1e-12 and row.gap <= 1e-12
+    assert rep.verdict == "fails"  # identity monodromy: double multiplier 1
+    for dist, gap in zip(rep.data["dist_to_one"], rep.data["gap"]):
+        assert dist <= 1e-12 and gap <= 1e-12
 
 
 def test_multiplier_set_independent_of_phase(e1, e1_cycle):
     rep = floquet_condition_A3(e1, e1_cycle,
                                theta_grid=np.array([0.0, 1.3, 4.9]))
-    ref = np.sort(np.abs(rep.rows[0].multipliers))
-    for row in rep.rows[1:]:
-        assert np.max(np.abs(np.sort(np.abs(row.multipliers)) - ref)) <= 1e-8
+    ref = np.sort(np.abs(rep.data["multipliers"][0]))
+    for mus in rep.data["multipliers"][1:]:
+        assert np.max(np.abs(np.sort(np.abs(mus)) - ref)) <= 1e-8
 
 
 def test_backward_times_from_one_anchor_run(e3):
