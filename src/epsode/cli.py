@@ -484,6 +484,10 @@ def _cmd_resonance(args, cfg, out):
         except (FieldVanishesError, NonConvergentError):
             local = 0
         rows.append((z.a, z.theta, z.residual, z.det, local))
+    out.header.append(" ".join(["# newton"] + [f"{s}={n}" for s, n
+                                               in rm.newton.items()]))
+    out.header.append(f"# cost forcing_calls={rm.forcing_calls} "
+                      f"quad_points={rm.quad_points}")
     out.write_csv(("a", "theta", "residual", "detH", "local_degree"), rows)
     if rm.degenerate:
         print("resonance map degenerate (H vanishes identically on the grid)")
@@ -619,6 +623,9 @@ def _cmd_sweep(args, cfg, out):
                          [r.boundary_distance for r in conv], "distance")],
                        "Orbit distance to the reference boundary", "eps",
                        "distance")
+    for r in sw.results:  # not in the CSV: failure texts hold commas
+        if not r.converged:
+            print(f"eps={r.eps:g} failed: {r.failure}")
     slope_txt = "n/a" if sw.slope is None else f"{sw.slope:.3f}"
     print(f"sweep: {len(conv)}/{len(sw.results)} converged, "
           f"distance slope {slope_txt}")

@@ -474,12 +474,19 @@ class ResonanceZero:
 
 @dataclass
 class ResonanceMap:
+    """Zeros of H and what finding them cost: ``newton`` counts the seed
+    lanes by final status, ``forcing_calls`` and ``quad_points`` the batched
+    forcing evaluations on the quadrature grid and their points, up to the
+    return of :func:`resonance_H`."""
     evaluate: callable
     evaluate_many: callable
     zeros: list
     degenerate: bool
     a_range: tuple
     theta_range: tuple
+    newton: dict = field(default_factory=dict)
+    forcing_calls: int = 0
+    quad_points: int = 0
 
     def box(self, zero, half=0.2):
         """Axis-aligned box region around a zero in the (a, theta) plane."""
@@ -503,6 +510,13 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     sin(tau) and cos(tau) against g(tau + theta, a cos tau, -a sin tau)
     over one period.  Zeros come from damped Newton over a seed grid, one
     lane per seed; each carries the central-difference Jacobian determinant.
+
+    The line search makes at most 12 tries, so the damping factor stays
+    above 2^-12 (Deuflhard's minimal damping factor): a seed whose step
+    lowers |H| at none of 1, 1/2, ..., 2^-11 stops as ``no_descent``.  A
+    seed crawling along a nearly singular J (towards a critical point of
+    |H|, not a zero) stops early; a regular zero is still found whenever
+    some seed reaches the neighbourhood where such damped steps descend.
     """
     expr = ex.parse(g) if isinstance(g, str) else g
     f = ex.compile_expr(expr, arrays=True)
@@ -517,6 +531,8 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     s_nodes = np.sin(nodes)
     c_nodes = np.cos(nodes)
 
+    cost = {"forcing_calls": 0, "quad_points": 0}
+
     def H_many(A, TH):
         A = np.asarray(A, dtype=float)[:, None]
         TH = np.asarray(TH, dtype=float)[:, None]
@@ -524,8 +540,13 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
         v = -A * s_nodes[None, :]
         tt = nodes[None, :] + TH
         fv = np.broadcast_to(f(tt, (u, v)), tt.shape)
-        return np.stack([(fv * s_nodes[None, :]) @ weights,
-                         (fv * c_nodes[None, :]) @ weights], axis=1)
+        cost["forcing_calls"] += 1
+        cost["quad_points"] += tt.size
+        # a row-wise sum, not a gemv, so a lane's bits do not depend on
+        # how many lanes share the call
+        return np.stack([np.einsum("ij,j->i", fv * s_nodes[None, :], weights),
+                         np.einsum("ij,j->i", fv * c_nodes[None, :], weights)],
+                        axis=1)
 
     def H_lanes(P):
         return H_many(P[:, 0], P[:, 1])
@@ -542,12 +563,13 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     scale = float(np.max(np.linalg.norm(Hgrid, axis=1)))
     if scale < 1e-10:
         return ResonanceMap(H, H_many, [], True, tuple(a_range),
-                            tuple(theta_range))
+                            tuple(theta_range), **cost)
 
+    # damping factors down to 2^-11 only: no lane crawls along a singular J
     run = damped_newton(
         lambda P, jac: (H_lanes(P), jac and fd_jacobian(H_lanes, P, rel=1e-5)),
         np.column_stack([AA.ravel(), TT.ravel()]), zero_tol * max(1.0, scale),
-        max_iter)
+        max_iter, halvings=12)
     zeros = []
     for p, r, J, it, s in zip(run.x, run.residual, run.jacobian,
                               run.iterations, run.status):
@@ -560,5 +582,7 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
         zeros.append(ResonanceZero(float(p[0]), float(p[1]), float(r),
                                    float(np.linalg.det(J)), int(it)))
     zeros.sort(key=lambda z: (z.a, z.theta))
+    status, count = np.unique(run.status, return_counts=True)
     return ResonanceMap(H, H_many, zeros, False, tuple(a_range),
-                        tuple(theta_range))
+                        tuple(theta_range),
+                        dict(zip(status.tolist(), count.tolist())), **cost)

@@ -189,7 +189,10 @@ def damped_newton(fj, X, tol, max_iter, halvings=30, singular_tol=0.0,
     after ``max_iter`` steps, or, with ``stall = (window, factor)``, when |f|
     exceeds ``factor`` times its value ``window`` iterates back; else it
     steps to the first of x + d, x + d/2, ... (``halvings`` tries) that
-    lowers |f|, or stops there (no_descent).
+    lowers |f|, or stops there (no_descent).  Choose ``halvings`` as a
+    minimal damping factor 2^(1 - halvings) (Deuflhard's lambda_min): fewer
+    halvings stop a lane crawling along a nearly singular J sooner, and also
+    a lane that needs smaller steps on its way to a zero.
     """
     X = np.array(X, dtype=float)
     n, k = X.shape

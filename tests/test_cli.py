@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epsode import resonance_H
 from epsode.cli import (ConfigError, config_hash, parse_config, run)
 
 E1_CFG = """
@@ -243,6 +244,31 @@ grid = (8, 8)
     vals = rows[1].split(",")
     assert float(vals[0]) == pytest.approx(2.3829757679, abs=1e-6)
     assert int(vals[4]) == -1
+
+
+def test_resonance_header_reports_newton_cost(tmp_path):
+    p = tmp_path / "res.cfg"
+    p.write_text("""
+[resonance]
+g = "(1 - x1^2)*x2 + cos(t)"
+a_range = (0.5, 3.5)
+theta_range = (0, 6.283185307179586)
+grid = (8, 8)
+""")
+    texts = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert run(["resonance", "--config", str(p), "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    rm = resonance_H("(1 - x1^2)*x2 + cos(t)", (0.5, 3.5),
+                     (0.0, 6.283185307179586), grid=(8, 8))
+    assert sum(rm.newton.values()) == 64
+    header = [l for l in texts[0].splitlines() if l.startswith("#")]
+    assert header[-2:] == [
+        "# newton " + " ".join(f"{s}={n}" for s, n in rm.newton.items()),
+        f"# cost forcing_calls={rm.forcing_calls} "
+        f"quad_points={rm.quad_points}"]
 
 
 def test_average_command_static_flow(tmp_path, capsys):
@@ -627,7 +653,11 @@ def test_flow_failure_exit_codes(command, rc, tmp_path, capsys):
     assert "np.float64" not in captured.out
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     if command == "sweep":  # the CSV has no column for the failure
-        assert captured.out == "sweep: 0/2 converged, distance slope n/a\n"
+        printed = captured.out.splitlines()
+        assert printed[-1] == "sweep: 0/2 converged, distance slope n/a"
+        assert [l.split(" failed: ")[0] for l in printed[:-1]] == [
+            "eps=0.1", "eps=0.05"]
+        assert all(" failed: step failed (" in l for l in printed[:-1])
         assert [l.split(",")[:2] for l in lines[1:]] == [
             ["0.1", "false"], ["0.05", "false"]]
     elif command in ("check A0", "check A1", "check A2"):

@@ -403,6 +403,76 @@ def test_resonance_newton_batches_the_seeds(monkeypatch):
     assert max(widths) <= 144 * 64 * 8  # no call wider than the seed grid
 
 
+def test_resonance_newton_stops_at_minimal_damping(monkeypatch):
+    # with damping factors down to 2^-11 only, the lanes that end at
+    # critical points of |H| stop after 12 halvings, not 30 (1,048 calls of
+    # the Newton's fj on this grid)
+    fj_calls, widths = [], []
+    real_newton = conditions.damped_newton
+    real_compile = conditions.ex.compile_expr
+
+    def counting_newton(fj, *args, **kwargs):
+        def counted(X, jacobian):
+            fj_calls.append(len(X))
+            return fj(X, jacobian)
+
+        return real_newton(counted, *args, **kwargs)
+
+    def counting_compile(*args, **kwargs):
+        f = real_compile(*args, **kwargs)
+
+        def counted(t, x):
+            widths.append(np.size(t))
+            return f(t, x)
+
+        return counted
+
+    monkeypatch.setattr(conditions, "damped_newton", counting_newton)
+    monkeypatch.setattr(conditions.ex, "compile_expr", counting_compile)
+    rm = resonance_H(FORCING, (0.5, 3.5), (0.0, TWO_PI), grid=(12, 12))
+    assert len(rm.zeros) == 1
+    assert len(fj_calls) <= 400
+    # the reported cost agrees with the count made here; the scalar calls
+    # are the periodicity probes, not quadrature
+    quadrature = [w for w in widths if w > 1]
+    assert rm.forcing_calls == len(quadrature)
+    assert rm.quad_points == sum(quadrature)
+    assert sum(rm.newton.values()) == 144 and rm.newton["converged"] >= 1
+
+
+def test_resonance_lane_bits_do_not_depend_on_batch_width():
+    rm = resonance_H(FORCING, (0.5, 3.5), (0.0, TWO_PI), grid=(4, 4))
+    A, TH = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.5, 3.5, 12), np.linspace(0.0, TWO_PI, 12), indexing="ij"))
+    full = rm.evaluate_many(A, TH)
+    for i in range(len(A)):
+        alone = rm.evaluate_many(A[i:i + 1], TH[i:i + 1])[0]
+        assert np.array_equal(alone, full[i])
+        for w in (2, 3, 5):
+            s = min(i, len(A) - w)
+            assert np.array_equal(
+                alone, rm.evaluate_many(A[s:s + w], TH[s:s + w])[i - s])
+
+
+def test_resonance_finds_the_three_zeros_of_a_weak_forcing():
+    # H = pi (a^3/4 - a - 0.3 sin theta, 0.3 cos theta): zeros at theta =
+    # pi/2 where a^3 - 4a - 1.2 = 0 and at theta = 3 pi/2 where
+    # a^3 - 4a + 1.2 = 0, with det J = -0.3 pi^2 (3a^2/4 - 1) sin theta
+    rm = resonance_H("(1 - x1^2)*x2 + 0.3*cos(t)", (0.2, 3.5), (0.0, TWO_PI))
+
+    def cubic(c):
+        return lambda a: a ** 3 - 4 * a + c
+
+    want = [(brentq(cubic(1.2), 0.2, 1.0, xtol=1e-14), 1.5 * np.pi),
+            (brentq(cubic(1.2), 1.0, 3.0, xtol=1e-14), 1.5 * np.pi),
+            (brentq(cubic(-1.2), 2.0, 3.0, xtol=1e-14), 0.5 * np.pi)]
+    assert len(rm.zeros) == 3
+    for z, (a, th) in zip(rm.zeros, want):
+        assert z.a == pytest.approx(a, abs=1e-8)
+        assert z.theta == pytest.approx(th, abs=1e-8)
+        assert np.sign(z.det) == -np.sign((0.75 * a * a - 1) * np.sin(th))
+
+
 def test_resonance_seed_point():
     p = resonance_initial_point(2.0, np.pi / 2)
     assert np.allclose(p, [0.0, 2.0], atol=1e-15)

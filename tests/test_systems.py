@@ -214,6 +214,31 @@ def test_lane_newton_nonfinite_lane_stops_alone():
     assert run.x[1, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
+def _badly_scaled(X):  # a regular zero at (1, 2) with J = diag(1, 1e-6)
+    return np.column_stack([X[:, 0] - 1.0, 1e-6 * (X[:, 1] - 2.0)])
+
+
+def _complex_square(X):  # ((x - 1) + i(y - 2))^2: a zero of index 2
+    u, v = X[:, 0] - 1.0, X[:, 1] - 2.0
+    return np.column_stack([u * u - v * v, 2.0 * u * v])
+
+
+@pytest.mark.parametrize("f, fewest, most", [(_badly_scaled, 1, 1),
+                                             (_complex_square, 18, 19)])
+def test_lane_newton_with_minimal_damping_reaches_hard_zeros(f, fewest, most):
+    # the arguments resonance_H passes: at most 12 halvings, so no step is
+    # damped below 2^-11; a relative singularity threshold stops both of
+    # these as singular
+    run = damped_newton(
+        lambda X, jac: (f(X), jac and fd_jacobian(f, X, rel=1e-5)),
+        [[0.0, 0.0], [3.0, 5.0], [-2.0, 1.0]], 1e-10, 40, halvings=12)
+    assert run.status.tolist() == ["converged"] * 3
+    # Newton halves the distance to a double zero at each step
+    assert fewest <= run.iterations.min() <= run.iterations.max() <= most
+    assert np.all(run.residual <= 1e-10)
+    assert run.x == pytest.approx(np.array([[1.0, 2.0]] * 3), abs=1e-4)
+
+
 def test_fd_jacobian_of_lanes_matches_single_points():
     def f(X):
         return np.column_stack([X[:, 0] * X[:, 1], np.sin(X[:, 0])])
