@@ -67,8 +67,8 @@ def test_vector_eval_equals_scalar_eval():
         times = rng.permutation(times)
         vec = traj.eval(times)
         assert np.array_equal(vec, [traj.eval(t) for t in times])
-        ref = solve_ivp(rotation, (0.0, t1), [1.0, 0.0], rtol=1e-10,
-                        atol=1e-12, dense_output=True)
+        ref = solve_ivp(rotation, (0.0, t1), [1.0, 0.0], method="DOP853",
+                        rtol=1e-10, atol=1e-12, dense_output=True)
         assert np.array_equal(ref.t, ts)
         assert np.max(np.abs(vec - ref.sol(times).T)) <= 1e-15
 
@@ -223,10 +223,65 @@ def test_opaque_batch_takes_scipy_steps(e1):
     assert not hasattr(rhs, "lane")
     z0 = np.random.default_rng(2).uniform(-1.0, 1.0, 18)
     ours = integrate(rhs, 0.0, 2 * np.pi, z0)
-    ref = solve_ivp(rhs, (0.0, 2 * np.pi), z0, method="RK45", rtol=1e-10,
+    ref = solve_ivp(rhs, (0.0, 2 * np.pi), z0, method="DOP853", rtol=1e-10,
                     atol=1e-12)
     assert np.array_equal(ours.ts, ref.t)
     assert np.array_equal(ours.states, ref.y.T)
+
+
+def test_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    from scipy.integrate._ivp.rk import DOP853
+
+    from epsode import solver
+    for ours, theirs in ((solver._C, ref.C), (solver._A, ref.A),
+                         (solver._B, DOP853.B), (solver._E5, DOP853.E5),
+                         (solver._E3, DOP853.E3), (solver._D, ref.D)):
+        assert np.array_equal(ours, theirs)
+
+
+def test_order_eight_step_budget(e1):
+    # the 5(4) pair took 200 steps on the rotation and 213 on the e1 cycle
+    traj = integrate(rotation, 0.0, 2 * np.pi, [1.0, 0.0])
+    assert len(traj.ts) - 1 <= 30
+    assert np.max(np.abs(traj.endpoint - [1.0, 0.0])) <= 1e-10
+    ts = np.linspace(0.0, 2 * np.pi, 101)
+    assert np.max(np.abs(traj.eval(ts)[:, 0] - np.cos(ts))) <= 1e-9
+    cycle = integrate(augmented(e1, 1)[0], 0.0, e1.T, [1.0, 0.0])
+    assert len(cycle.ts) - 1 <= 60
+
+
+def test_dense_stages_are_paid_only_where_read():
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return rotation(t, x)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    none = count(lambda: integrate_checkpoints(counted, 0.0, 3.0, [1.0, 0.0],
+                                               ()))
+    # 0 and 3 are nodes; only 1.234 lies between two
+    one = count(lambda: integrate_checkpoints(counted, 0.0, 3.0, [1.0, 0.0],
+                                              [0.0, 1.234, 3.0]))
+    assert one == none + 3
+    dense = count(lambda: integrate(counted, 0.0, 3.0, [1.0, 0.0]))
+    steps = len(integrate(rotation, 0.0, 3.0, [1.0, 0.0]).ts) - 1
+    assert dense == none + 3 * steps
+
+
+def test_scalar_and_numpy_interpolants_agree(e1):
+    rhs, z0 = _e1_lane(e1, 2)
+    lanes = integrate(rhs, 0.0, 2 * np.pi, z0)
+    opaque = integrate(lambda t, z: rhs(t, z), 0.0, 2 * np.pi, z0)
+    assert len(lanes.ts) == len(opaque.ts)
+    mid = 0.5 * (opaque.ts[:-1] + opaque.ts[1:])
+    z = opaque.eval(mid)
+    assert np.all(np.abs(lanes.eval(mid) - z) <= 1e-12 * (1 + np.abs(z)))
 
 
 def test_two_dimensional_start_is_rejected():
