@@ -2,9 +2,10 @@
 
 The averaged field is the backward-period limit Phi(xi) =
 -lim eta(-nT, 0, xi) / (nT), realised by doubling n under a Cauchy
-stopping rule monitored at seeded validation samples.  The long-horizon
-check integrates the full system and compares against the unperturbed flow
-of the averaged solution, each grid time a lane of one run.
+stopping rule monitored at seeded validation samples, each level
+continuing the lanes of the one before.  The long-horizon check integrates
+the full system and compares against the unperturbed flow of the averaged
+solution, each grid time a lane of one run that serves every eps.
 """
 
 from dataclasses import dataclass
@@ -48,15 +49,17 @@ def _ball_samples(k, r, n_samples, seed):
 
 
 class AveragedField:
-    """Evaluator of the averaged slow field with its convergence record."""
+    """Evaluator of the averaged slow field with its convergence record;
+    ``values`` is Phi at ``samples`` from the validated level n_eval."""
 
-    def __init__(self, sys, r, n_used, n_eval, samples, estimates, history,
-                 cfg):
+    def __init__(self, sys, r, n_used, n_eval, samples, values, estimates,
+                 history, cfg):
         self.sys = sys
         self.r = float(r)
         self.n_used = int(n_used)
         self.n_eval = int(n_eval)
         self.samples = samples
+        self.values = values
         self.estimates = estimates
         self.history = history
         self.cfg = cfg
@@ -75,9 +78,11 @@ def averaged_field(sys, r, n_max=256, phi_tol=1e-7, n_samples=17, seed=23,
 
     n doubles until max over the seeded validation samples of
     ``|Phi_n - Phi_2n|`` drops below ``phi_tol``; the returned evaluator
-    uses the finer 2n.  Raises :class:`NoConvergenceError` with the
-    divergence trend when ``n_max`` is reached, which is how a failing
-    uniform-limit hypothesis shows up in practice.
+    uses the finer 2n and keeps Phi_2n at the samples as its ``values``.
+    Level 2n continues the sample lanes from their state at -nT, so
+    reaching it integrates 2nT in all.  Raises :class:`NoConvergenceError`
+    with the divergence trend when ``n_max`` is reached, which is how a
+    failing uniform-limit hypothesis shows up in practice.
     """
     if not r > 0:
         raise ValueError(f"averaging radius must be positive, got {r!r}")
@@ -86,16 +91,19 @@ def averaged_field(sys, r, n_max=256, phi_tol=1e-7, n_samples=17, seed=23,
                          f"{n_samples}")
     samples = _ball_samples(sys.k, r, n_samples, seed)
     history = []
-    n = 1
-    phi_prev = _phi_n_many(sys, samples, n, cfg)
+    n, T = 1, sys.T
+    X, S = flow_lanes(sys, 0.0, -T, samples, cfg, forcings=(sys,))
+    phi_prev = -S[:, :, 0] / T
     while 2 * n <= n_max:
-        phi_cur = _phi_n_many(sys, samples, 2 * n, cfg)
+        X, S = flow_lanes(sys, -n * T, -2 * n * T, X, cfg, S=S,
+                          forcings=(sys,))
+        phi_cur = -S[:, :, 0] / (2 * n * T)
         per_sample = np.linalg.norm(phi_cur - phi_prev, axis=1)
         est = float(per_sample.max())
         history.append((n, est))
         if est <= phi_tol:
-            return AveragedField(sys, r, n, 2 * n, samples, per_sample,
-                                 history, cfg)
+            return AveragedField(sys, r, n, 2 * n, samples, phi_cur,
+                                 per_sample, history, cfg)
         n *= 2
         phi_prev = phi_cur
     raise NoConvergenceError(
@@ -160,32 +168,44 @@ def verify_cauchy(sys, xi0, d, eps_list, avg, gamma_tol=0.1,
     z -> Phi(z); the slow solution z solves z' = Phi(z) from xi0 on [0, d]
     and raises ``ValueError`` when it leaves the validated ball.  For each
     eps the full system is integrated from xi0 and the sup over a time grid
-    of |x_eps(t) - Omega(t, 0, z(eps t))| is reported.  The flow factor for
-    the whole grid comes from one run of the unperturbed flow in which each
-    lane ends at its own grid time (:func:`flow_lanes`).
+    of |x_eps(t) - Omega(t, 0, z(eps t))| is reported.
+
+    Grid point i starts its flow factor at the slow point z(d*i/(N - 1))
+    for every eps; only its end time (d/eps)*i/(N - 1) changes.  So one run
+    of the unperturbed flow serves all eps (:func:`flow_lanes`): lane i
+    starts at z(eps_min*t_i) on the grid t_i of the smallest eps and ends
+    at t_i, and another eps reads it at the fraction eps_min/eps of the
+    lane's span.  The smallest eps gets the end states themselves.  An
+    empty ``eps_list`` returns [] without integrating.
     """
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     if not d > 0:
         raise ValueError("the slow horizon d must be positive")
+    eps_list = [float(eps) for eps in eps_list]
     for eps in eps_list:
         if not eps > 0:
             raise ValueError("eps values must be positive")
+    if not eps_list:
+        return []
     z_at = _averaged_trajectory(avg, xi0, d, cfg).eval
+    eps_min = min(eps_list)
+    lane_ends = np.linspace(0.0, d / eps_min, grid_points)
+    zs = np.atleast_2d(z_at(eps_min * lane_ends))
+    flows = flow_lanes(sys, 0.0, lane_ends, zs, cfg,
+                       fractions=[eps_min / eps for eps in eps_list])[0]
 
-    def one(eps):
+    def one(eps, approx):
         horizon = d / eps
         times = np.linspace(0.0, horizon, grid_points)
         x_vals, _ = integrate_checkpoints(augmented(sys, 1, eps)[0], 0.0,
                                           horizon, xi0, times, cfg)
-        zs = np.atleast_2d(z_at(eps * times))
-        approx = flow_lanes(sys, 0.0, times, zs, cfg)[0]
         errors = np.linalg.norm(x_vals - approx, axis=1)
         sup = float(errors.max())
-        return CauchyVerdict(float(eps), xi0.copy(), float(d),
-                             float(gamma_tol), sup, bool(sup <= gamma_tol),
-                             times, errors, x_vals, approx)
+        return CauchyVerdict(eps, xi0.copy(), float(d), float(gamma_tol),
+                             sup, bool(sup <= gamma_tol), times, errors,
+                             x_vals, approx)
 
-    return [one(eps) for eps in eps_list]
+    return [one(eps, approx) for eps, approx in zip(eps_list, flows)]
 
 
 # ---------------------------------------------------------------------------

@@ -515,7 +515,7 @@ def _averaged(cfg, sys_def, icfg):
 def _cmd_average(args, cfg, out):
     sys_def = build_system(cfg)
     av = _averaged(cfg, sys_def, build_integrator(cfg))
-    vals = av.eval_many(av.samples)
+    vals = av.values
     cols = (tuple(f"xi{j + 1}" for j in range(sys_def.k))
             + tuple(f"Phi{j + 1}" for j in range(sys_def.k))
             + ("cauchy_estimate",))

@@ -7,6 +7,7 @@ convergence rate of the orbit's distance to the reference boundary.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -205,13 +206,15 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
     else:
         current = np.zeros(sys.k)
 
-    def attempt_eps(eps, start):
-        attempts = [np.asarray(start, dtype=float)]
-        attempts.extend(equilibrium_candidates(sys, eps, region))
+    def fallbacks(eps):  # built only when the seed before them fails
+        yield from equilibrium_candidates(sys, eps, region)
         if region is not None and getattr(region, "star_center", None) is not None:
-            attempts.append(region.star_center)
+            yield region.star_center
+
+    def attempt_eps(eps, start):
+        start = np.asarray(start, dtype=float)
         last_error = None
-        for attempt in attempts:
+        for attempt in chain([start], fallbacks(eps)):
             try:
                 outcome = shoot(sys, eps, attempt, cfg=cfg, region=region,
                                 shoot_tol=shoot_tol)
@@ -223,12 +226,12 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
                 return outcome, np.asarray(attempt, dtype=float)
             last_error = RuntimeError("did not converge")
         failed = PeriodicOrbitResult(
-            eps=float(eps), seed=np.asarray(attempts[0], dtype=float),
+            eps=float(eps), seed=start,
             xi_star=np.full(sys.k, np.nan), residual=np.inf,
             iterations=0, converged=False,
             multipliers=np.full(sys.k, np.nan, dtype=complex),
             jacobian_singular=False, failure=str(last_error))
-        return failed, np.asarray(attempts[0], dtype=float)
+        return failed, start
 
     results = []
     seeds_used = []

@@ -1,6 +1,6 @@
 """Minimal deterministic SVG line plots: axes, ticks, one polyline per series."""
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -14,6 +14,10 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 def _fmt(v):
     return f"{v:.2f}"
+
+
+def _text(v):  # element content: escapes &, < and >, leaves quotes as they are
+    return escape(str(v), quote=False)
 
 
 def write_svg(path, series, title="", xlabel="", ylabel=""):
@@ -67,14 +71,14 @@ def write_svg(path, series, title="", xlabel="", ylabel=""):
                      f'text-anchor="end">{yv:.4g}</text>')
     if title:
         parts.append(f'<text x="{_W // 2}" y="24" font-size="14" '
-                     f'text-anchor="middle">{escape(title)}</text>')
+                     f'text-anchor="middle">{_text(title)}</text>')
     if xlabel:
         parts.append(f'<text x="{_W // 2}" y="{_H - 12}" font-size="12" '
-                     f'text-anchor="middle">{escape(xlabel)}</text>')
+                     f'text-anchor="middle">{_text(xlabel)}</text>')
     if ylabel:
         parts.append(f'<text x="16" y="{_H // 2}" font-size="12" '
                      f'text-anchor="middle" '
-                     f'transform="rotate(-90 16 {_H // 2})">{escape(ylabel)}</text>')
+                     f'transform="rotate(-90 16 {_H // 2})">{_text(ylabel)}</text>')
     for i, ((xs, ys), (_, _, label)) in enumerate(zip(finite, series)):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{_fmt(X(a))},{_fmt(Y(b))}" for a, b in zip(xs, ys))
@@ -86,7 +90,7 @@ def write_svg(path, series, title="", xlabel="", ylabel=""):
                          f'x2="{_W - _MR - 100}" y2="{yleg - 4}" '
                          f'stroke="{color}" stroke-width="1.5"/>')
             parts.append(f'<text x="{_W - _MR - 95}" y="{yleg}" '
-                         f'font-size="11">{escape(str(label))}</text>')
+                         f'font-size="11">{_text(label)}</text>')
     parts.append("</svg>")
     data = "\n".join(parts) + "\n"
     with open(path, "w", encoding="utf-8") as fh:

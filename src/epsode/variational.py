@@ -9,10 +9,12 @@ and monodromy matrices of the homogeneous part give Floquet multipliers.
 Every coupled or batched-flow integration of a system takes its
 right-hand side from :func:`augmented` (:func:`monodromy`, which integrates
 a given matrix function, stays generic).  Dense output is kept only where a
-trajectory is returned: :func:`flow_lanes` computes every end state, and
-lets each lane start and end at its own time (so :func:`eta` runs one lane
-per requested time); ``integrate_checkpoints`` computes every state at known
-times; ``integrate`` runs only in :func:`flow_omega_dense` here, and in
+trajectory is returned: :func:`flow_lanes` computes every end state, or
+every lane's states at given fractions of its span, and lets each lane start
+and end at its own time (so :func:`eta` runs one lane per requested time,
+and ``averaging.verify_cauchy`` one run for all its eps values);
+``integrate_checkpoints`` computes every state at known times;
+``integrate`` runs only in :func:`flow_omega_dense` here, and in
 ``periodic.shoot`` for its orbit and the averaged trajectory of
 ``averaging``.  The state is ``n`` lanes laid end to end.
 A lane is ``x`` (k values) followed by a k x m matrix ``S`` stored row by
@@ -196,7 +198,7 @@ def lane_field(sys, t, X, S=0.0, eps=0.0, tangents=0, forcings=()):
 
 
 def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
-               tangents=0, forcings=()):
+               tangents=0, forcings=(), fractions=None):
     """End states ``(X, S)`` of the :func:`augmented` lanes started at
     ``(t0, X, S)`` and run to ``t1``, without dense output.
 
@@ -210,6 +212,12 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
     divided by the longest lane span, so no lane steps further than
     ``cfg.max_step`` in its own time.  A failure of such a run names u and
     carries the lane times in its ``t``.
+
+    With ``fractions``, a sequence of u values in [0, 1], the result is
+    instead the states of every lane at ``t0 + u*(t1 - t0)`` for each u,
+    of shapes (len(fractions), n, k) and (len(fractions), n, k, m): they
+    are checkpoints of the same run, which takes the steps it takes
+    without them, and u = 1 gives the end state bit for bit.
     """
     n = len(np.reshape(X, (-1, sys.k)))
     rhs, pack, unpack = augmented(sys, n, eps, tangents, forcings)
@@ -220,9 +228,12 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
         shared = np.all(t0 == t0[:1]) and np.all(t1 == t1[:1])
         if shared or np.all(t0 == t1):
             t0, t1 = (t0[0], t1[0]) if n else (np.float64(0.0),) * 2
+    fracs = np.asarray(() if fractions is None else fractions, dtype=float)
     if not t0.ndim:
-        return unpack(integrate_checkpoints(rhs, float(t0), float(t1), z0,
-                                            (), cfg)[1])
+        at = np.where(fracs == 1.0, t1, t0 + fracs * (t1 - t0))
+        vals, end = integrate_checkpoints(rhs, float(t0), float(t1), z0, at,
+                                          cfg)
+        return unpack(end if fractions is None else vals)
 
     span = t1 - t0
     scale = np.repeat(span, len(z0) // n)
@@ -232,14 +243,15 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
 
     lane_cfg = replace(cfg, max_step=cfg.max_step / np.max(np.abs(span)))
     try:
-        end = integrate_checkpoints(lane_rhs, 0.0, 1.0, z0, (), lane_cfg)[1]
+        vals, end = integrate_checkpoints(lane_rhs, 0.0, 1.0, z0, fracs,
+                                          lane_cfg)
     except IntegrationError as err:
         fail = IntegrationError(
             f"{err.reason} at u={float(err.t)!r}, where lane i is at time "
             f"t0[i] + u*(t1[i] - t0[i])", state=err.state)
         fail.t = t0 + err.t * span
         raise fail from err
-    return unpack(end)
+    return unpack(end if fractions is None else vals)
 
 
 def _phase_points(grid, T, name):

@@ -118,17 +118,85 @@ def test_verify_tracks_cycle_with_constant_slow_solution(e1):
 
 def test_verify_flow_factor_rotates_the_slow_solution(e2):
     # psi of e2 rotates, so Omega(t, 0, z) = R(t) z at every grid time; the
-    # constant field (0.5, -0.3) from (1, 0) has the slow solution z below
+    # constant field (0.5, -0.3) from (1, 0) has the slow solution z below.
+    # Every eps but the smallest reads the flow factor inside its lanes.
     def z(s):
         return np.array([1.0 + 0.5 * s, -0.3 * s])
 
-    eps = 0.1
-    verd = verify_cauchy(e2, [1.0, 0.0], 1.0, [eps],
-                         lambda w: np.array([0.5, -0.3]), grid_points=64)[0]
-    for t, approx in zip(verd.times, verd.approx_values):
-        c, s = np.cos(t), np.sin(t)
-        expect = np.array([[c, -s], [s, c]]) @ z(eps * t)
-        assert np.max(np.abs(approx - expect)) <= 1e-8
+    eps_list = [0.2, 0.05, 0.1]
+    verdicts = verify_cauchy(e2, [1.0, 0.0], 1.0, eps_list,
+                             lambda w: np.array([0.5, -0.3]), grid_points=64)
+    for eps, verd in zip(eps_list, verdicts):
+        assert verd.eps == eps
+        for t, approx in zip(verd.times, verd.approx_values):
+            c, s = np.cos(t), np.sin(t)
+            expect = np.array([[c, -s], [s, c]]) @ z(eps * t)
+            assert np.max(np.abs(approx - expect)) <= 1e-8
+
+
+def _same_verdict(a, b):
+    return (a.eps, a.sup_error, a.passed) == (b.eps, b.sup_error, b.passed) \
+        and all(np.array_equal(getattr(a, name), getattr(b, name))
+                for name in ("times", "errors", "x_values", "approx_values"))
+
+
+def test_verify_one_flow_run_serves_every_eps(e2):
+    av = averaged_field(e2, r=4.0)
+    both = verify_cauchy(e2, [1.0, 0.5], 0.5, [0.02, 0.01], av,
+                         grid_points=128)
+    alone = [verify_cauchy(e2, [1.0, 0.5], 0.5, [eps], av,
+                           grid_points=128)[0] for eps in (0.02, 0.01)]
+    # the smallest eps reads the run's end states, so it keeps every bit
+    assert _same_verdict(both[1], alone[1])
+    # the other reads the run's interpolant at half of each lane's span
+    a, b = both[0], alone[0]
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.x_values, b.x_values)
+    assert np.all(np.abs(a.approx_values - b.approx_values)
+                  <= 1e-9 * (1 + np.abs(b.approx_values)))
+    assert a.sup_error == pytest.approx(b.sup_error, abs=1e-9)
+
+
+@pytest.mark.parametrize("eps_list", [[0.05], [0.05, 0.02], [0.1, 0.02, 0.05]])
+def test_verify_makes_one_grid_wide_flow_run(e2, eps_list, monkeypatch):
+    from epsode import averaging
+    widths = []
+    real = averaging.flow_lanes
+
+    def spy(sys, t0, t1, X, *args, **kwargs):
+        widths.append(len(np.reshape(X, (-1, sys.k))))
+        return real(sys, t0, t1, X, *args, **kwargs)
+
+    monkeypatch.setattr(averaging, "flow_lanes", spy)
+    verify_cauchy(e2, [1.0, 0.5], 0.5, eps_list, lambda w: -0.1 * w,
+                  grid_points=48)
+    assert widths == [48]
+
+
+def test_verify_empty_and_repeated_eps(e2, monkeypatch):
+    from epsode import averaging
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated for an empty eps list")
+
+    with monkeypatch.context() as m:
+        for name in ("integrate", "integrate_checkpoints", "flow_lanes"):
+            m.setattr(averaging, name, refuse)
+        assert verify_cauchy(e2, [1.0, 0.5], 0.5, [], refuse) == []
+    verdicts = verify_cauchy(e2, [1.0, 0.5], 0.5, [0.05, 0.1, 0.05, 0.1],
+                             lambda w: -0.1 * w, grid_points=48)
+    assert _same_verdict(verdicts[0], verdicts[2])
+    assert _same_verdict(verdicts[1], verdicts[3])
+
+
+@pytest.mark.parametrize("name", ["e2", "e3"])
+def test_continued_doubling_matches_phi_from_scratch(name, request):
+    sysd = request.getfixturevalue(name)
+    av = averaged_field(sysd, r=2.0)
+    # values were reached by continuing level n's lanes from -nT; eval_many
+    # integrates Phi_2n from 0 in one run
+    assert av.values.shape == av.samples.shape
+    assert np.max(np.abs(av.values - av.eval_many(av.samples))) <= 1e-10
 
 
 def test_verify_rejects_nonpositive_eps(e3):

@@ -271,7 +271,14 @@ grid = (8, 8)
         f"quad_points={rm.quad_points}"]
 
 
-def test_average_command_static_flow(tmp_path, capsys):
+def test_average_command_static_flow(tmp_path, capsys, monkeypatch):
+    from epsode.averaging import AveragedField
+
+    def refuse(self, Xi):
+        raise AssertionError("average evaluated the field again")
+
+    # average prints the values the doubling validated
+    monkeypatch.setattr(AveragedField, "eval_many", refuse)
     p = tmp_path / "avg.cfg"
     p.write_text("[system]\nbuiltin = e3-scalar\n\n[average]\nradius = 2.0\n")
     out = tmp_path / "avg.csv"

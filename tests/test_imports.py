@@ -1,10 +1,14 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+command line starts without the network stack.
 
 No linter runs on this package, so an import that a refactor leaves behind
 fails here instead.  ``__init__`` imports only to re-export and is skipped.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,17 @@ def test_module_uses_every_import(path):
 def test_detector_finds_an_unused_name():
     source = "import os\nfrom math import pi, tau as t\nprint(os.sep, t)\n"
     assert unused_imports(source) == [(2, "pi")]
+
+
+def test_cli_import_loads_no_network_modules():
+    # each of these costs start-up time and no subcommand needs one; they
+    # come in through xml.sax.saxutils, for example
+    heavy = ("urllib.request", "http.client", "email", "ssl")
+    src = str(Path(epsode.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, epsode.cli; "
+             f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

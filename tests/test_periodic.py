@@ -134,9 +134,22 @@ def test_equilibrium_candidates_skip_forced_systems(e2):
     assert equilibrium_candidates(e2, 1e-3) == []
 
 
-def test_sweep_on_drifting_cycle_finds_interior_orbits(e1, disk, e1_cycle):
+def test_sweep_on_drifting_cycle_finds_interior_orbits(e1, disk, e1_cycle,
+                                                      monkeypatch):
+    from epsode import periodic
+    asked = []
+    real = periodic.equilibrium_candidates
+
+    def spy(sys, eps, region):
+        asked.append(eps)
+        return real(sys, eps, region)
+
+    monkeypatch.setattr(periodic, "equilibrium_candidates", spy)
     prof = melnikov_profile(e1, e1_cycle, np.linspace(0, TWO_PI, 9))
     sw = eps_sweep(e1, disk, [1e-2, 5e-3], cycle=e1_cycle, melnikov=prof)
+    # Newton stalls from the cycle point at 1e-2 and falls back to the
+    # equilibria; at 5e-3 the continued seed converges, so none are sought
+    assert asked == [1e-2]
     assert all(r.converged for r in sw.results)
     assert all(r.in_region for r in sw.results)
     assert all(r.residual <= 1e-9 for r in sw.results)

@@ -370,6 +370,22 @@ def test_flow_lanes_per_lane_times_rotate_exactly(e2):
         assert np.max(np.abs(out[i] - rotation(t1[i] - t0[i]) @ X[i])) <= 1e-9
     assert np.array_equal(out[4], X[4])  # the lane with t0 == t1
     assert np.array_equal(flow_lanes(e2, t0, t0, X)[0], X)
+    # fractions are checkpoints of the same run: u = 1 keeps the end bits
+    u = np.array([0.25, 1.0, 0.0, 0.6])
+    at, S = flow_lanes(e2, t0, t1, X, fractions=u)
+    assert at.shape == (4, 7, 2) and S.shape == (4, 7, 2, 0)
+    assert np.array_equal(at[1], out) and np.array_equal(at[2], X)
+    for j in (0, 3):
+        for i in range(7):
+            want = rotation(u[j] * (t1[i] - t0[i])) @ X[i]
+            assert np.max(np.abs(at[j, i] - want)) <= 1e-9
+    # lanes that share their times integrate in t, with the same contract
+    shared = flow_lanes(e2, 1.0, 4.0, X, fractions=u)[0]
+    assert np.array_equal(shared[1], flow_lanes(e2, 1.0, 4.0, X)[0])
+    assert np.array_equal(shared[2], X)
+    for j in (0, 3):
+        want = (rotation(3.0 * u[j]) @ X.T).T
+        assert np.max(np.abs(shared[j] - want)) <= 1e-9
 
 
 def test_flow_lanes_time_dependent_psi_matches_flow_omega():
