@@ -18,7 +18,7 @@ import numpy as np
 from . import expressions as ex
 from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
                      gauss_legendre_running)
-from .systems import damped_newton, fd_jacobian
+from .systems import damped_newton
 from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
                        product_degree, winding_number)
 from .variational import (DefectField, _defect_profiles, _phase_points,
@@ -477,7 +477,8 @@ class ResonanceMap:
     """Zeros of H and what finding them cost: ``newton`` counts the seed
     lanes by final status, ``forcing_calls`` and ``quad_points`` the batched
     forcing evaluations on the quadrature grid and their points, up to the
-    return of :func:`resonance_H`."""
+    return of :func:`resonance_H`.  A Jacobian pass is one forcing call
+    that evaluates g and its 3 partials together."""
     evaluate: callable
     evaluate_many: callable
     zeros: list
@@ -509,7 +510,10 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     u) and ``x2`` (velocity v); the components of H are the quadratures of
     sin(tau) and cos(tau) against g(tau + theta, a cos tau, -a sin tau)
     over one period.  Zeros come from damped Newton over a seed grid, one
-    lane per seed; each carries the central-difference Jacobian determinant.
+    lane per seed; each carries the determinant of the exact Jacobian.
+    With u = a cos tau and v = -a sin tau, its a-column integrates
+    g_x1 cos tau - g_x2 sin tau and its theta-column g_t against the same
+    weights, on the same nodes as H.
 
     The line search makes at most 12 tries, so the damping factor stays
     above 2^-12 (Deuflhard's minimal damping factor): a seed whose step
@@ -520,6 +524,10 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     """
     expr = ex.parse(g) if isinstance(g, str) else g
     f = ex.compile_expr(expr, arrays=True)
+    # g and its partials in t, u and v in one pass that shares subtrees
+    f_jac = ex.compile_expr(
+        [expr] + [ex.differentiate(expr, v) for v in ("t", "x1", "x2")],
+        arrays=True)
     rng = np.random.default_rng(3)
     for _ in range(5):  # the period is fixed at 2 pi for this construction
         t = rng.uniform(0, 2 * np.pi)
@@ -533,26 +541,35 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
 
     cost = {"forcing_calls": 0, "quad_points": 0}
 
-    def H_many(A, TH):
-        A = np.asarray(A, dtype=float)[:, None]
-        TH = np.asarray(TH, dtype=float)[:, None]
-        u = A * c_nodes[None, :]
-        v = -A * s_nodes[None, :]
-        tt = nodes[None, :] + TH
-        fv = np.broadcast_to(f(tt, (u, v)), tt.shape)
-        cost["forcing_calls"] += 1
-        cost["quad_points"] += tt.size
+    def quad(fv):
         # a row-wise sum, not a gemv, so a lane's bits do not depend on
         # how many lanes share the call
         return np.stack([np.einsum("ij,j->i", fv * s_nodes[None, :], weights),
                          np.einsum("ij,j->i", fv * c_nodes[None, :], weights)],
-                        axis=1)
+                        axis=-1)
 
-    def H_lanes(P):
-        return H_many(P[:, 0], P[:, 1])
+    def fj(P, jacobian):
+        """H at the lanes P = (a, theta) (n, 2) and, if asked, J (n, 2, 2),
+        from one forcing call."""
+        A, TH = P[:, :1], P[:, 1:]
+        u = A * c_nodes[None, :]
+        v = -A * s_nodes[None, :]
+        tt = nodes[None, :] + TH
+        cost["forcing_calls"] += 1
+        cost["quad_points"] += tt.size
+        if not jacobian:
+            return quad(np.broadcast_to(f(tt, (u, v)), tt.shape)), None
+        fv, ft, fu, fw = (np.broadcast_to(y, tt.shape)
+                          for y in f_jac(tt, (u, v)))
+        return quad(fv), np.stack(
+            [quad(fu * c_nodes[None, :] - fw * s_nodes[None, :]), quad(ft)],
+            axis=-1)
+
+    def H_many(A, TH):
+        return fj(np.column_stack([A, TH]).astype(float), False)[0]
 
     def H(p):
-        return H_lanes(np.asarray(p, dtype=float)[None])[0]
+        return fj(np.asarray(p, dtype=float)[None], False)[0][0]
 
     a_lo, a_hi = a_range
     th_lo, th_hi = theta_range
@@ -566,10 +583,8 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
                             tuple(theta_range), **cost)
 
     # damping factors down to 2^-11 only: no lane crawls along a singular J
-    run = damped_newton(
-        lambda P, jac: (H_lanes(P), jac and fd_jacobian(H_lanes, P, rel=1e-5)),
-        np.column_stack([AA.ravel(), TT.ravel()]), zero_tol * max(1.0, scale),
-        max_iter, halvings=12)
+    run = damped_newton(fj, np.column_stack([AA.ravel(), TT.ravel()]),
+                        zero_tol * max(1.0, scale), max_iter, halvings=12)
     zeros = []
     for p, r, J, it, s in zip(run.x, run.residual, run.jacobian,
                               run.iterations, run.status):

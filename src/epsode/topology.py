@@ -64,12 +64,16 @@ def _loop_increments(ang):
 class PlanarRegion:
     """Bounded planar Jordan region with a discretisable boundary.
 
-    The boundary must be simple (checked pairwise at the validation
-    resolution, a heuristic rather than a certification) and positively
-    oriented.  ``star_center`` enables radial contraction.
+    A polygon or general curve must be simple (checked pairwise at the
+    validation resolution, a heuristic rather than a certification) and
+    positively oriented.  A circle of radius r > 0 sampled at n >= 3
+    points is both by construction, so it skips that check and answers
+    membership and distance from its own center and radius.
+    ``star_center`` enables radial contraction.
     """
 
-    def __init__(self, curve=None, vertices=None, star_center=None, n_hint=512):
+    def __init__(self, curve=None, vertices=None, star_center=None, n_hint=512,
+                 _disk=None):
         if (curve is None) == (vertices is None):
             raise ValueError("provide exactly one of curve or vertices")
         self.curve = curve
@@ -77,13 +81,19 @@ class PlanarRegion:
         self.star_center = None if star_center is None \
             else np.asarray(star_center, dtype=float)
         self.n_hint = int(n_hint)
-        self._radius = None
-        self._validate()
+        self._disk = _disk  # (center, radius) of a circle
+        if _disk is None:
+            self._validate()
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def circle(cls, cx=0.0, cy=0.0, r=1.0, n=512):
+        if not 0.0 < r < np.inf:
+            raise ValueError("circle radius r must be positive and finite, "
+                             f"not {r}")
+        if n < 3:
+            raise ValueError(f"circle needs n >= 3 boundary samples, not {n}")
         c = np.array([cx, cy], dtype=float)
 
         def fn(u):
@@ -91,9 +101,8 @@ class PlanarRegion:
             ang = 2 * np.pi * u
             return np.stack([cx + r * np.cos(ang), cy + r * np.sin(ang)], axis=-1)
 
-        region = cls(curve=fn, star_center=c, n_hint=n)
-        region._radius = float(r)
-        return region
+        return cls(curve=fn, star_center=c, n_hint=n,
+                   _disk=(c.copy(), float(r)))
 
     @classmethod
     def polygon(cls, vertices, star_center=None, n_hint=None):
@@ -140,8 +149,11 @@ class PlanarRegion:
 
     def winding_around(self, points):
         """Winding number of the boundary around each query point."""
-        pts = self.boundary_points(self.n_hint)
         P = np.atleast_2d(np.asarray(points, dtype=float))
+        if self._disk is not None:
+            c, r = self._disk
+            return (np.linalg.norm(P - c, axis=1) < r).astype(int)
+        pts = self.boundary_points(self.n_hint)
         diff = pts[None, :, :] - P[:, None, :]
         inc = _loop_increments(np.arctan2(diff[:, :, 1], diff[:, :, 0]))
         w = inc.sum(axis=1) / (2 * np.pi)
@@ -155,9 +167,9 @@ class PlanarRegion:
         circle, to the polygon through ``n_hint`` boundary samples
         otherwise."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._radius is not None:
-            return np.abs(self._radius
-                          - np.linalg.norm(P - self.star_center, axis=1))
+        if self._disk is not None:
+            c, r = self._disk
+            return np.abs(r - np.linalg.norm(P - c, axis=1))
         pts = self.boundary_points(self.n_hint)
         nxt = np.roll(pts, -1, axis=0)
         d = nxt - pts
@@ -307,13 +319,19 @@ def product_degree(Fs, product_region, **kwargs):
 
 def contract(region, delta):
     """Radial delta-contraction about the star center (expansion for
-    negative delta)."""
+    negative delta); a circle stays a circle, about the same star center."""
     if not -1.0 < delta < 1.0:
         raise ValueError("delta must lie in (-1, 1)")
     if region.star_center is None:
         raise ValueError("region has no star center")
     c = region.star_center
     scale = 1.0 - delta
+    if region._disk is not None:
+        m, r = region._disk
+        disk = PlanarRegion.circle(*(c + scale * (m - c)), scale * r,
+                                   region.n_hint)
+        disk.star_center = c
+        return disk
     if region.curve is not None:
         fn = region.curve
 

@@ -225,6 +225,27 @@ f2 = "x2"
     assert "degree 1" in capsys.readouterr().out
 
 
+def test_region_star_center_keeps_the_circle(e1_cfg):
+    from epsode.cli import build_region
+    cfg = parse_config(e1_cfg, ["region.shape=circle(0, 0, 1, 512)",
+                                "region.star_center=(0.5, 0)"])
+    region = build_region(cfg)
+    assert np.array_equal(region.star_center, [0.5, 0.0])
+    assert region.distance_to_boundary(np.zeros((1, 2)))[0] == 1.0
+    assert region.contains([-0.95, 0.0])
+
+
+@pytest.mark.parametrize("shape, word", [
+    ("circle(0, 0, -1, 512)", "radius r"), ("circle(0, 0, 0, 512)", "radius r"),
+    ("circle(0, 0, 1, 2)", "n >= 3")])
+def test_bad_circle_is_a_config_error(e1_cfg, tmp_path, capsys, shape, word):
+    rc = run(["check", "A0", "--config", e1_cfg, "--out",
+              str(tmp_path / "a0.csv"), "--set", f"region.shape={shape}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: bad region.shape") and word in err
+
+
 def test_resonance_command(tmp_path, capsys):
     p = tmp_path / "res.cfg"
     p.write_text("""

@@ -3,13 +3,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from epsode import conditions
+from epsode import conditions, systems
 from epsode import (PlanarRegion, ProductRegion, check_A0, check_A1, check_A2,
                     defect_normal_profile, floquet_condition_A3,
                     gauss_legendre_panels, melnikov_profile, resonance_H,
                     resonance_initial_point, system_from_callables,
                     system_from_expressions, compare_defect_degrees,
                     winding_number)
+from epsode.systems import fd_jacobian
 
 TWO_PI = 2 * np.pi
 
@@ -321,7 +322,7 @@ def test_degree_comparison_vanishing_homotopy_witness(disk):
 
 def test_degree_comparison_rejects_product_region_before_integrating(
         monkeypatch):
-    from epsode import conditions
+    from epsode import conditions, systems
     calls = []
     real = conditions._defect_profiles
 
@@ -352,6 +353,26 @@ def test_degree_comparison_rejects_mismatched_unperturbed_fields(disk):
 FORCING = "(1 - x1^2)*x2 + cos(t)"
 
 
+def newton_pass(monkeypatch, *args, **kwargs):
+    """``(rm, fj, X)``: the resonance map of ``resonance_H(*args,
+    **kwargs)`` with the pass function its Newton got and the seed lanes."""
+    seen = {}
+    real = conditions.damped_newton
+
+    def spy(fj, X, *rest, **kw):
+        seen.update(fj=fj, X=np.array(X))
+        return real(fj, X, *rest, **kw)
+
+    monkeypatch.setattr(conditions, "damped_newton", spy)
+    rm = resonance_H(*args, **kwargs)
+    return rm, seen["fj"], seen["X"]
+
+
+def det_closed_form(z, c=1.0):
+    """det J of H = pi (a^3/4 - a - c sin theta, c cos theta) at a zero."""
+    return -c * np.pi ** 2 * (0.75 * z.a ** 2 - 1) * np.sin(z.theta)
+
+
 def test_resonance_degenerate():
     rm = resonance_H("0", (0.5, 3.0), (0.0, TWO_PI), grid=(5, 5))
     assert rm.degenerate and rm.zeros == []
@@ -366,6 +387,8 @@ def test_resonance_zero_and_jacobian():
     assert z.a == pytest.approx(a0, abs=1e-6)
     assert z.det == pytest.approx(-np.pi ** 2 * (3 * a0 ** 2 / 4 - 1),
                                   abs=1e-4)
+    # the exact Jacobian: the closed form at the zero found, to rounding
+    assert z.det == pytest.approx(det_closed_form(z), rel=1e-12, abs=0)
     # local degree over a small box equals the Jacobian sign
     box = rm.box(z)
     rep = winding_number(lambda P: rm.evaluate_many(P[:, 0], P[:, 1]), box,
@@ -440,18 +463,25 @@ def test_resonance_newton_stops_at_minimal_damping(monkeypatch):
     assert sum(rm.newton.values()) == 144 and rm.newton["converged"] >= 1
 
 
-def test_resonance_lane_bits_do_not_depend_on_batch_width():
-    rm = resonance_H(FORCING, (0.5, 3.5), (0.0, TWO_PI), grid=(4, 4))
+def test_resonance_lane_bits_do_not_depend_on_batch_width(monkeypatch):
+    rm, fj, _ = newton_pass(monkeypatch, FORCING, (0.5, 3.5), (0.0, TWO_PI),
+                            grid=(4, 4))
     A, TH = (g.ravel() for g in np.meshgrid(
         np.linspace(0.5, 3.5, 12), np.linspace(0.0, TWO_PI, 12), indexing="ij"))
+    P = np.column_stack([A, TH])
     full = rm.evaluate_many(A, TH)
+    full_H, full_J = fj(P, True)
+    # the Jacobian pass computes H with the same bits as the H-only pass
+    assert np.array_equal(full_H, full)
     for i in range(len(A)):
         alone = rm.evaluate_many(A[i:i + 1], TH[i:i + 1])[0]
         assert np.array_equal(alone, full[i])
+        assert np.array_equal(fj(P[i:i + 1], True)[1][0], full_J[i])
         for w in (2, 3, 5):
             s = min(i, len(A) - w)
             assert np.array_equal(
                 alone, rm.evaluate_many(A[s:s + w], TH[s:s + w])[i - s])
+            assert np.array_equal(fj(P[s:s + w], True)[1][i - s], full_J[i])
 
 
 def test_resonance_finds_the_three_zeros_of_a_weak_forcing():
@@ -471,6 +501,41 @@ def test_resonance_finds_the_three_zeros_of_a_weak_forcing():
         assert z.a == pytest.approx(a, abs=1e-8)
         assert z.theta == pytest.approx(th, abs=1e-8)
         assert np.sign(z.det) == -np.sign((0.75 * a * a - 1) * np.sin(th))
+        assert z.det == pytest.approx(det_closed_form(z, 0.3), rel=1e-12,
+                                      abs=0)
+
+
+def test_resonance_jacobian_matches_central_differences(monkeypatch):
+    _, fj, X = newton_pass(monkeypatch, FORCING, (0.5, 3.5), (0.0, TWO_PI))
+    J = fj(X, True)[1]
+    fd = fd_jacobian(lambda P: fj(P, False)[0], X, rel=1e-5)
+    scale = np.abs(J).max(axis=(1, 2))[:, None, None]
+    assert len(X) == 144
+    assert np.all(np.abs(J - fd) <= 1e-6 * scale)
+
+
+def test_resonance_calls_no_finite_differences(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("resonance_H took a finite difference")
+
+    monkeypatch.setattr(systems, "fd_jacobian", refuse)
+    assert not hasattr(conditions, "fd_jacobian")
+    rm = resonance_H(FORCING, (0.5, 3.5), (0.0, TWO_PI))
+    assert len(rm.zeros) == 1
+
+
+def test_resonance_forcing_with_constant_partials():
+    # g_x1 = 0 and g_x2 = 1 compile to constants; H = pi (-a - sin theta,
+    # cos theta) with det J = pi^2 sin theta, exactly singular where
+    # sin theta = 0, so those seeds stop as singular, not no_descent
+    rm = resonance_H("x2 + cos(t)", (0.5, 3.5), (0.0, TWO_PI))
+    assert len(rm.zeros) == 1
+    z = rm.zeros[0]
+    assert z.a == pytest.approx(1.0, abs=1e-8)
+    assert z.theta == pytest.approx(1.5 * np.pi, abs=1e-8)
+    assert z.det == pytest.approx(np.pi ** 2 * np.sin(z.theta), rel=1e-12,
+                                  abs=0)
+    assert rm.newton.get("singular", 0) > 0
 
 
 def test_resonance_seed_point():

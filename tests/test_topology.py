@@ -216,6 +216,72 @@ def test_membership_and_distance(disk):
     assert list(w) == [1, 0]
 
 
+def test_circle_answers_from_its_own_center():
+    disk = PlanarRegion.circle(0, 0, 1, 512)
+    disk.star_center = np.array([0.5, 0.0])  # a star center, not the center
+    assert disk.distance_to_boundary(np.zeros((1, 2)))[0] == 1.0
+    assert disk.contains([-0.95, 0.0]) and not disk.contains([1.2, 0.0])
+    w = disk.winding_around(np.array([[0.0, 0.0], [-0.95, 0.0], [2.0, 0.0]]))
+    assert list(w) == [1, 1, 0]
+
+
+def test_circle_membership_is_the_disk():
+    # the exact disk, not the 16-gon: a point just inside the circle lies
+    # outside the polygon through its 16 samples
+    disk = PlanarRegion.circle(1, -2, 3, 16)
+    a = np.pi / 16
+    inside = np.array([1.0, -2.0]) + 2.99 * np.array([np.cos(a), np.sin(a)])
+    assert disk.contains(inside)
+    rng = np.random.default_rng(5)
+    P = rng.uniform(-4, 6, (200, 2))
+    far = np.abs(np.linalg.norm(P - [1, -2], axis=1) - 3) > 0.1
+    polygon = PlanarRegion(curve=disk.curve, n_hint=512)
+    assert np.array_equal(disk.winding_around(P[far]),
+                          polygon.winding_around(P[far]))
+
+
+def test_circle_skips_the_pairwise_check(monkeypatch):
+    from epsode import topology
+    calls = []
+    real = topology._segments_intersect
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(topology, "_segments_intersect", counting)
+    PlanarRegion.circle(0, 0, 1, 512)
+    contract(PlanarRegion.circle(0, 0, 1, 512), 0.5)
+    assert calls == []
+    PlanarRegion.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("r, n, word", [
+    (-1.0, 512, "radius r"), (0.0, 512, "radius r"), (np.inf, 512, "radius r"),
+    (np.nan, 512, "radius r"), (1.0, 2, "n >= 3"), (1.0, 0, "n >= 3")])
+def test_circle_radius_and_samples_are_checked(r, n, word):
+    with pytest.raises(ValueError, match=word):
+        PlanarRegion.circle(0, 0, r, n)
+
+
+def test_contract_keeps_a_circle_a_circle():
+    disk = PlanarRegion.circle(2, 0, 1, 512)
+    half = contract(disk, 0.5)
+    assert half.distance_to_boundary(np.array([[2.0, 0.0]]))[0] == 0.5
+    assert half.n_hint == 512 and np.array_equal(half.star_center, [2, 0])
+    # about another star center the center moves too: c + s (m - c)
+    disk.star_center = np.array([2.5, 0.0])
+    moved = contract(disk, 0.5)
+    assert np.array_equal(moved.star_center, [2.5, 0.0])
+    d = moved.distance_to_boundary(np.array([[2.25, 0.0], [2.25, 0.5]]))
+    assert d[0] == 0.5 and d[1] == 0.0
+    assert moved.contains([1.8, 0.0]) and not moved.contains([1.7, 0.0])
+    grown = contract(PlanarRegion.circle(0, 0, 1, 64), -0.1)
+    assert grown.distance_to_boundary(np.zeros((1, 2)))[0] == \
+        pytest.approx(1.1, rel=1e-15)
+
+
 def test_product_region_membership():
     prod = ProductRegion([PlanarRegion.circle(0, 0, 1, 64),
                           PlanarRegion.circle(0, 0, 2, 64)])
