@@ -502,6 +502,20 @@ def resonance_initial_point(a, theta):
     return np.array([-a * np.cos(theta), a * np.sin(theta)])
 
 
+def _moving_jump(e):
+    """The first ``sign(u)`` in ``e`` whose u depends on t, x1 or x2, or
+    None."""
+    if isinstance(e, ex.Call):
+        if e.fn == "sign" and ex.free_names(e.arg) & {"t", "x1", "x2"}:
+            return e
+        return _moving_jump(e.arg)
+    if isinstance(e, ex.Neg):
+        return _moving_jump(e.child)
+    if isinstance(e, ex.BinOp):
+        return _moving_jump(e.left) or _moving_jump(e.right)
+    return None
+
+
 def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
                 zero_tol=1e-10, dedupe_tol=1e-6, max_iter=40):
     """Resonance map H(a, theta) for the forced linear center.
@@ -521,8 +535,19 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     seed crawling along a nearly singular J (towards a critical point of
     |H|, not a zero) stops early; a regular zero is still found whenever
     some seed reaches the neighbourhood where such damped steps descend.
+
+    g must be continuous in t, x1 and x2, so a ``sign`` whose argument
+    depends on them raises ``ValueError`` (``abs`` is fine): where a jump
+    moves with a or theta, H' has a share from the jump that no pointwise
+    partial of g carries, and the quadrature, a step function in the
+    jump's position, does not see it either.
     """
     expr = ex.parse(g) if isinstance(g, str) else g
+    jump = _moving_jump(expr)
+    if jump is not None:
+        raise ValueError(f"forcing expression jumps at {ex.to_string(jump)}; "
+                         "the resonance map needs g continuous in t, x1 "
+                         "and x2")
     f = ex.compile_expr(expr, arrays=True)
     # g and its partials in t, u and v in one pass that shares subtrees
     f_jac = ex.compile_expr(

@@ -111,9 +111,10 @@ def pullback_membership(sys, orbit, region, n_time=256, cfg=DEFAULT_CONFIG):
     """Whether the flow pullback Omega(0, t, x(t)) stays inside the region.
 
     All grid points are pulled back to time 0 by one run of the unperturbed
-    flow with per-lane start times (:func:`flow_lanes`); interior
-    membership is the boundary winding-number test and the margin is the
-    smallest distance from the pullbacks to the boundary.
+    flow with per-lane start times (:func:`flow_lanes`).  A circle answers
+    interior membership from its center and radius, other regions by the
+    boundary winding number; the margin is the smallest distance from the
+    pullbacks to the boundary.
     """
     times = np.linspace(0.0, sys.T, n_time)
     pulls = flow_lanes(sys, times, 0.0, orbit.eval(times), cfg)[0]

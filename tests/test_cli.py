@@ -267,6 +267,18 @@ grid = (8, 8)
     assert int(vals[4]) == -1
 
 
+def test_resonance_rejects_a_jumping_forcing(tmp_path, capsys):
+    p = tmp_path / "res.cfg"
+    p.write_text("""
+[resonance]
+g = "(1 - x1^2)*x2 + sign(cos(t))"
+""")
+    rc = run(["resonance", "--config", str(p), "--out",
+              str(tmp_path / "res.csv")])
+    assert rc == 1
+    assert "jumps at sign(cos(t))" in capsys.readouterr().err
+
+
 def test_resonance_header_reports_newton_cost(tmp_path):
     p = tmp_path / "res.cfg"
     p.write_text("""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -322,7 +324,7 @@ def test_degree_comparison_vanishing_homotopy_witness(disk):
 
 def test_degree_comparison_rejects_product_region_before_integrating(
         monkeypatch):
-    from epsode import conditions, systems
+    from epsode import conditions
     calls = []
     real = conditions._defect_profiles
 
@@ -536,6 +538,31 @@ def test_resonance_forcing_with_constant_partials():
     assert z.det == pytest.approx(np.pi ** 2 * np.sin(z.theta), rel=1e-12,
                                   abs=0)
     assert rm.newton.get("singular", 0) > 0
+
+
+@pytest.mark.parametrize("g, jump", [
+    ("(1 - x1^2)*x2 + sign(cos(t))", "sign(cos(t))"),
+    ("(1 - x1^2)*x2 + sign(x1 - 0.5) + cos(t)", "sign(x1 - 0.5)"),
+    ("x2 + cos(t)*abs(sign(x2))", "sign(x2)")])
+def test_resonance_rejects_a_forcing_that_jumps(monkeypatch, g, jump):
+    # a jump that moves with a or theta has a share in H' that neither the
+    # pointwise partials nor the quadrature of H see: the square wave's H =
+    # (pi (a^3/4 - a) - 4 sin theta, 4 cos theta) has a regular zero, but
+    # its quadrature is flat in theta between node crossings, so Newton
+    # stalls as singular on every seed (with a central difference too)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jumping forcing was compiled")
+
+    monkeypatch.setattr(conditions.ex, "compile_expr", refuse)
+    with pytest.raises(ValueError, match=re.escape(f"jumps at {jump}")):
+        resonance_H(g, (0.2, 3.5), (0.0, TWO_PI))
+
+
+def test_resonance_accepts_abs_and_a_fixed_sign():
+    # abs is continuous, and a sign of a constant does not move
+    rm = resonance_H("(1 - x1^2)*abs(x2) + sign(2)*cos(t)", (0.2, 3.5),
+                     (0.0, TWO_PI), grid=(4, 4))
+    assert not rm.degenerate
 
 
 def test_resonance_seed_point():
