@@ -14,7 +14,7 @@ import numpy as np
 
 from .solver import DEFAULT_CONFIG, integrate, integrate_checkpoints
 from .systems import fd_jacobian
-from .variational import augmented, flow_lanes, flow_omega
+from .variational import augmented, flow_lanes
 
 __all__ = [
     "NoConvergenceError", "AveragedField", "averaged_field",
@@ -217,7 +217,9 @@ class StandardForm:
 
     ``f(t, z)`` transports phi(t, .) along the flow back to time 0, which
     is the right-hand side obtained from the change of variable
-    z(t) = Omega(0, t, x(t)).  Each evaluation costs two integrations.
+    z(t) = Omega(0, t, x(t)): Y(t)^{-1} phi(t, Omega(t, 0, z)) with Y the
+    fundamental matrix along that trajectory.  Each evaluation is one
+    forward integration of x and Y from 0.
     """
 
     def __init__(self, sys, cfg=DEFAULT_CONFIG, periodicity_tol=1e-6):
@@ -227,13 +229,9 @@ class StandardForm:
 
     def __call__(self, t, z):
         sys = self.sys
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if t == 0.0:
-            return sys.phi(0.0, z)
-        x_t = flow_omega(sys, t, 0.0, z, self.cfg)
-        S = flow_lanes(sys, t, 0.0, x_t, self.cfg,
-                       S=sys.phi(t, x_t)[:, None], tangents=1)[1]
-        return S[0, :, 0]
+        X, Y = flow_lanes(sys, 0.0, t, z, self.cfg, S=np.eye(sys.k),
+                          tangents=sys.k)
+        return np.linalg.solve(Y[0], sys.phi(t, X[0]))
 
     def periodicity_defect(self, z, t_samples=None):
         """Deviation of Omega(0, t+T, .) from Omega(0, t, .) along the orbit

@@ -18,7 +18,7 @@ import numpy as np
 from . import expressions as ex
 from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
                      gauss_legendre_running)
-from .systems import damped_newton
+from .systems import _lane_norms, damped_newton
 from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
                        product_degree, winding_number)
 from .variational import (DefectField, _defect_profiles, _phase_points,
@@ -179,7 +179,7 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     """
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be positive")
-    fld = DefectField(sys, 0.0, cfg)
+    fld = DefectField(sys, cfg)
     grids = {"boundary_samples": boundary_samples}
     tols = {"vanish_tol": vanish_tol}
     planar = isinstance(region, PlanarRegion)
@@ -326,6 +326,12 @@ def _perp(v):
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
+def _require_planar(sys):
+    """The cycle normal perp(x0') needs a planar system."""
+    if sys.k != 2:
+        raise ValueError("the cycle integral is defined for planar systems")
+
+
 def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
                      cycle_tol=1e-6):
     """Weighted cycle integral M(theta) of the forcing against the cycle
@@ -337,8 +343,7 @@ def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
     same nodes; the cycle velocity is psi(t, x0(t)) exactly, never a
     difference quotient.
     """
-    if sys.k != 2:
-        raise ValueError("the cycle integral is defined for planar systems")
+    _require_planar(sys)
     res = cycle_residual(cycle, sys.T)
     if res > cycle_tol:
         raise ValueError(f"input trajectory is not {sys.T}-periodic "
@@ -369,12 +374,11 @@ def defect_normal_profile(sys, cycle, s_grid=None, theta_grid=None,
     exposed so their vanishing sets can be inspected side by side instead
     of assumed to coincide.
     """
-    if s_grid is None:
-        s_grid = np.linspace(0.0, sys.T, 17)
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, sys.T, 33)
-    s_grid = np.asarray(s_grid, dtype=float)
-    thetas = np.asarray(theta_grid, dtype=float)
+    _require_planar(sys)
+    s_grid = _phase_points(np.linspace(0.0, sys.T, 17) if s_grid is None
+                           else s_grid, sys.T, "s_grid")
+    thetas = _phase_points(np.linspace(0.0, sys.T, 33) if theta_grid is None
+                           else theta_grid, sys.T, "theta_grid")
     pts = cycle.eval(np.mod(thetas, sys.T))
     vel = lane_field(sys, thetas, pts)[0]
     normals = _perp(vel)
@@ -450,7 +454,7 @@ def compare_defect_degrees(sys1, sys2, region, lambda_grid=None, s_grid=None,
     s0 = int(np.nonzero(s_grid == 0.0)[0][0])
     degrees = []
     for sysi, Di in ((sys1, D1), (sys2, D2)):
-        fldi = DefectField(sysi, 0.0, cfg)
+        fldi = DefectField(sysi, cfg)
         fldi.preseed(pts, Di[s0])
         degrees.append(winding_number(fldi.eval_many, region,
                                       n0=len(pts)).degree)
@@ -524,7 +528,9 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     u) and ``x2`` (velocity v); the components of H are the quadratures of
     sin(tau) and cos(tau) against g(tau + theta, a cos tau, -a sin tau)
     over one period.  Zeros come from damped Newton over a seed grid, one
-    lane per seed; each carries the determinant of the exact Jacobian.
+    lane per seed, and one more full Newton step from each zero found,
+    kept unless |H| grows; each zero carries the residual and the
+    determinant of the exact Jacobian at the kept point.
     With u = a cos tau and v = -a sin tau, its a-column integrates
     g_x1 cos tau - g_x2 sin tau and its theta-column g_t against the same
     weights, on the same nodes as H.
@@ -610,18 +616,31 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     # damping factors down to 2^-11 only: no lane crawls along a singular J
     run = damped_newton(fj, np.column_stack([AA.ravel(), TT.ravel()]),
                         zero_tol * max(1.0, scale), max_iter, halvings=12)
-    zeros = []
-    for p, r, J, it, s in zip(run.x, run.residual, run.jacobian,
-                              run.iterations, run.status):
-        if not (s == "converged" and a_lo - 1e-9 <= p[0] <= a_hi + 1e-9
-                and th_lo - 1e-9 <= p[1] <= th_hi + 1e-9):
-            continue
-        if any(abs(z.a - p[0]) <= dedupe_tol and abs(z.theta - p[1]) <= dedupe_tol
-               for z in zeros):
-            continue
-        zeros.append(ResonanceZero(float(p[0]), float(p[1]), float(r),
-                                   float(np.linalg.det(J)), int(it)))
-    zeros.sort(key=lambda z: (z.a, z.theta))
+    picked = []  # the first converged lane in range at each zero
+    for i, (p, s) in enumerate(zip(run.x, run.status)):
+        if (s == "converged" and a_lo - 1e-9 <= p[0] <= a_hi + 1e-9
+                and th_lo - 1e-9 <= p[1] <= th_hi + 1e-9
+                and all(np.any(np.abs(run.x[j] - p) > dedupe_tol)
+                        for j in picked)):
+            picked.append(i)
+    # the stop at zero_tol leaves a zero's last digits to the seed ranges
+    done = np.array([i for i in picked if not run.singular[i]], dtype=int)
+    if done.size:
+        V = fj(run.x[done], False)[0]
+        C = run.x[done] + np.linalg.solve(run.jacobian[done],
+                                          -V[..., None])[..., 0]
+        VC, JC = fj(C, True)
+        r = _lane_norms(VC)
+        keep = r <= _lane_norms(V)
+        kept = done[keep]
+        run.x[kept], run.residual[kept] = C[keep], r[keep]
+        run.jacobian[kept] = JC[keep]
+        run.iterations[kept] += 1
+    zeros = sorted((ResonanceZero(float(run.x[i, 0]), float(run.x[i, 1]),
+                                  float(run.residual[i]),
+                                  float(np.linalg.det(run.jacobian[i])),
+                                  int(run.iterations[i])) for i in picked),
+                   key=lambda z: (z.a, z.theta))
     status, count = np.unique(run.status, return_counts=True)
     return ResonanceMap(H, H_many, zeros, False, tuple(a_range),
                         tuple(theta_range),

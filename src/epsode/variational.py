@@ -11,8 +11,8 @@ right-hand side from :func:`augmented` (:func:`monodromy`, which integrates
 a given matrix function, stays generic).  Dense output is kept only where a
 trajectory is returned: :func:`flow_lanes` computes every end state, or
 every lane's states at given fractions of its span, and lets each lane start
-and end at its own time (so :func:`eta` runs one lane per requested time,
-and ``averaging.verify_cauchy`` one run for all its eps values);
+and end at its own time (so ``averaging.verify_cauchy`` makes one run for
+all its eps values);
 ``integrate_checkpoints`` computes every state at known times;
 ``integrate`` runs only in :func:`flow_omega_dense` here, and in
 ``periodic.shoot`` for its orbit and the averaged trajectory of
@@ -289,47 +289,50 @@ class EtaSolution:
 def eta(sys, s, xi, eval_times=(), cfg=DEFAULT_CONFIG):
     """Solve the affine variational system along Omega(., 0, xi) with
     y(s) = 0 at ``eval_times``, which may lie on either side of s and
-    outside [0, T]: each time is a lane of one :func:`flow_lanes` run from
-    the anchor, and a time equal to s stays exactly 0.
+    outside [0, T], as w(t) - Y(t) Y(s)^{-1} w(s) with the fundamental
+    matrix Y and the particular response w (w(0) = 0): s and each time are
+    lanes of one :func:`flow_lanes` run from 0, and a time equal to s stays
+    exactly 0.
     """
     if not 0.0 <= s <= sys.T:
         raise ValueError(f"anchor s={s} outside [0, {sys.T}]")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     times = np.atleast_1d(np.asarray(eval_times, dtype=float))
-    x_s = flow_omega(sys, s, 0.0, xi, cfg)
-    Y = flow_lanes(sys, s, times, np.broadcast_to(x_s, (len(times), sys.k)),
-                   cfg, forcings=(sys,))[1]
-    return EtaSolution(float(s), xi, x_s, times, Y[:, :, 0])
+    k = sys.k
+    S = flow_lanes(sys, 0.0, np.append(s, times),
+                   np.broadcast_to(xi, (len(times) + 1, k)), cfg,
+                   S=np.eye(k, k + 1), tangents=k, forcings=(sys,))[1]
+    Y, w = S[..., :k], S[..., k]
+    values = w[1:] - Y[1:] @ np.linalg.solve(Y[0], w[0])
+    values[times == s] = 0.0
+    return EtaSolution(float(s), xi, flow_omega(sys, s, 0.0, xi, cfg), times,
+                       values)
 
 
 # ---------------------------------------------------------------------------
 # Batched defect machinery
 # ---------------------------------------------------------------------------
 
-def defect_many(sys, Xi, s=0.0, cfg=DEFAULT_CONFIG):
-    """eta(T, s, .) - eta(0, s, .) for a batch of base points (n, k).
+def defect_many(sys, Xi, cfg=DEFAULT_CONFIG):
+    """eta(T, 0, .) for a batch of base points (n, k): the period defect at
+    anchor 0, since eta(0, 0, .) = 0.
 
     All batch members share the adaptive step sequence; accuracy is
     controlled per component by the integrator tolerances.
     """
-    X_s = flow_lanes(sys, 0.0, s, Xi, cfg)[0]
-
-    def y_at(t):
-        return flow_lanes(sys, s, t, X_s, cfg, forcings=(sys,))[1][:, :, 0]
-
-    return y_at(sys.T) - y_at(0.0)
+    return flow_lanes(sys, 0.0, sys.T, Xi, cfg, forcings=(sys,))[1][:, :, 0]
 
 
 class DefectField:
-    """Reusable evaluator of xi -> eta(T, s, xi) - eta(0, s, xi).
+    """Reusable evaluator of xi -> eta(T, 0, xi), the period defect at
+    anchor 0.
 
     Results are cached per base point so adaptive boundary refinement only
     pays for new points.
     """
 
-    def __init__(self, sys, s=0.0, cfg=DEFAULT_CONFIG):
+    def __init__(self, sys, cfg=DEFAULT_CONFIG):
         self.sys = sys
-        self.s = float(s)
         self.cfg = cfg
         self._cache = {}
 
@@ -340,14 +343,14 @@ class DefectField:
         key = self._key(xi)
         if key not in self._cache:
             self._cache[key] = defect_many(self.sys, np.asarray(xi)[None, :],
-                                           self.s, self.cfg)[0]
+                                           self.cfg)[0]
         return self._cache[key].copy()
 
     def eval_many(self, Xi):
         Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
         missing = [i for i in range(len(Xi)) if self._key(Xi[i]) not in self._cache]
         if missing:
-            vals = defect_many(self.sys, Xi[missing], self.s, self.cfg)
+            vals = defect_many(self.sys, Xi[missing], self.cfg)
             for i, v in zip(missing, vals):
                 self._cache[self._key(Xi[i])] = v
         return np.array([self._cache[self._key(x)] for x in Xi])
@@ -366,12 +369,7 @@ def defect_profile(sys, Xi, s_grid, cfg=DEFAULT_CONFIG):
 
         eta(T, s, xi) - eta(0, s, xi) = w(T) - (Y(T) - I) Y(s)^{-1} w(s).
 
-    Returns an array of shape (len(s_grid), n, k).  This is the accurate
-    route at anchors s > 0: it runs forward only, while the direct route
-    (:func:`defect_many`, :func:`eta`) runs from s back to 0, which on a
-    contracting field amplifies its step errors.  On e1 at the default
-    tolerances, at s = 5, the direct route is 2.5e-6 relative off a run at
-    ``DEFAULT_CONFIG.tightened(1000)`` and this one 2.4e-10.
+    Returns an array of shape (len(s_grid), n, k).
     """
     return _defect_profiles(sys, (sys,), Xi, s_grid, cfg)[0]
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from epsode import (IntegrationError, IntegratorConfig, NoConvergenceError,
-                    averaged_field, eta, gauss_legendre_panels,
+from epsode import (DEFAULT_CONFIG, IntegrationError, IntegratorConfig,
+                    NoConvergenceError, averaged_field, eta,
+                    gauss_legendre_panels,
                     solve_averaged, system_from_expressions, to_standard_form,
                     verify_cauchy)
 
@@ -237,6 +238,29 @@ def test_standard_form_rotating_flow_matches_matrix_exponential():
         expect = R.T @ sysd.phi(t, R @ z)
         got = sf(t, z)
         assert np.linalg.norm(got - expect) <= 1e-8 * (1 + np.linalg.norm(expect))
+
+
+def test_standard_form_is_one_forward_run(e1, monkeypatch):
+    # Y(t)^{-1} phi(t, x(t)) from one run of x and Y from 0; the pullback of
+    # phi from t back to 0 was 2.7e-7 off at t = 6
+    from epsode import variational
+    sf = to_standard_form(e1)
+    tight = to_standard_form(e1, DEFAULT_CONFIG.tightened(1000.0))
+    real, runs = variational.integrate_checkpoints, []
+
+    def spy(*args, **kwargs):
+        runs.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "integrate_checkpoints", spy)
+    for t in (0.7, 3.0, 6.0):
+        for z in ((0.5, 0.0), (0.8, -0.3), (1.2, 0.4)):
+            ref = tight(t, z)
+            runs.clear()
+            got = sf(t, z)
+            assert runs == [(0.0, t)]
+            assert np.linalg.norm(got - ref) \
+                <= 1e-8 * (1 + np.linalg.norm(ref))
 
 
 def test_standard_form_periodicity_warning(e1):

@@ -140,7 +140,7 @@ def test_check_a2_evaluates_the_boundary_once(inline_cfg, tmp_path,
     assert lines[0] == "x1,x2,F1,F2,norm"
     rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
     # the values of a fresh 64-lane batch over the same boundary grid
-    fresh = real(sys_def, rows[:, :2], 0.0, icfg)
+    fresh = real(sys_def, rows[:, :2], icfg)
     assert len(rows) == 64 and np.array_equal(rows[:, 2:4], fresh)
 
 

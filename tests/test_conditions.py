@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -279,6 +280,24 @@ def test_melnikov_requires_planar(e3, e1_cycle):
         melnikov_profile(e3, e1_cycle)
 
 
+def test_defect_normal_profile_requires_planar(e3, e1_cycle):
+    with pytest.raises(ValueError, match="planar"):
+        defect_normal_profile(e3, e1_cycle)
+
+
+@pytest.mark.parametrize("grid", ["s_grid", "theta_grid"])
+def test_defect_normal_profile_rejects_an_empty_grid(e1, e1_cycle, grid):
+    with pytest.raises(ValueError, match=f"{grid} is empty"):
+        defect_normal_profile(e1, e1_cycle, **{grid: []})
+
+
+def test_defect_normal_profile_default_grids(e1, e1_cycle):
+    s_grid, thetas, proj = defect_normal_profile(e1, e1_cycle)
+    assert np.array_equal(s_grid, np.linspace(0.0, TWO_PI, 17))
+    assert np.array_equal(thetas, np.linspace(0.0, TWO_PI, 33))
+    assert proj.shape == (17, 33)
+
+
 def test_defect_normal_profile_matches_closed_form(e1, e1_cycle):
     s_grid, thetas, proj = defect_normal_profile(
         e1, e1_cycle, s_grid=np.array([0.0]),
@@ -507,6 +526,25 @@ def test_resonance_finds_the_three_zeros_of_a_weak_forcing():
                                       abs=0)
 
 
+def test_resonance_zero_does_not_depend_on_the_seed_ranges():
+    # the a and theta ranges that perfbench's orbits workload draws at seeds
+    # 1, 7 and 11: a lane stopped at zero_tol left the zero's last digits to
+    # the ranges (a 5.5e-11 apart, residual 5.6e-10 at seed 7), and the
+    # final full Newton step takes every lane to rounding
+    zeros = []
+    for seed in (1, 7, 11):
+        rng = random.Random(seed)
+        a_range = (0.5 - rng.uniform(0.0, 0.2), 3.5 + rng.uniform(0.0, 0.2))
+        th_range = (-rng.uniform(0.0, 0.3), TWO_PI - rng.uniform(0.0, 0.3))
+        rm = resonance_H(FORCING, a_range, th_range)
+        assert len(rm.zeros) == 1
+        zeros.append(rm.zeros[0])
+    for z in zeros:
+        assert z.residual <= 1e-13
+        assert abs(z.a - zeros[0].a) <= 1e-13
+        assert abs(z.theta - zeros[0].theta) <= 1e-13
+
+
 def test_resonance_jacobian_matches_central_differences(monkeypatch):
     _, fj, X = newton_pass(monkeypatch, FORCING, (0.5, 3.5), (0.0, TWO_PI))
     J = fj(X, True)[1]
@@ -588,7 +626,7 @@ def test_defect_degree_matches_resonance_degree_up_to_orientation(e2, disk):
     image = PlanarRegion(curve=lambda u: image_curve(1.0 - np.atleast_1d(u)),
                          n_hint=512)
     from epsode import DefectField
-    fld = DefectField(e2, 0.0)
+    fld = DefectField(e2)
     rep_D = winding_number(fld.eval_many, image, n0=128)
     assert rep_D.degree == -rep_H.degree
     assert abs(rep_D.degree) == 1

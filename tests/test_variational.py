@@ -61,23 +61,38 @@ def test_eta_solution_is_a_record(e1):
 
 @pytest.mark.parametrize("s", [0.0, 1.5, 5.0])
 def test_eta_period_defect_matches_defect_many(e1, s):
-    # from s = 5 the backward run to 0 amplifies step errors by about e^10,
-    # so at the default tolerances both routes sit 2e-6 from a tight
-    # reference; at rel_tol 1e-13 they agree to 1e-10
+    # both routes run forward from 0, so they agree at the default
+    # tolerances; at anchor 0 the period defect is defect_many's w(T)
     cfg = DEFAULT_CONFIG.tightened(1000.0)
     xi = np.array([0.8, -0.3])
-    at_T, at_0 = eta(e1, s, xi, [e1.T, 0.0], cfg).values
-    d = defect_many(e1, xi[None], s, cfg)[0]
-    assert np.max(np.abs((at_T - at_0) - d)) <= 1e-9 * np.max(np.abs(d))
+    for c in (DEFAULT_CONFIG, cfg):
+        at_T, at_0 = eta(e1, s, xi, [e1.T, 0.0], c).values
+        d = defect_profile(e1, xi[None], [s], c)[0, 0]
+        assert np.max(np.abs((at_T - at_0) - d)) <= 1e-9 * np.max(np.abs(d))
+    if s == 0.0:
+        assert np.array_equal(at_0, np.zeros(2))
+        d = defect_many(e1, xi[None], cfg)[0]
+        assert np.max(np.abs(at_T - d)) <= 1e-9 * np.max(np.abs(d))
+
+
+@pytest.mark.parametrize("s", [0.0, 1.5, 5.0])
+def test_eta_is_accurate_at_default_tolerances(e1, s):
+    # one forward run from 0: no backward leg from s amplifies step errors
+    # on the contracting field (the backward route was 8.8e-8 off at s = 5)
+    xi = np.array([0.8, -0.3])
+    times = [e1.T, 0.0, -1.0, 2.0, 3.5]
+    ref = eta(e1, s, xi, times, DEFAULT_CONFIG.tightened(1000.0)).values
+    got = eta(e1, s, xi, times).values
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("s", [1.5, 5.0])
 def test_defect_profile_is_accurate_at_late_anchors(e1, s):
-    # the profile runs forward only; the direct route's backward run from
-    # s = 5 is about 2.5e-6 relative off at the default tolerances
+    # the profile runs forward only, as does eta, its tight reference
     tight = DEFAULT_CONFIG.tightened(1000.0)
     xi = np.array([[0.8, -0.3]])
-    ref = defect_many(e1, xi, s, tight)[0]
+    at_T, at_0 = eta(e1, s, xi[0], [e1.T, 0.0], tight).values
+    ref = at_T - at_0
     assert np.linalg.norm(defect_profile(e1, xi, [s], tight)[0, 0] - ref) \
         <= 1e-8 * np.linalg.norm(ref)
     assert np.linalg.norm(defect_profile(e1, xi, [s])[0, 0] - ref) \
@@ -104,14 +119,16 @@ def test_response_is_affine_in_forcing(e1):
 def test_defect_reduces_to_forcing_average_without_flow():
     sysd = make_sys(("cos(t)^2*x1", "sin(t)"))
     xi = np.array([0.8, -0.3])
+    assert np.allclose(defect_many(sysd, xi[None, :])[0],
+                       [TWO_PI * 0.4, 0.0], atol=1e-9)
     for s in (0.0, 1.5, 5.0):
-        d = defect_many(sysd, xi[None, :], s=s)[0]
-        assert np.allclose(d, [TWO_PI * 0.4, 0.0], atol=1e-9)
+        at_T, at_0 = eta(sysd, s, xi, [TWO_PI, 0.0]).values
+        assert np.allclose(at_T - at_0, [TWO_PI * 0.4, 0.0], atol=1e-9)
 
 
 def test_defect_zero_average_forcing():
     sysd = make_sys(("cos(t)", "0"))
-    d = defect_many(sysd, np.array([[0.4, 0.4]]), s=0.0)[0]
+    d = defect_many(sysd, np.array([[0.4, 0.4]]))[0]
     assert np.linalg.norm(d) <= 1e-10
 
 
@@ -130,7 +147,7 @@ def test_e1_boundary_defect_closed_form(e1):
 
 
 def test_defect_field_caches(e1):
-    fld = DefectField(e1, 0.0)
+    fld = DefectField(e1)
     xi = np.array([1.0, 0.0])
     first = fld(xi)
     again = fld(xi)
@@ -144,10 +161,10 @@ def test_profile_matches_direct_route(e1):
     s_grid = np.array([0.0, 1.0, 4.0, TWO_PI])
     prof = defect_profile(e1, pts, s_grid)
     for si, s in enumerate(s_grid):
-        direct = defect_many(e1, pts, s=s)
-        # relative agreement is limited by cond(Y(s)) ~ e^{4 pi} here
+        direct = np.array([np.subtract(*eta(e1, s, p, [TWO_PI, 0.0]).values)
+                           for p in pts])
         scale = 1.0 + np.max(np.abs(direct))
-        assert np.max(np.abs(prof[si] - direct)) <= 1e-4 * scale
+        assert np.max(np.abs(prof[si] - direct)) <= 1e-8 * scale
 
 
 def test_monodromy_zero_matrix():
