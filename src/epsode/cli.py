@@ -111,8 +111,7 @@ _KEYS = {
     "integrator.rel_tol": _float, "integrator.abs_tol": _float,
     "integrator.max_step": _float, "integrator.max_steps": _int,
     "grids.s_points": _int, "grids.theta_points": _int,
-    "grids.a0_samples": _int, "grids.quad_panels": _int,
-    "grids.quad_order": _int,
+    "grids.a0_samples": _int,
     # for degree; winding_number would start from the region's n_hint
     "grids.boundary_samples": (_int, 512),
     "tolerances.a0_tol": _float, "tolerances.a1_tol": _float,
@@ -366,9 +365,7 @@ def _cmd_check(args, cfg, out):
         rep = floquet_condition_A3(
             sys_def, build_cycle(cfg, sys_def, icfg),
             _phase_grid(cfg, "grids.theta_points", sys_def.T),
-            cfg=icfg, **_given(cfg, panels="grids.quad_panels",
-                               order="grids.quad_order",
-                               cycle_tol="tolerances.cycle_tol"))
+            cfg=icfg, **_given(cfg, cycle_tol="tolerances.cycle_tol"))
         cols = ("theta", "dist_to_one", "gap", "simple")
         out.write_csv(cols, zip(*(rep.data.get(c, ()) for c in cols)))
         out.write_plot([(rep.data.get("theta", ()), rep.data.get("gap", ()),
@@ -419,8 +416,7 @@ def _cmd_melnikov(args, cfg, out):
     cycle = build_cycle(cfg, sys_def, icfg)
     prof = melnikov_profile(
         sys_def, cycle, _phase_grid(cfg, "grids.theta_points", sys_def.T),
-        **_given(cfg, panels="grids.quad_panels", order="grids.quad_order",
-                 cycle_tol="tolerances.cycle_tol"))
+        **_given(cfg, cycle_tol="tolerances.cycle_tol"))
     out.write_csv(("theta", "M"),
                   list(zip(prof.thetas, prof.values)))
     out.write_plot([(prof.thetas, prof.values, "M(theta)")],
@@ -469,9 +465,7 @@ def _cmd_resonance(args, cfg, out):
     try:
         rm = resonance_H(g, tuple(_get(cfg, "resonance.a_range")),
                          tuple(_get(cfg, "resonance.theta_range")),
-                         **_given(cfg, grid="resonance.grid",
-                                  panels="grids.quad_panels",
-                                  order="grids.quad_order"))
+                         **_given(cfg, grid="resonance.grid"))
     except ParseError as err:
         raise ConfigError(f"bad forcing expression: {err}") from err
     rows = []
@@ -487,7 +481,9 @@ def _cmd_resonance(args, cfg, out):
     out.header.append(" ".join(["# newton"] + [f"{s}={n}" for s, n
                                                in rm.newton.items()]))
     out.header.append(f"# cost forcing_calls={rm.forcing_calls} "
-                      f"quad_points={rm.quad_points}")
+                      f"quad_points={rm.quad_points} "
+                      f"quad_nodes={rm.quad_nodes} "
+                      f"quad_error={rm.quad_error:.3e}")
     out.write_csv(("a", "theta", "residual", "detH", "local_degree"), rows)
     if rm.degenerate:
         print("resonance map degenerate (H vanishes identically on the grid)")
@@ -608,9 +604,7 @@ def _cmd_sweep(args, cfg, out):
             prof = melnikov_profile(
                 sys_def, cycle,
                 _phase_grid(cfg, "grids.theta_points", sys_def.T),
-                **_given(cfg, panels="grids.quad_panels",
-                         order="grids.quad_order",
-                         cycle_tol="tolerances.cycle_tol"))
+                **_given(cfg, cycle_tol="tolerances.cycle_tol"))
     sw = eps_sweep(sys_def, region, eps_list, cycle=cycle, melnikov=prof,
                    cfg=icfg, **_given(cfg, seed_strategy="sweep.strategy",
                                       seed="sweep.seed",

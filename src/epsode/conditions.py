@@ -33,6 +33,8 @@ __all__ = [
     "ResonanceZero", "ResonanceMap", "resonance_H", "resonance_initial_point",
 ]
 
+_TRAP_START, _TRAP_CAP, _TRAP_TOL = 16, 512, 1e-13  # resonance_H's rule
+
 
 @dataclass
 class HypothesisReport:
@@ -232,8 +234,7 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
 
 
 def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
-                         gap_tol=1e-3, cycle_tol=1e-6, cfg=DEFAULT_CONFIG,
-                         panels=64, order=8):
+                         gap_tol=1e-3, cycle_tol=1e-6, cfg=DEFAULT_CONFIG):
     """Check that 1 is a simple Floquet multiplier of the linearisation
     along every phase shift of the cycle.
 
@@ -243,7 +244,8 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
     the smallest gap; the witness is the phase of smallest gap among those
     that fail (all when none does).  ``data`` holds the per-phase arrays
     ``theta``, ``multipliers``, ``dist_to_one``, ``gap`` and ``simple``, and
-    the worst Liouville determinant error ``max_liouville_rel_err``.
+    the worst Liouville determinant error ``max_liouville_rel_err`` (its
+    trace integral on the fixed 64-panel, order-8 Gauss-Legendre rule).
 
     The linearisation along x0(t + theta) comes from integrating each
     phase-shifted cycle point as a lane from time 0, which equals it only
@@ -274,7 +276,7 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
     worst = int(np.argmin(gap if holds else np.where(simple, np.inf, gap)))
     # psi is autonomous and the cycle T-periodic, so every phase shift has
     # the same Liouville trace integral
-    nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
+    nodes, weights = gauss_legendre_panels(0.0, sys.T)
     jac = lane_field(sys, nodes, cycle.eval(nodes), np.eye(sys.k),
                      tangents=sys.k)[1]
     liou = np.exp(float(np.dot(weights, np.trace(jac, axis1=1, axis2=2))))
@@ -299,8 +301,6 @@ class MelnikovProfile:
     values: np.ndarray
     min_abs: float
     weight_range: tuple
-    panels: int
-    order: int
 
     def argmax_abs(self):
         return float(self.thetas[int(np.argmax(np.abs(self.values)))])
@@ -316,8 +316,7 @@ class MelnikovProfile:
             self.min_abs,
             witness={"theta": float(self.thetas[i]),
                      "M": float(self.values[i])},
-            grids={"theta_points": len(self.thetas), "panels": self.panels,
-                   "order": self.order},
+            grids={"theta_points": len(self.thetas)},
             tolerances={"a3_tol": a3_tol})
 
 
@@ -332,15 +331,14 @@ def _require_planar(sys):
         raise ValueError("the cycle integral is defined for planar systems")
 
 
-def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
-                     cycle_tol=1e-6):
+def melnikov_profile(sys, cycle, theta_grid=None, cycle_tol=1e-6):
     """Weighted cycle integral M(theta) of the forcing against the cycle
     normal.
 
     M(theta) = int_0^T exp(-int_0^t div psi dtau) <phi(t - theta, x0(t)),
-    perp(x0'(t))> dt on the fixed composite Gauss-Legendre grid, with the
-    inner integral at each node from :func:`gauss_legendre_running` on the
-    same nodes; the cycle velocity is psi(t, x0(t)) exactly, never a
+    perp(x0'(t))> dt on the fixed 64-panel, order-8 Gauss-Legendre rule,
+    with the inner integral at each node from :func:`gauss_legendre_running`
+    on the same nodes; the cycle velocity is psi(t, x0(t)) exactly, never a
     difference quotient.
     """
     _require_planar(sys)
@@ -350,20 +348,20 @@ def melnikov_profile(sys, cycle, theta_grid=None, panels=64, order=8,
                          f"(residual {res:.3e})")
     thetas = _phase_points(theta_grid, sys.T, "theta_grid")
 
-    nodes, weights = gauss_legendre_panels(0.0, sys.T, panels, order)
+    nodes, weights = gauss_legendre_panels(0.0, sys.T)
     xq = cycle.eval(nodes)
     vq, jac = lane_field(sys, nodes, xq, np.eye(2), tangents=2)
     perp = _perp(vq)
     # the weight from the running quadrature of div psi = trace Dpsi
     wq = np.exp(-gauss_legendre_running(np.trace(jac, axis1=1, axis2=2),
-                                        0.0, sys.T, panels, order))
+                                        0.0, sys.T))
 
     values = np.empty(len(thetas))
     for i, th in enumerate(thetas):
         fq = lane_field(sys, nodes - th, xq, forcings=(sys,))[1][:, :, 0]
         values[i] = float(np.dot(weights, wq * np.einsum("nd,nd->n", fq, perp)))
     return MelnikovProfile(thetas, values, float(np.min(np.abs(values))),
-                           (float(wq.min()), float(wq.max())), panels, order)
+                           (float(wq.min()), float(wq.max())))
 
 
 def defect_normal_profile(sys, cycle, s_grid=None, theta_grid=None,
@@ -480,18 +478,18 @@ class ResonanceZero:
 class ResonanceMap:
     """Zeros of H and what finding them cost: ``newton`` counts the seed
     lanes by final status, ``forcing_calls`` and ``quad_points`` the batched
-    forcing evaluations on the quadrature grid and their points, up to the
-    return of :func:`resonance_H`.  A Jacobian pass is one forcing call
-    that evaluates g and its 3 partials together."""
+    forcing evaluations and their points (a Jacobian pass evaluates g and
+    its 3 partials in one call), ``quad_nodes`` and ``quad_error`` the N of
+    the trapezoidal rule and its last max |Q_N - Q_{N/2}|."""
     evaluate: callable
     evaluate_many: callable
     zeros: list
     degenerate: bool
-    a_range: tuple
-    theta_range: tuple
     newton: dict = field(default_factory=dict)
     forcing_calls: int = 0
     quad_points: int = 0
+    quad_nodes: int = 0
+    quad_error: float = 0.0
 
     def box(self, zero, half=0.2):
         """Axis-aligned box region around a zero in the (a, theta) plane."""
@@ -520,17 +518,23 @@ def _moving_jump(e):
     return None
 
 
-def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
-                zero_tol=1e-10, dedupe_tol=1e-6, max_iter=40):
+def resonance_H(g, a_range, theta_range, grid=(12, 12), zero_tol=1e-10,
+                dedupe_tol=1e-6, max_iter=40):
     """Resonance map H(a, theta) for the forced linear center.
 
     ``g`` is a forcing expression in ``t`` and the slots ``x1`` (position
     u) and ``x2`` (velocity v); the components of H are the quadratures of
     sin(tau) and cos(tau) against g(tau + theta, a cos tau, -a sin tau)
-    over one period.  Zeros come from damped Newton over a seed grid, one
-    lane per seed, and one more full Newton step from each zero found,
-    kept unless |H| grows; each zero carries the residual and the
-    determinant of the exact Jacobian at the kept point.
+    over one period, by the trapezoidal rule (Trefethen and Weideman, SIAM
+    Review 56, 2014) on N nodes fixed once per call: from ``_TRAP_START``
+    (16), each doubling evaluates g on the seed grid at the new midpoints
+    only, until max |Q_2N - Q_N| <= ``_TRAP_TOL`` (1e-13) times (1 + max
+    |Q_2N|) or N = ``_TRAP_CAP`` (512).  A kink in g, as from ``abs``,
+    converges only algebraically, so up to the cap (see ``quad_error``).
+    Zeros come from damped Newton over a seed grid, one lane per seed, and
+    one more full Newton step from each zero found, kept unless |H| grows;
+    each zero carries the residual and the determinant of the exact
+    Jacobian at the kept point.
     With u = a cos tau and v = -a sin tau, its a-column integrates
     g_x1 cos tau - g_x2 sin tau and its theta-column g_t against the same
     weights, on the same nodes as H.
@@ -554,7 +558,7 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
         raise ValueError(f"forcing expression jumps at {ex.to_string(jump)}; "
                          "the resonance map needs g continuous in t, x1 "
                          "and x2")
-    f = ex.compile_expr(expr, arrays=True)
+    f = ex.compile_expr([expr], arrays=True)
     # g and its partials in t, u and v in one pass that shares subtrees
     f_jac = ex.compile_expr(
         [expr] + [ex.differentiate(expr, v) for v in ("t", "x1", "x2")],
@@ -563,38 +567,51 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     for _ in range(5):  # the period is fixed at 2 pi for this construction
         t = rng.uniform(0, 2 * np.pi)
         u, v = rng.uniform(-2, 2, 2)
-        a, b = f(t, (u, v)), f(t + 2 * np.pi, (u, v))
+        a, b = f(t, (u, v))[0], f(t + 2 * np.pi, (u, v))[0]
         if abs(a - b) > 1e-9 * (1 + abs(a)):
             raise ValueError("forcing expression is not 2 pi periodic in t")
-    nodes, weights = gauss_legendre_panels(0.0, 2 * np.pi, panels, order)
-    s_nodes = np.sin(nodes)
-    c_nodes = np.cos(nodes)
 
     cost = {"forcing_calls": 0, "quad_points": 0}
 
-    def quad(fv):
-        # a row-wise sum, not a gemv, so a lane's bits do not depend on
-        # how many lanes share the call
-        return np.stack([np.einsum("ij,j->i", fv * s_nodes[None, :], weights),
-                         np.einsum("ij,j->i", fv * c_nodes[None, :], weights)],
-                        axis=-1)
+    def on_nodes(fn, P, tau):
+        """fn at the lanes P = (a, theta) (n, 2) on tau, in one call."""
+        cost["forcing_calls"] += 1
+        cost["quad_points"] += len(P) * tau.size
+        tt = tau + P[:, 1:]
+        return [np.broadcast_to(y, tt.shape) for y in
+                fn(tt, (P[:, :1] * np.cos(tau), -P[:, :1] * np.sin(tau)))]
+
+    def weigh(y, tau):
+        # a sum per row, not a gemv, and N fixed for the call, so a lane's
+        # bits depend neither on the batch nor on Newton's progress
+        return np.stack([np.einsum("ij,j->i", y, np.sin(tau)),
+                         np.einsum("ij,j->i", y, np.cos(tau))], axis=-1)
+
+    (a_lo, a_hi), (th_lo, th_hi) = a_range, theta_range
+    AA, TT = np.meshgrid(np.linspace(a_lo, a_hi, grid[0]),
+                         np.linspace(th_lo, th_hi, grid[1]), indexing="ij")
+    seeds = np.column_stack([AA.ravel(), TT.ravel()])
+    N, tau = _TRAP_START, 2 * np.pi * np.arange(_TRAP_START) / _TRAP_START
+    Hgrid = 2 * np.pi / N * weigh(on_nodes(f, seeds, tau)[0], tau)
+    while N < _TRAP_CAP:
+        tau = 2 * np.pi * np.arange(1, 2 * N, 2) / (2 * N)  # the midpoints
+        mid = weigh(on_nodes(f, seeds, tau)[0], tau)
+        N, prev, Hgrid = 2 * N, Hgrid, Hgrid / 2 + np.pi / N * mid
+        quad_error = float(np.max(np.abs(Hgrid - prev)))
+        if quad_error <= _TRAP_TOL * (1 + np.max(np.abs(Hgrid))):
+            break
+    cost.update(quad_nodes=N, quad_error=quad_error)
+    nodes, h = 2 * np.pi * np.arange(N) / N, 2 * np.pi / N
 
     def fj(P, jacobian):
         """H at the lanes P = (a, theta) (n, 2) and, if asked, J (n, 2, 2),
         from one forcing call."""
-        A, TH = P[:, :1], P[:, 1:]
-        u = A * c_nodes[None, :]
-        v = -A * s_nodes[None, :]
-        tt = nodes[None, :] + TH
-        cost["forcing_calls"] += 1
-        cost["quad_points"] += tt.size
         if not jacobian:
-            return quad(np.broadcast_to(f(tt, (u, v)), tt.shape)), None
-        fv, ft, fu, fw = (np.broadcast_to(y, tt.shape)
-                          for y in f_jac(tt, (u, v)))
-        return quad(fv), np.stack(
-            [quad(fu * c_nodes[None, :] - fw * s_nodes[None, :]), quad(ft)],
-            axis=-1)
+            return h * weigh(on_nodes(f, P, nodes)[0], nodes), None
+        fv, ft, fu, fw = on_nodes(f_jac, P, nodes)
+        fa = fu * np.cos(nodes) - fw * np.sin(nodes)
+        return h * weigh(fv, nodes), h * np.stack(
+            [weigh(fa, nodes), weigh(ft, nodes)], axis=-1)
 
     def H_many(A, TH):
         return fj(np.column_stack([A, TH]).astype(float), False)[0]
@@ -602,20 +619,13 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
     def H(p):
         return fj(np.asarray(p, dtype=float)[None], False)[0][0]
 
-    a_lo, a_hi = a_range
-    th_lo, th_hi = theta_range
-    As = np.linspace(a_lo, a_hi, grid[0])
-    Ths = np.linspace(th_lo, th_hi, grid[1])
-    AA, TT = np.meshgrid(As, Ths, indexing="ij")
-    Hgrid = H_many(AA.ravel(), TT.ravel())
     scale = float(np.max(np.linalg.norm(Hgrid, axis=1)))
     if scale < 1e-10:
-        return ResonanceMap(H, H_many, [], True, tuple(a_range),
-                            tuple(theta_range), **cost)
+        return ResonanceMap(H, H_many, [], True, **cost)
 
     # damping factors down to 2^-11 only: no lane crawls along a singular J
-    run = damped_newton(fj, np.column_stack([AA.ravel(), TT.ravel()]),
-                        zero_tol * max(1.0, scale), max_iter, halvings=12)
+    run = damped_newton(fj, seeds, zero_tol * max(1.0, scale), max_iter,
+                        halvings=12)
     picked = []  # the first converged lane in range at each zero
     for i, (p, s) in enumerate(zip(run.x, run.status)):
         if (s == "converged" and a_lo - 1e-9 <= p[0] <= a_hi + 1e-9
@@ -642,6 +652,5 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), panels=64, order=8,
                                   int(run.iterations[i])) for i in picked),
                    key=lambda z: (z.a, z.theta))
     status, count = np.unique(run.status, return_counts=True)
-    return ResonanceMap(H, H_many, zeros, False, tuple(a_range),
-                        tuple(theta_range),
+    return ResonanceMap(H, H_many, zeros, False,
                         dict(zip(status.tolist(), count.tolist())), **cost)

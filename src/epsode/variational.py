@@ -278,7 +278,7 @@ def flow_omega_dense(sys, t0, t1, xi, cfg=DEFAULT_CONFIG):
 class EtaSolution:
     """eta(t, s, xi) at ``times``: ``values[i]`` is the solution y at
     ``times[i]`` of the affine variational system along Omega(., 0, xi)
-    with y(s) = 0, and ``x_s`` is Omega(s, 0, xi)."""
+    with y(s) = 0, and ``x_s`` is Omega(s, 0, xi) from the same run."""
     s: float
     xi: np.ndarray
     x_s: np.ndarray
@@ -299,14 +299,13 @@ def eta(sys, s, xi, eval_times=(), cfg=DEFAULT_CONFIG):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     times = np.atleast_1d(np.asarray(eval_times, dtype=float))
     k = sys.k
-    S = flow_lanes(sys, 0.0, np.append(s, times),
-                   np.broadcast_to(xi, (len(times) + 1, k)), cfg,
-                   S=np.eye(k, k + 1), tangents=k, forcings=(sys,))[1]
+    X, S = flow_lanes(sys, 0.0, np.append(s, times),
+                      np.broadcast_to(xi, (len(times) + 1, k)), cfg,
+                      S=np.eye(k, k + 1), tangents=k, forcings=(sys,))
     Y, w = S[..., :k], S[..., k]
     values = w[1:] - Y[1:] @ np.linalg.solve(Y[0], w[0])
     values[times == s] = 0.0
-    return EtaSolution(float(s), xi, flow_omega(sys, s, 0.0, xi, cfg), times,
-                       values)
+    return EtaSolution(float(s), xi, X[0], times, values)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +417,12 @@ class MonodromyReport:
         return self.multipliers[i], abs(self.multipliers[i] - 1.0)
 
 
-def monodromy(matrix_fn, T, cfg=DEFAULT_CONFIG, panels=64, order=8):
+def monodromy(matrix_fn, T, cfg=DEFAULT_CONFIG):
     """Monodromy matrix of y' = A(t) y over one period.
 
     The k unit initial conditions are propagated as one matrix integration;
-    the determinant is checked against exp of the quadrature of trace A
-    (Liouville identity), which does not reuse the ODE solve.
+    the determinant is checked against exp of trace A summed on the fixed
+    64 x 8 Gauss-Legendre rule (Liouville identity), apart from the ODE solve.
     """
     A0 = np.asarray(matrix_fn(0.0), dtype=float)
     k = A0.shape[0]
@@ -433,7 +432,7 @@ def monodromy(matrix_fn, T, cfg=DEFAULT_CONFIG, panels=64, order=8):
 
     M = integrate_checkpoints(rhs, 0.0, T, np.eye(k).ravel(), (),
                               cfg)[1].reshape(k, k)
-    nodes, weights = gauss_legendre_panels(0.0, T, panels, order)
+    nodes, weights = gauss_legendre_panels(0.0, T)
     tr = float(sum(w * np.trace(np.asarray(matrix_fn(t)))
                    for t, w in zip(nodes, weights)))
     det = float(np.linalg.det(M))

@@ -301,7 +301,11 @@ grid = (8, 8)
     assert header[-2:] == [
         "# newton " + " ".join(f"{s}={n}" for s, n in rm.newton.items()),
         f"# cost forcing_calls={rm.forcing_calls} "
-        f"quad_points={rm.quad_points}"]
+        f"quad_points={rm.quad_points} quad_nodes={rm.quad_nodes} "
+        f"quad_error={rm.quad_error:.3e}"]
+    # the orbits forcing is a trigonometric polynomial: the doubling stops
+    # at its first comparison
+    assert rm.quad_nodes == 32 and rm.quad_error <= 1e-12
 
 
 def test_average_command_static_flow(tmp_path, capsys, monkeypatch):
@@ -425,6 +429,17 @@ def test_membership_points_is_an_unknown_key(e1_cfg, capsys):
     assert "unknown key 'membership_points'" in err
 
 
+@pytest.mark.parametrize("key", ["quad_panels", "quad_order"])
+def test_quadrature_keys_are_unknown(e1_cfg, tmp_path, capsys, key):
+    # the quadrature rules fix their own nodes; no config sets them
+    rc = run(["check", "A0", "--config", e1_cfg, "--out",
+              str(tmp_path / "a0.csv"), "--set", f"grids.{key}=64"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error") and f"unknown key '{key}'" in err
+    assert "a0_samples" in err and "boundary_samples" in err
+
+
 def test_empty_number_list_is_rejected(tmp_path, capsys):
     p = tmp_path / "ver.cfg"
     p.write_text("[system]\nbuiltin = e3-scalar\n\n"
@@ -516,8 +531,8 @@ DEFAULTED = {
     "check A3": (E1_CFG, INTEGRATOR_DEFAULTS + [
         "grids.theta_points=65", "tolerances.cycle_tol=1e-6"]),
     "melnikov": (E1_CFG, INTEGRATOR_DEFAULTS + [
-        "grids.theta_points=65", "grids.quad_panels=64", "grids.quad_order=8",
-        "tolerances.cycle_tol=1e-6", "tolerances.a3_tol=1e-8"]),
+        "grids.theta_points=65", "tolerances.cycle_tol=1e-6",
+        "tolerances.a3_tol=1e-8"]),
     "sweep": (SWEEP_CFG, INTEGRATOR_DEFAULTS + [
         "sweep.strategy=continuation", "grids.theta_points=65",
         "tolerances.cycle_tol=1e-6", "tolerances.shoot_tol=1e-9"]),
@@ -526,8 +541,7 @@ DEFAULTED = {
     "resonance": (FIELD_CFG, [
         "resonance.a_range=(0.5, 3.5)",
         "resonance.theta_range=(0, 6.283185307179586)",
-        "resonance.grid=(12, 12)", "grids.quad_panels=64",
-        "grids.quad_order=8"]),
+        "resonance.grid=(12, 12)"]),
     "average": (E3_CFG, INTEGRATOR_DEFAULTS + [
         "average.radius=2.0", "average.n_max=256", "tolerances.phi_tol=1e-7",
         "average.samples=17", "run.seed=12345"]),
@@ -553,27 +567,6 @@ def test_unset_keys_keep_their_former_defaults(command, tmp_path, capsys):
                  if not l.startswith("# config ")]
         results.append((rc, lines, capsys.readouterr().out))
     assert results[0] == results[1]
-
-
-@pytest.mark.parametrize("argv, target", [
-    (["check", "A3"], "floquet_condition_A3"),
-    (["sweep"], "melnikov_profile"),
-])
-def test_quadrature_keys_reach_every_cycle_integral(argv, target, tmp_path,
-                                                    monkeypatch, capsys):
-    from epsode import cli
-    seen = []
-    real = getattr(cli, target)
-
-    def spy(*args, **kwargs):
-        seen.append((kwargs.get("panels"), kwargs.get("order")))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, target, spy)
-    p = tmp_path / "q.cfg"
-    p.write_text(SWEEP_CFG + "\n[grids]\nquad_panels = 32\nquad_order = 6\n")
-    run(argv + ["--config", str(p), "--out", str(tmp_path / "q.csv")])
-    assert seen == [(32, 6)]
 
 
 def test_average_and_verify_cauchy_build_the_same_field(tmp_path, monkeypatch):

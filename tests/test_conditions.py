@@ -180,7 +180,7 @@ def test_a3_1_rule(values, a3_tol, verdict):
     values = np.array(values)
     prof = conditions.MelnikovProfile(thetas, values,
                                       float(np.min(np.abs(values))),
-                                      (1.0, 1.0), 64, 8)
+                                      (1.0, 1.0))
     rep = prof.check_A3_1(a3_tol)
     assert (rep.condition, rep.verdict) == ("A3_1", verdict)
     assert rep.margin == np.min(np.abs(values))
@@ -545,6 +545,61 @@ def test_resonance_zero_does_not_depend_on_the_seed_ranges():
         assert abs(z.theta - zeros[0].theta) <= 1e-13
 
 
+def test_resonance_trapezoid_stops_early_on_a_trigonometric_forcing():
+    # the integrand is a trigonometric polynomial of degree 4 in tau, so
+    # the trapezoidal rule is exact from 16 nodes on: H = pi (a^3/4 - a -
+    # sin theta, cos theta) to rounding
+    rm = resonance_H(FORCING, (0.5, 3.5), (0.0, TWO_PI), grid=(4, 4))
+    assert rm.quad_nodes <= 32
+    assert rm.quad_error <= 1e-13 * (1 + np.pi * (3.5 ** 3 / 4 + 1))
+    for a, th in ((1.0, 0.5), (2.5, 2.0), (3.5, 6.0)):
+        H = rm.evaluate((a, th))
+        want = np.pi * np.array([a ** 3 / 4 - a - np.sin(th), np.cos(th)])
+        assert np.max(np.abs(H - want)) <= 1e-13 * (1 + np.linalg.norm(want))
+
+
+def test_resonance_trapezoid_runs_to_the_cap_on_a_kink():
+    # abs(x2)*x2 has a jump in its second derivative along tau, so the
+    # rule converges only algebraically: 512 nodes, and the reported error
+    # says the sums are not exact
+    rm = resonance_H("abs(x2)*x2 + cos(t)", (0.5, 3.5), (0.0, TWO_PI),
+                     grid=(6, 6))
+    assert rm.quad_nodes == 512
+    assert rm.quad_error > 1e-9
+
+
+def test_resonance_node_selection_evaluates_each_node_once(monkeypatch):
+    # every forcing call before the Newton run belongs to the selection of
+    # N; together they cover the N nodes once per seed
+    real_newton = conditions.damped_newton
+    real_compile = conditions.ex.compile_expr
+    widths, before = [], []
+
+    def counting_compile(*args, **kwargs):
+        f = real_compile(*args, **kwargs)
+
+        def counted(t, x):
+            widths.append(np.size(t))
+            return f(t, x)
+
+        return counted
+
+    def mark(*args, **kwargs):
+        before.append(len(widths))
+        return real_newton(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "damped_newton", mark)
+    monkeypatch.setattr(conditions.ex, "compile_expr", counting_compile)
+    for g in (FORCING, "abs(x2)*x2 + cos(t)"):
+        widths.clear()
+        before.clear()
+        rm = resonance_H(g, (0.5, 3.5), (0.0, TWO_PI), grid=(5, 7))
+        selection = [w for w in widths[:before[0]] if w > 1]
+        assert selection == [35 * 16] + [35 * 16 * 2 ** i for i in
+                                         range(len(selection) - 1)]
+        assert sum(selection) == rm.quad_nodes * 35
+
+
 def test_resonance_jacobian_matches_central_differences(monkeypatch):
     _, fj, X = newton_pass(monkeypatch, FORCING, (0.5, 3.5), (0.0, TWO_PI))
     J = fj(X, True)[1]
@@ -564,18 +619,31 @@ def test_resonance_calls_no_finite_differences(monkeypatch):
     assert len(rm.zeros) == 1
 
 
-def test_resonance_forcing_with_constant_partials():
+def test_resonance_forcing_with_constant_partials(monkeypatch):
     # g_x1 = 0 and g_x2 = 1 compile to constants; H = pi (-a - sin theta,
-    # cos theta) with det J = pi^2 sin theta, exactly singular where
-    # sin theta = 0, so those seeds stop as singular, not no_descent
-    rm = resonance_H("x2 + cos(t)", (0.5, 3.5), (0.0, TWO_PI))
+    # cos theta) with det J = pi^2 sin theta, so J is singular at the
+    # theta = 0 seeds and none of them converges (whether a lane stops there
+    # as singular or no_descent is left to rounding)
+    runs, real = [], conditions.damped_newton
+
+    def record(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(conditions, "damped_newton", record)
+    rm, fj, X = newton_pass(monkeypatch, "x2 + cos(t)", (0.5, 3.5),
+                            (0.0, TWO_PI))
     assert len(rm.zeros) == 1
     z = rm.zeros[0]
     assert z.a == pytest.approx(1.0, abs=1e-8)
     assert z.theta == pytest.approx(1.5 * np.pi, abs=1e-8)
     assert z.det == pytest.approx(np.pi ** 2 * np.sin(z.theta), rel=1e-12,
                                   abs=0)
-    assert rm.newton.get("singular", 0) > 0
+    at_0 = X[:, 1] == 0.0
+    assert at_0.sum() == 12
+    assert not np.any(runs[0].status[at_0] == "converged")
+    J = fj(X[at_0], True)[1]
+    assert np.all(np.abs(np.linalg.det(J)) <= 1e-12 * np.pi ** 2)
 
 
 @pytest.mark.parametrize("g, jump", [

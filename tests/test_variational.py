@@ -56,7 +56,12 @@ def test_eta_solution_is_a_record(e1):
     sol = eta(e1, 1.0, [0.7, 0.1], [0.0])
     assert [f.name for f in dataclasses.fields(sol)] == [
         "s", "xi", "x_s", "times", "values"]
-    assert np.array_equal(sol.x_s, flow_omega(e1, 1.0, 0.0, [0.7, 0.1]))
+    # x_s is the e1 flow at s = 1: r(t) = r0 / sqrt(r0^2 + (1 - r0^2)
+    # e^{-2t}) and the angle advances by t
+    r0, th0 = np.hypot(0.7, 0.1), np.arctan2(0.1, 0.7)
+    r = r0 / np.sqrt(r0 ** 2 + (1 - r0 ** 2) * np.exp(-2.0))
+    want = r * np.array([np.cos(th0 + 1.0), np.sin(th0 + 1.0)])
+    assert np.max(np.abs(sol.x_s - want)) <= 1e-9
 
 
 @pytest.mark.parametrize("s", [0.0, 1.5, 5.0])
