@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _TRAP_START, _TRAP_CAP, _TRAP_TOL = 16, 512, 1e-13  # resonance_H's rule
+_TRAP_SHIFT = (5 ** 0.5 - 1) / 2  # its check rule's offset, in node spacings
 
 
 @dataclass
@@ -480,7 +481,8 @@ class ResonanceMap:
     lanes by final status, ``forcing_calls`` and ``quad_points`` the batched
     forcing evaluations and their points (a Jacobian pass evaluates g and
     its 3 partials in one call), ``quad_nodes`` and ``quad_error`` the N of
-    the trapezoidal rule and its last max |Q_N - Q_{N/2}|."""
+    the trapezoidal rule and its last max |Q_N - Q_{N/2}|, or at an N that
+    passed, the larger of that and the shifted rule's difference."""
     evaluate: callable
     evaluate_many: callable
     zeros: list
@@ -523,21 +525,22 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), zero_tol=1e-10,
     """Resonance map H(a, theta) for the forced linear center.
 
     ``g`` is a forcing expression in ``t`` and the slots ``x1`` (position
-    u) and ``x2`` (velocity v); the components of H are the quadratures of
-    sin(tau) and cos(tau) against g(tau + theta, a cos tau, -a sin tau)
-    over one period, by the trapezoidal rule (Trefethen and Weideman, SIAM
-    Review 56, 2014) on N nodes fixed once per call: from ``_TRAP_START``
-    (16), each doubling evaluates g on the seed grid at the new midpoints
+    u) and ``x2`` (velocity v); the components of H are the integrals of
+    sin(tau) and cos(tau) times g(tau + theta, a cos tau, -a sin tau) over
+    one period, by the trapezoidal rule (Trefethen and Weideman, SIAM
+    Review 56, 2014) on N nodes fixed once per call.  From ``_TRAP_START``
+    (16) N doubles, g being evaluated on the seed grid at the new midpoints
     only, until max |Q_2N - Q_N| <= ``_TRAP_TOL`` (1e-13) times (1 + max
-    |Q_2N|) or N = ``_TRAP_CAP`` (512).  A kink in g, as from ``abs``,
-    converges only algebraically, so up to the cap (see ``quad_error``).
+    |Q_2N|) and Q_2N agrees as well with the 2N-node sum shifted by
+    ``_TRAP_SHIFT`` of a spacing (nested sums alias the harmonics at
+    multiples of 2N alike, the shifted one by other phases), or until
+    N = ``_TRAP_CAP`` (512).  A kink in g, as from ``abs``, converges only
+    algebraically, so up to the cap (see ``quad_error``).
     Zeros come from damped Newton over a seed grid, one lane per seed, and
     one more full Newton step from each zero found, kept unless |H| grows;
     each zero carries the residual and the determinant of the exact
-    Jacobian at the kept point.
-    With u = a cos tau and v = -a sin tau, its a-column integrates
-    g_x1 cos tau - g_x2 sin tau and its theta-column g_t against the same
-    weights, on the same nodes as H.
+    Jacobian, whose a-column integrates g_x1 cos tau - g_x2 sin tau and
+    theta-column g_t on the same nodes and weights as H.
 
     The line search makes at most 12 tries, so the damping factor stays
     above 2^-12 (Deuflhard's minimal damping factor): a seed whose step
@@ -573,51 +576,58 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), zero_tol=1e-10,
 
     cost = {"forcing_calls": 0, "quad_points": 0}
 
-    def on_nodes(fn, P, tau):
-        """fn at the lanes P = (a, theta) (n, 2) on tau, in one call."""
+    def on_nodes(fn, P, N, offset=0.0):
+        """The N nodes tau, shifted by ``offset`` spacings, and fn at the
+        lanes P = (a, theta) (n, 2) on them, in one call."""
         cost["forcing_calls"] += 1
-        cost["quad_points"] += len(P) * tau.size
+        cost["quad_points"] += len(P) * N
+        tau = 2 * np.pi * (np.arange(N) + offset) / N
         tt = tau + P[:, 1:]
-        return [np.broadcast_to(y, tt.shape) for y in
-                fn(tt, (P[:, :1] * np.cos(tau), -P[:, :1] * np.sin(tau)))]
+        return tau, [np.broadcast_to(y, tt.shape) for y in fn(
+            tt, (P[:, :1] * np.cos(tau), -P[:, :1] * np.sin(tau)))]
 
-    def weigh(y, tau):
+    def weigh(tau, y):
         # a sum per row, not a gemv, and N fixed for the call, so a lane's
         # bits depend neither on the batch nor on Newton's progress
-        return np.stack([np.einsum("ij,j->i", y, np.sin(tau)),
-                         np.einsum("ij,j->i", y, np.cos(tau))], axis=-1)
+        return 2 * np.pi / tau.size * np.stack(
+            [np.einsum("ij,j->i", y, np.sin(tau)),
+             np.einsum("ij,j->i", y, np.cos(tau))], axis=-1)
+
+    def trapezoid(P, N, offset=0.0):
+        tau, (y,) = on_nodes(f, P, N, offset)
+        return weigh(tau, y)
 
     (a_lo, a_hi), (th_lo, th_hi) = a_range, theta_range
     AA, TT = np.meshgrid(np.linspace(a_lo, a_hi, grid[0]),
                          np.linspace(th_lo, th_hi, grid[1]), indexing="ij")
     seeds = np.column_stack([AA.ravel(), TT.ravel()])
-    N, tau = _TRAP_START, 2 * np.pi * np.arange(_TRAP_START) / _TRAP_START
-    Hgrid = 2 * np.pi / N * weigh(on_nodes(f, seeds, tau)[0], tau)
-    while N < _TRAP_CAP:
-        tau = 2 * np.pi * np.arange(1, 2 * N, 2) / (2 * N)  # the midpoints
-        mid = weigh(on_nodes(f, seeds, tau)[0], tau)
-        N, prev, Hgrid = 2 * N, Hgrid, Hgrid / 2 + np.pi / N * mid
+    N, Hgrid = _TRAP_START, trapezoid(seeds, _TRAP_START)
+    while N < _TRAP_CAP:  # g at the new midpoints only
+        N, prev, Hgrid = 2 * N, Hgrid, (Hgrid + trapezoid(seeds, N, 0.5)) / 2
         quad_error = float(np.max(np.abs(Hgrid - prev)))
-        if quad_error <= _TRAP_TOL * (1 + np.max(np.abs(Hgrid))):
-            break
+        tol = _TRAP_TOL * (1 + np.max(np.abs(Hgrid)))
+        if quad_error <= tol:  # nested sums alias alike, shifted ones not
+            quad_error = max(quad_error, float(np.max(np.abs(
+                trapezoid(seeds, N, _TRAP_SHIFT) - Hgrid))))
+            if quad_error <= tol:
+                break
     cost.update(quad_nodes=N, quad_error=quad_error)
-    nodes, h = 2 * np.pi * np.arange(N) / N, 2 * np.pi / N
 
     def fj(P, jacobian):
         """H at the lanes P = (a, theta) (n, 2) and, if asked, J (n, 2, 2),
-        from one forcing call."""
+        from one forcing call on the N nodes."""
         if not jacobian:
-            return h * weigh(on_nodes(f, P, nodes)[0], nodes), None
-        fv, ft, fu, fw = on_nodes(f_jac, P, nodes)
-        fa = fu * np.cos(nodes) - fw * np.sin(nodes)
-        return h * weigh(fv, nodes), h * np.stack(
-            [weigh(fa, nodes), weigh(ft, nodes)], axis=-1)
+            return trapezoid(P, N), None
+        tau, (fv, ft, fu, fw) = on_nodes(f_jac, P, N)
+        fa = fu * np.cos(tau) - fw * np.sin(tau)
+        return weigh(tau, fv), np.stack([weigh(tau, fa), weigh(tau, ft)],
+                                        axis=-1)
 
     def H_many(A, TH):
-        return fj(np.column_stack([A, TH]).astype(float), False)[0]
+        return trapezoid(np.column_stack([A, TH]).astype(float), N)
 
     def H(p):
-        return fj(np.asarray(p, dtype=float)[None], False)[0][0]
+        return trapezoid(np.asarray(p, dtype=float)[None], N)[0]
 
     scale = float(np.max(np.linalg.norm(Hgrid, axis=1)))
     if scale < 1e-10:

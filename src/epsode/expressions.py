@@ -53,7 +53,18 @@ class EvalError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 class Expr:
+    """A node; nodes of one type with equal fields (``pos``, the offset in
+    the source text, aside) are equal and hash alike."""
+
     __slots__ = ("pos",)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(other, f) == getattr(self, f) for f in self.__slots__)
+
+    def __hash__(self):
+        return hash((type(self),) + tuple(getattr(self, f)
+                                          for f in self.__slots__))
 
     def __str__(self):
         return to_string(self)
@@ -69,12 +80,6 @@ class Num(Expr):
         self.value = float(value)
         self.pos = pos
 
-    def __eq__(self, other):
-        return isinstance(other, Num) and other.value == self.value
-
-    def __hash__(self):
-        return hash(("num", self.value))
-
 
 class Var(Expr):
     """The time variable ``t`` or a state component ``x1 .. xk``."""
@@ -89,12 +94,6 @@ class Var(Expr):
     def index(self):
         return None if self.name == "t" else int(self.name[1:]) - 1
 
-    def __eq__(self, other):
-        return isinstance(other, Var) and other.name == self.name
-
-    def __hash__(self):
-        return hash(("var", self.name))
-
 
 class Param(Expr):
     __slots__ = ("name",)
@@ -103,12 +102,6 @@ class Param(Expr):
         self.name = name
         self.pos = pos
 
-    def __eq__(self, other):
-        return isinstance(other, Param) and other.name == self.name
-
-    def __hash__(self):
-        return hash(("param", self.name))
-
 
 class Neg(Expr):
     __slots__ = ("child",)
@@ -116,12 +109,6 @@ class Neg(Expr):
     def __init__(self, child, pos=-1):
         self.child = child
         self.pos = pos
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and other.child == self.child
-
-    def __hash__(self):
-        return hash(("neg", self.child))
 
 
 class BinOp(Expr):
@@ -133,13 +120,6 @@ class BinOp(Expr):
         self.right = right
         self.pos = pos
 
-    def __eq__(self, other):
-        return (isinstance(other, BinOp) and other.op == self.op
-                and other.left == self.left and other.right == self.right)
-
-    def __hash__(self):
-        return hash((self.op, self.left, self.right))
-
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
@@ -148,12 +128,6 @@ class Call(Expr):
         self.fn = fn
         self.arg = arg
         self.pos = pos
-
-    def __eq__(self, other):
-        return isinstance(other, Call) and other.fn == self.fn and other.arg == self.arg
-
-    def __hash__(self):
-        return hash((self.fn, self.arg))
 
 
 # ---------------------------------------------------------------------------

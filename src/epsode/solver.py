@@ -499,13 +499,18 @@ def integrate_checkpoints(field, t0, t1, xi, times, cfg=DEFAULT_CONFIG):
 # Quadrature over trajectories
 # ---------------------------------------------------------------------------
 
+_leggauss_cache = {}
+
+
 def gauss_legendre_panels(t0, t1, panels=64, order=8):
     """Nodes and weights of a composite Gauss-Legendre rule on [t0, t1].
 
     This fixed composite rule, at its defaults, is used for every
     quadrature over a dense trajectory so that results are reproducible.
     """
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    if order not in _leggauss_cache:
+        _leggauss_cache[order] = np.polynomial.legendre.leggauss(order)
+    xg, wg = _leggauss_cache[order]
     edges = np.linspace(t0, t1, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

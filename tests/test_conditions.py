@@ -568,36 +568,63 @@ def test_resonance_trapezoid_runs_to_the_cap_on_a_kink():
     assert rm.quad_error > 1e-9
 
 
+@pytest.mark.parametrize("harmonic", [33, 65])
+def test_resonance_trapezoid_sees_aliasing_at_multiples_of_2n(harmonic):
+    # cos(k t) adds nothing to H, but the nested sums on 16, 32, ... nodes
+    # up to k - 1 take its harmonic k - 1 for a constant alike and agree
+    g = f"{FORCING} + cos({harmonic}*t)"
+    rm = resonance_H(g, (0.5, 3.5), (0.0, TWO_PI), grid=(6, 6))
+    assert rm.quad_nodes > harmonic + 1
+    assert rm.quad_error <= 1e-13 * (1 + np.pi * (3.5 ** 3 / 4 + 1))
+    for a, th in ((1.0, 0.5), (2.5, 2.0), (3.5, 6.0)):
+        H = rm.evaluate((a, th))
+        want = np.pi * np.array([a ** 3 / 4 - a - np.sin(th), np.cos(th)])
+        assert np.max(np.abs(H - want)) <= 1e-13 * (1 + np.linalg.norm(want))
+    # the one zero of the closed form, a^3/4 - a - 1 = 0 at theta = pi/2
+    assert [(round(z.a, 12), round(z.theta, 12)) for z in rm.zeros] == [
+        (round(2.3829757679062373, 12), round(np.pi / 2, 12))]
+
+
 def test_resonance_node_selection_evaluates_each_node_once(monkeypatch):
     # every forcing call before the Newton run belongs to the selection of
-    # N; together they cover the N nodes once per seed
+    # N: the nested nodes, each once, and where two nested sums agree, the
+    # N nodes of the shifted rule, none of them on the nested grid
     real_newton = conditions.damped_newton
     real_compile = conditions.ex.compile_expr
-    widths, before = [], []
+    calls, before = [], []
 
     def counting_compile(*args, **kwargs):
         f = real_compile(*args, **kwargs)
 
         def counted(t, x):
-            widths.append(np.size(t))
+            if np.ndim(t) == 2:
+                calls.append(np.array(t))
             return f(t, x)
 
         return counted
 
     def mark(*args, **kwargs):
-        before.append(len(widths))
+        before.append(len(calls))
         return real_newton(*args, **kwargs)
 
     monkeypatch.setattr(conditions, "damped_newton", mark)
     monkeypatch.setattr(conditions.ex, "compile_expr", counting_compile)
-    for g in (FORCING, "abs(x2)*x2 + cos(t)"):
-        widths.clear()
+    for g, checks in ((FORCING, 1), ("abs(x2)*x2 + cos(t)", 0)):
+        calls.clear()
         before.clear()
         rm = resonance_H(g, (0.5, 3.5), (0.0, TWO_PI), grid=(5, 7))
-        selection = [w for w in widths[:before[0]] if w > 1]
-        assert selection == [35 * 16] + [35 * 16 * 2 ** i for i in
-                                         range(len(selection) - 1)]
-        assert sum(selection) == rm.quad_nodes * 35
+        N, selection = rm.quad_nodes, calls[:before[0]]
+        assert [t.shape for t in selection] == [(35, 16)] + [
+            (35, 16 * 2 ** i) for i in range(len(selection) - 1 - checks)
+        ] + [(35, N)] * checks
+        # lane 0 has theta = 0, so its times are the nodes
+        nested = np.sort(np.concatenate(
+            [t[0] for t in selection[:len(selection) - checks]]))
+        assert np.allclose(nested, TWO_PI * np.arange(N) / N, rtol=0,
+                           atol=1e-14)
+        for t in selection[len(selection) - checks:]:
+            offset = np.mod(t[0] * N / TWO_PI, 1.0)
+            assert np.all((offset > 0.3) & (offset < 0.7))
 
 
 def test_resonance_jacobian_matches_central_differences(monkeypatch):

@@ -16,6 +16,15 @@ def test_basic_arithmetic():
     assert ev("x1 + 2*x2", x=(1.0, 3.0)) == 7.0
 
 
+def test_equal_trees_are_equal_and_hash_alike():
+    a, b = parse("sin(x1)*2 + -t^p"), parse("sin(x1) * 2 + -t ^ p")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    for other in ("sin(x1)*2 + -t^q", "sin(x2)*2 + -t^p", "2*sin(x1) + -t^p",
+                  "cos(x1)*2 + -t^p", "sin(x1)*2 - -t^p", "sin(x1)*3 + -t^p"):
+        assert parse(other) != a
+    assert parse("x1") != parse("1") and parse("2") == parse("2.0")
+
+
 def test_cycle_component_vanishes():
     # first component of the circle-cycle field on the cycle
     assert ev("-x2 + x1*(1 - x1^2 - x2^2)", x=(1.0, 0.0)) == 0.0
