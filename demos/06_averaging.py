@@ -14,7 +14,7 @@ e3 = builtin_system("e3-scalar")
 
 av = averaged_field(e3, r=2.0)
 print(f"averaged field converged at n = {av.n_used} "
-      f"(evaluator uses {av.n_eval} backward periods)")
+      f"(evaluator level n_eval = {av.n_eval})")
 for xi in (0.5, 1.0, 1.5):
     print(f"  Phi({xi}) = {av(np.array([xi]))[0]:+.9f}   (exact {-xi})")
 

@@ -49,8 +49,12 @@ def _ball_samples(k, r, n_samples, seed):
 
 
 class AveragedField:
-    """Evaluator of the averaged slow field with its convergence record;
-    ``values`` is Phi at ``samples`` from the validated level n_eval."""
+    """Evaluator of the averaged slow field with its convergence record.
+
+    Each call integrates n_eval backward periods: the level n_used where
+    the Cauchy rule stopped if its estimate was at most half of
+    ``phi_tol``, 2 n_used otherwise.  ``values`` is Phi_{n_eval} at
+    ``samples``."""
 
     def __init__(self, sys, r, n_used, n_eval, samples, values, estimates,
                  history, cfg):
@@ -76,19 +80,24 @@ def averaged_field(sys, r, n_max=256, phi_tol=1e-7, n_samples=17, seed=23,
                    cfg=DEFAULT_CONFIG):
     """Construct the averaged field on the ball of radius r.
 
-    n doubles until max over the seeded validation samples of
-    ``|Phi_n - Phi_2n|`` drops below ``phi_tol``; the returned evaluator
-    uses the finer 2n and keeps Phi_2n at the samples as its ``values``.
-    Level 2n continues the sample lanes from their state at -nT, so
-    reaching it integrates 2nT in all.  Raises :class:`NoConvergenceError`
-    with the divergence trend when ``n_max`` is reached, which is how a
-    failing uniform-limit hypothesis shows up in practice.
+    n doubles until est = max over the seeded validation samples of
+    ``|Phi_n - Phi_2n|`` is at most ``phi_tol``.  Under the O(1/n) rate the
+    rule assumes, Phi_n is within about 2 est of Phi, so the evaluator uses
+    level n when 2 est <= phi_tol and 2n otherwise; its ``values`` are Phi
+    at the samples from that level.  Level 2n continues the sample lanes
+    from their state at -nT, so reaching it integrates 2nT in all.  Raises
+    :class:`NoConvergenceError` with the divergence trend when ``n_max`` is
+    reached, which is how a failing uniform-limit hypothesis shows up in
+    practice, and ``ValueError`` for ``n_max`` < 2.
     """
     if not r > 0:
         raise ValueError(f"averaging radius must be positive, got {r!r}")
     if n_samples < 1:
         raise ValueError(f"need at least one validation sample, got "
                          f"{n_samples}")
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2 to compare two levels, "
+                         f"got {n_max!r}")
     samples = _ball_samples(sys.k, r, n_samples, seed)
     history = []
     n, T = 1, sys.T
@@ -102,7 +111,9 @@ def averaged_field(sys, r, n_max=256, phi_tol=1e-7, n_samples=17, seed=23,
         est = float(per_sample.max())
         history.append((n, est))
         if est <= phi_tol:
-            return AveragedField(sys, r, n, 2 * n, samples, phi_cur,
+            n_eval, values = ((n, phi_prev) if 2 * est <= phi_tol
+                              else (2 * n, phi_cur))
+            return AveragedField(sys, r, n, n_eval, samples, values,
                                  per_sample, history, cfg)
         n *= 2
         phi_prev = phi_cur

@@ -14,6 +14,7 @@ configuration error; ``_FAILURES`` maps library failures to 3 or 2.
 import argparse
 import ast
 import configparser
+import functools
 import hashlib
 import io
 import re
@@ -639,7 +640,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; ``parse_args`` leaves it
+    unchanged."""
     p = argparse.ArgumentParser(
         prog="epsode",
         description="numerical checks for periodic orbits and averaging of "

@@ -67,13 +67,14 @@ class PlanarRegion:
     A polygon or general curve must be simple (checked pairwise at the
     validation resolution, a heuristic rather than a certification) and
     positively oriented.  A circle of radius r > 0 sampled at n >= 3
-    points is both by construction, so it skips that check and answers
-    membership and distance from its own center and radius.
+    points and an axis-aligned box are both by construction, so they skip
+    that check; a circle also answers membership and distance from its own
+    center and radius.
     ``star_center`` enables radial contraction.
     """
 
     def __init__(self, curve=None, vertices=None, star_center=None, n_hint=512,
-                 _disk=None):
+                 _disk=None, _simple=False):
         if (curve is None) == (vertices is None):
             raise ValueError("provide exactly one of curve or vertices")
         self.curve = curve
@@ -82,7 +83,7 @@ class PlanarRegion:
             else np.asarray(star_center, dtype=float)
         self.n_hint = int(n_hint)
         self._disk = _disk  # (center, radius) of a circle
-        if _disk is None:
+        if _disk is None and not _simple:
             self._validate()
 
     # -- constructors ------------------------------------------------------
@@ -112,6 +113,18 @@ class PlanarRegion:
         if star_center is None:
             star_center = vertices.mean(axis=0)
         return cls(vertices=vertices, star_center=star_center, n_hint=n_hint)
+
+    @classmethod
+    def box(cls, lo, hi):
+        """The axis-aligned polygon from corner ``lo`` to corner ``hi``,
+        counter-clockwise from ``lo``."""
+        (x0, y0), (x1, y1) = lo, hi
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError(f"box corners must satisfy lo < hi, got {lo} "
+                             f"and {hi}")
+        verts = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], dtype=float)
+        return cls(vertices=verts, star_center=verts.mean(axis=0),
+                   _simple=True)
 
     # -- geometry ----------------------------------------------------------
 

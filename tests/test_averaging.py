@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from epsode import (DEFAULT_CONFIG, IntegrationError, IntegratorConfig,
@@ -216,6 +217,71 @@ def test_verify_rejects_nonpositive_horizon(e3, d):
 def test_averaged_field_rejects_a_degenerate_ball(e3, kwargs):
     with pytest.raises(ValueError):
         averaged_field(e3, **kwargs)
+
+
+@pytest.mark.parametrize("n_max", [1, 0])
+def test_averaged_field_needs_two_levels(e3, n_max):
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        averaged_field(e3, r=2.0, n_max=n_max)
+
+
+@pytest.mark.parametrize("name, r", [("e2", 4.0), ("e3", 2.0)])
+def test_period_dividing_t_evaluates_at_the_stopping_level(name, r, request):
+    # the flow's period divides T, so Phi_1 = Phi_2 up to integration noise
+    # and the evaluator keeps level 1
+    av = averaged_field(request.getfixturevalue(name), r=r)
+    assert av.n_eval == av.n_used == 1
+    assert 2 * av.history[-1][1] <= 1e-7
+
+
+def test_slow_cauchy_convergence_evaluates_at_the_finer_level(e1):
+    # interior samples of e1 converge like 1/n: the last estimate lies in
+    # (phi_tol/2, phi_tol], so level n alone could miss phi_tol
+    av = averaged_field(e1, r=0.8, phi_tol=1e-3)
+    assert av.n_used == 64 and av.n_eval == 128
+    assert 0.5e-3 < av.history[-1][1] <= 1e-3
+
+
+def _e2_period_average(xi):
+    """(1/2 pi) int_0^{2 pi} R(-t) phi(t, R(t) xi) dt for e2, with R(t) the
+    rotation generated by psi = (-x2, x1)."""
+    def rotate(t, x):
+        c, s = np.cos(t), np.sin(t)
+        return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+
+    def integrand(t, j):
+        x = rotate(t, xi)
+        f = np.array([0.0, (1 - x[0] ** 2) * x[1] + np.cos(t)])
+        return rotate(-t, f)[j]
+
+    return np.array([quad(integrand, 0.0, TWO_PI, args=(j,), epsabs=1e-12,
+                          epsrel=1e-12, limit=200)[0]
+                     for j in range(2)]) / TWO_PI
+
+
+def test_stopping_level_field_matches_the_period_average(e2):
+    av = averaged_field(e2, r=4.0)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        v = rng.normal(size=2)
+        xi = 4.0 * rng.uniform() ** 0.5 * v / np.linalg.norm(v)
+        assert np.max(np.abs(av(xi) - _e2_period_average(xi))) <= 1e-7
+
+
+def test_verify_evaluates_phi_over_one_period(e2, monkeypatch):
+    from epsode import averaging
+    av = averaged_field(e2, r=4.0)
+    spans = []
+    real = averaging.flow_lanes
+
+    def spy(sys, t0, t1, X, *args, **kwargs):
+        if kwargs.get("forcings"):  # an AveragedField evaluation
+            spans.append(float(t0 - t1))
+        return real(sys, t0, t1, X, *args, **kwargs)
+
+    monkeypatch.setattr(averaging, "flow_lanes", spy)
+    verify_cauchy(e2, [1.0, 0.5], 1.0, [0.02], av, grid_points=64)
+    assert spans and spans == [e2.T] * len(spans)
 
 
 def test_standard_form_static_flow_is_identity(e3):

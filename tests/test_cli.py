@@ -636,6 +636,35 @@ def test_degenerate_averaging_ball_is_a_usage_error(command, override,
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["average", "verify-cauchy"])
+def test_one_averaging_level_is_a_usage_error(command, tmp_path, capsys):
+    # n_max = 1 leaves no two levels for the Cauchy rule to compare
+    p = tmp_path / "v.cfg"
+    p.write_text(E3_CFG)
+    rc, err = _usage_error([command, "--config", str(p), "--set",
+                            "average.n_max=1"], capsys)
+    assert rc == 1 and err.startswith("error:") and "n_max" in err
+
+
+def test_parser_is_built_once_and_keeps_no_overrides(tmp_path, monkeypatch):
+    from epsode import cli
+    seen = []
+    real = cli.parse_config
+
+    def spy(path, overrides=()):
+        seen.append(list(overrides))
+        return real(path, overrides)
+
+    monkeypatch.setattr(cli, "parse_config", spy)
+    cli._build_parser.cache_clear()
+    p = tmp_path / "d.cfg"
+    p.write_text(E3_CFG)
+    assert run(["describe", "--config", str(p), "--set", "run.seed=7"]) == 0
+    assert run(["describe", "--config", str(p)]) == 0
+    assert seen == [["run.seed=7"], []]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("command, key", [
     ("check A1", "grids.s_points"),
     ("check A1", "grids.boundary_samples"),

@@ -698,6 +698,27 @@ def test_resonance_accepts_abs_and_a_fixed_sign():
     assert not rm.degenerate
 
 
+def test_resonance_box_is_the_unchecked_square(monkeypatch):
+    rm = resonance_H(FORCING, (0.5, 3.5), (0.0, TWO_PI), grid=(8, 8))
+    z = rm.zeros[0]
+    a, th, h = z.a, z.theta, 0.2
+    poly = PlanarRegion.polygon([(a - h, th - h), (a + h, th - h),
+                                 (a + h, th + h), (a - h, th + h)])
+
+    def refuse(self):
+        raise AssertionError("the box ran the self-intersection check")
+
+    monkeypatch.setattr(PlanarRegion, "_validate", refuse)
+    box = rm.box(z, half=h)
+    assert np.array_equal(box.vertices, poly.vertices)
+    assert np.array_equal(box.star_center, poly.star_center)
+    assert box.n_hint == poly.n_hint == 512
+    assert np.array_equal(box.boundary_points(), poly.boundary_points())
+    degrees = [winding_number(lambda P: rm.evaluate_many(P[:, 0], P[:, 1]),
+                              region, n0=256).degree for region in (box, poly)]
+    assert degrees[0] == degrees[1] == -1
+
+
 def test_resonance_seed_point():
     p = resonance_initial_point(2.0, np.pi / 2)
     assert np.allclose(p, [0.0, 2.0], atol=1e-15)

@@ -26,6 +26,15 @@ def test_region_validation():
     PlanarRegion.circle(0, 0, 1, 64)  # fine
 
 
+@pytest.mark.parametrize("lo, hi", [((0, 0), (0, 1)), ((0, 1), (1, 0)),
+                                    ((1, 1), (0, 0))])
+def test_box_needs_lo_below_hi(lo, hi):
+    # a box is not checked for orientation, so flat or flipped corners are
+    # refused up front
+    with pytest.raises(ValueError, match="lo < hi"):
+        PlanarRegion.box(lo, hi)
+
+
 def test_identity_degree_one(disk):
     rep = winding_number(lambda P: P, disk)
     assert rep.degree == 1 and not rep.refined
