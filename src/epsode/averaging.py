@@ -233,10 +233,9 @@ class StandardForm:
     forward integration of x and Y from 0.
     """
 
-    def __init__(self, sys, cfg=DEFAULT_CONFIG, periodicity_tol=1e-6):
+    def __init__(self, sys, cfg=DEFAULT_CONFIG):
         self.sys = sys
         self.cfg = cfg
-        self.periodicity_tol = periodicity_tol
 
     def __call__(self, t, z):
         sys = self.sys
@@ -244,10 +243,10 @@ class StandardForm:
                           tangents=sys.k)
         return np.linalg.solve(Y[0], sys.phi(t, X[0]))
 
-    def periodicity_defect(self, z, t_samples=None):
+    def periodicity_defect(self, z):
         """Deviation of Omega(0, t+T, .) from Omega(0, t, .) along the orbit
-        of z; above tolerance the change of variable is not T-periodic and
-        classical averaging does not apply directly.
+        of z at t = 0, T/3 and 2T/3; above tolerance the change of variable
+        is not T-periodic and classical averaging does not apply directly.
 
         Composing with the flow shows the deviation vanishes exactly when
         the time-T flow map fixes the pulled-back points, so the period
@@ -256,18 +255,17 @@ class StandardForm:
         exponentially ill-conditioned near attracting cycles).
         """
         sys = self.sys
-        if t_samples is None:
-            t_samples = (0.0, sys.T / 3.0, 2.0 * sys.T / 3.0)
-        t_samples = np.asarray(t_samples, dtype=float)
+        t_samples = np.array([0.0, sys.T / 3.0, 2.0 * sys.T / 3.0])
         zs = np.broadcast_to(z, (len(t_samples), sys.k))
         w = flow_lanes(sys, 0.0, t_samples, zs, self.cfg)[0]
         wT = flow_lanes(sys, 0.0, sys.T, w, self.cfg)[0]
         return float(np.linalg.norm(wT - w, axis=1).max())
 
     def warns(self, z):
+        # 1e-6 is far above the error of one period's flow
         dev = self.periodicity_defect(z)
-        return dev > self.periodicity_tol * (1 + float(np.linalg.norm(z))), dev
+        return dev > 1e-6 * (1 + float(np.linalg.norm(z))), dev
 
 
-def to_standard_form(sys, cfg=DEFAULT_CONFIG, periodicity_tol=1e-6):
-    return StandardForm(sys, cfg, periodicity_tol)
+def to_standard_form(sys, cfg=DEFAULT_CONFIG):
+    return StandardForm(sys, cfg)

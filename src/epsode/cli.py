@@ -88,6 +88,20 @@ def _numbers(text):
     return vals
 
 
+def _two(text):
+    vals = _numbers(text)
+    if len(vals) != 2:
+        raise ValueError("not two numbers")
+    return tuple(vals)
+
+
+def _two_counts(text):
+    counts = tuple(int(v) for v in _two(text))
+    if min(counts) < 1:
+        raise ValueError("a count below 1")
+    return counts
+
+
 def _strategy_name(text):
     if text not in ("continuation", "fixed"):
         raise ValueError(text)
@@ -97,8 +111,8 @@ def _strategy_name(text):
 _float = _parser(float, "not a number")
 _int = _parser(int, "not an integer")
 _list = _parser(_numbers, "not a number list")
-_counts = _parser(lambda text: tuple(int(v) for v in _numbers(text)),
-                  "not a number list")
+_range = _parser(_two, "not two numbers")
+_counts = _parser(_two_counts, "not two positive counts")
 _point = _parser(lambda text: np.asarray(_numbers(text)), "not a number list")
 _strategy = _parser(_strategy_name, "not continuation or fixed")
 _text = _parser(str, "not text")
@@ -116,7 +130,7 @@ _KEYS = {
     # for degree; winding_number would start from the region's n_hint
     "grids.boundary_samples": (_int, 512),
     "tolerances.a0_tol": _float, "tolerances.a1_tol": _float,
-    "tolerances.a3_tol": (_float, 1e-8), "tolerances.vanish_tol": _float,
+    "tolerances.a3_tol": _float, "tolerances.vanish_tol": _float,
     "tolerances.shoot_tol": _float, "tolerances.phi_tol": _float,
     "tolerances.gamma_tol": _float,
     "tolerances.cycle_tol": (_float, 1e-6),  # the closure test of build_cycle
@@ -128,8 +142,8 @@ _KEYS = {
     "average.radius": (_float, 2.0),  # for average and verify-cauchy
     "average.n_max": _int, "average.samples": _int,
     "verify.xi0": _point, "verify.d": _float, "verify.eps": _list,
-    "resonance.g": _text, "resonance.a_range": (_list, (0.5, 3.5)),
-    "resonance.theta_range": (_list, (0.0, 2 * np.pi)),
+    "resonance.g": _text, "resonance.a_range": (_range, (0.5, 3.5)),
+    "resonance.theta_range": (_range, (0.0, 2 * np.pi)),
     "resonance.grid": _counts,
 }
 _KEYS = {key: spec if isinstance(spec, tuple) else (spec, None)
@@ -173,6 +187,15 @@ def _get(cfg, key):
         if value is not None:
             return value
     raise ConfigError(f"missing {key}")
+
+
+def _point_at(cfg, key, k):
+    """The value of a point key, as :func:`_get` gives it, which must have
+    ``k`` entries."""
+    point = _get(cfg, key)
+    if len(point) != k:
+        raise ConfigError(f"{key}: needs {k} numbers, not {len(point)}")
+    return point
 
 
 def _given(cfg, **params):
@@ -223,7 +246,7 @@ def config_hash(cfg):
 
 def build_system(cfg):
     sec = cfg.get("system", {})
-    params = {k.split(".", 1)[1]: float(_unquote(v))
+    params = {k.split(".", 1)[1]: _float(f"system.{k}", v)
               for k, v in sec.items() if k.startswith("param.")}
     if "builtin" in sec:
         try:
@@ -270,7 +293,7 @@ def build_region(cfg):
     except (ValueError, SyntaxError) as err:
         raise ConfigError(f"bad region.shape {sec['shape']!r}: {err}") from err
     if "star_center" in sec:
-        region.star_center = _get(cfg, "region.star_center")
+        region.star_center = _point_at(cfg, "region.star_center", 2)
     return region
 
 
@@ -281,7 +304,8 @@ def build_integrator(cfg):
 
 
 def build_cycle(cfg, sys, icfg):
-    cycle = flow_omega_dense(sys, 0.0, sys.T, _get(cfg, "cycle.seed"), icfg)
+    cycle = flow_omega_dense(sys, 0.0, sys.T,
+                             _point_at(cfg, "cycle.seed", sys.k), icfg)
     tol = _get(cfg, "tolerances.cycle_tol")
     res = cycle_residual(cycle, sys.T)
     if res > tol:
@@ -464,8 +488,8 @@ def _cmd_resonance(args, cfg, out):
     if g is None:
         raise ConfigError("section [resonance] needs the forcing expression g")
     try:
-        rm = resonance_H(g, tuple(_get(cfg, "resonance.a_range")),
-                         tuple(_get(cfg, "resonance.theta_range")),
+        rm = resonance_H(g, _get(cfg, "resonance.a_range"),
+                         _get(cfg, "resonance.theta_range"),
                          **_given(cfg, grid="resonance.grid"))
     except ParseError as err:
         raise ConfigError(f"bad forcing expression: {err}") from err
@@ -531,7 +555,7 @@ def _cmd_average(args, cfg, out):
 def _cmd_verify_cauchy(args, cfg, out):
     sys_def = build_system(cfg)
     icfg = build_integrator(cfg)
-    xi0 = _get(cfg, "verify.xi0")
+    xi0 = _point_at(cfg, "verify.xi0", sys_def.k)
     d = _get(cfg, "verify.d")
     eps_list = _get(cfg, "verify.eps")
     verdicts = verify_cauchy(
@@ -563,7 +587,8 @@ def _cmd_verify_cauchy(args, cfg, out):
 def _cmd_find_periodic(args, cfg, out):
     sys_def = build_system(cfg)
     region = build_region(cfg) if "region" in cfg else None
-    res = shoot(sys_def, _get(cfg, "shoot.eps"), _get(cfg, "shoot.seed"),
+    res = shoot(sys_def, _get(cfg, "shoot.eps"),
+                _point_at(cfg, "shoot.seed", sys_def.k),
                 cfg=build_integrator(cfg), region=region,
                 **_given(cfg, shoot_tol="tolerances.shoot_tol"))
     out.write_csv(_orbit_columns(sys_def), [_orbit_row(sys_def, res)])
@@ -598,6 +623,8 @@ def _cmd_sweep(args, cfg, out):
     icfg = build_integrator(cfg)
     region = build_region(cfg) if "region" in cfg else None
     eps_list = _get(cfg, "sweep.eps")
+    seed = (_point_at(cfg, "sweep.seed", sys_def.k)
+            if "seed" in cfg.get("sweep", {}) else None)
     cycle = prof = None
     if "cycle" in cfg:
         cycle = build_cycle(cfg, sys_def, icfg)
@@ -606,10 +633,10 @@ def _cmd_sweep(args, cfg, out):
                 sys_def, cycle,
                 _phase_grid(cfg, "grids.theta_points", sys_def.T),
                 **_given(cfg, cycle_tol="tolerances.cycle_tol"))
-    sw = eps_sweep(sys_def, region, eps_list, cycle=cycle, melnikov=prof,
-                   cfg=icfg, **_given(cfg, seed_strategy="sweep.strategy",
-                                      seed="sweep.seed",
-                                      shoot_tol="tolerances.shoot_tol"))
+    sw = eps_sweep(sys_def, region, eps_list, seed=seed, cycle=cycle,
+                   melnikov=prof, cfg=icfg,
+                   **_given(cfg, seed_strategy="sweep.strategy",
+                            shoot_tol="tolerances.shoot_tol"))
     out.write_csv(_orbit_columns(sys_def),
                   [_orbit_row(sys_def, r) for r in sw.results])
     conv = sw.converged()

@@ -35,6 +35,7 @@ __all__ = [
 
 _TRAP_START, _TRAP_CAP, _TRAP_TOL = 16, 512, 1e-13  # resonance_H's rule
 _TRAP_SHIFT = (5 ** 0.5 - 1) / 2  # its check rule's offset, in node spacings
+_A3_ONE_TOL, _A3_GAP_TOL = 1e-6, 1e-3  # A3's one_tol and gap_tol, reported
 
 
 @dataclass
@@ -234,8 +235,8 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     return hyp, report
 
 
-def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
-                         gap_tol=1e-3, cycle_tol=1e-6, cfg=DEFAULT_CONFIG):
+def floquet_condition_A3(sys, cycle, theta_grid=None, cycle_tol=1e-6,
+                         cfg=DEFAULT_CONFIG):
     """Check that 1 is a simple Floquet multiplier of the linearisation
     along every phase shift of the cycle.
 
@@ -261,7 +262,7 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
                          f"(residual {res:.3e})")
     thetas = _phase_points(theta_grid, sys.T, "theta_grid")
     context = {"grids": {"theta_points": len(thetas)},
-               "tolerances": {"one_tol": one_tol, "gap_tol": gap_tol}}
+               "tolerances": {"one_tol": _A3_ONE_TOL, "gap_tol": _A3_GAP_TOL}}
     M, failed = _flow("A3", lambda: flow_lanes(
         sys, 0.0, sys.T, cycle.eval(np.mod(thetas, sys.T)), cfg,
         S=np.eye(sys.k), tangents=sys.k)[1], **context)
@@ -272,7 +273,7 @@ def floquet_condition_A3(sys, cycle, theta_grid=None, one_tol=1e-6,
     d1 = np.sort(np.abs(mus - 1.0), axis=1)
     dist = d1[:, 0]
     gap = d1[:, 1] if sys.k > 1 else np.full(len(thetas), np.inf)
-    simple = (dist <= one_tol) & (gap >= gap_tol)
+    simple = (dist <= _A3_ONE_TOL) & (gap >= _A3_GAP_TOL)
     holds = bool(simple.all())
     worst = int(np.argmin(gap if holds else np.where(simple, np.inf, gap)))
     # psi is autonomous and the cycle T-periodic, so every phase shift has
@@ -400,7 +401,7 @@ class DegreeComparisonReport:
     grids: dict = field(default_factory=dict)
 
 
-def compare_defect_degrees(sys1, sys2, region, lambda_grid=None, s_grid=None,
+def compare_defect_degrees(sys1, sys2, region, s_grid=None,
                      boundary_samples=512, a1_tol=1e-6, cfg=DEFAULT_CONFIG):
     """Compare defect-field degrees of two forcings over one region.
 
@@ -423,11 +424,10 @@ def compare_defect_degrees(sys1, sys2, region, lambda_grid=None, s_grid=None,
         if np.max(np.abs(a - b)) > 1e-9 * (1 + np.max(np.abs(a))):
             raise ValueError("systems must share the unperturbed field")
 
-    if lambda_grid is None:
-        lambda_grid = np.linspace(0.0, 1.0, 11)
     if s_grid is None:
         s_grid = np.linspace(0.0, sys1.T, 65)
-    lambdas = np.asarray(lambda_grid, dtype=float)
+    # a lambda costs no integration (see above), so the step can be 0.1
+    lambdas = np.linspace(0.0, 1.0, 11)
     s_grid = np.asarray(s_grid, dtype=float)
     if not np.any(s_grid == 0.0):
         s_grid = np.concatenate([[0.0], s_grid])
@@ -522,8 +522,7 @@ def _moving_jump(e):
     return None
 
 
-def resonance_H(g, a_range, theta_range, grid=(12, 12), zero_tol=1e-10,
-                dedupe_tol=1e-6, max_iter=40):
+def resonance_H(g, a_range, theta_range, grid=(12, 12)):
     """Resonance map H(a, theta) for the forced linear center.
 
     ``g`` is a forcing expression in ``t`` and the slots ``x1`` (position
@@ -637,17 +636,18 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12), zero_tol=1e-10,
     if scale < 1e-10:
         return ResonanceMap(H, H_many, [], True, **cost)
 
-    # damping factors down to 2^-11 only: no lane crawls along a singular J
-    run = damped_newton(fj, seeds, zero_tol * max(1.0, scale), max_iter,
-                        halvings=12)
+    # damping factors down to 2^-11 only: no lane crawls along a singular J;
+    # 40 steps bound a seed that converges to nothing; lanes stopped at one
+    # zero agree far closer than the 1e-6 that tells two zeros apart
+    run = damped_newton(fj, seeds, 1e-10 * max(1.0, scale), 40, halvings=12)
     picked = []  # the first converged lane in range at each zero
     for i, (p, s) in enumerate(zip(run.x, run.status)):
         if (s == "converged" and a_lo - 1e-9 <= p[0] <= a_hi + 1e-9
                 and th_lo - 1e-9 <= p[1] <= th_hi + 1e-9
-                and all(np.any(np.abs(run.x[j] - p) > dedupe_tol)
+                and all(np.any(np.abs(run.x[j] - p) > 1e-6)
                         for j in picked)):
             picked.append(i)
-    # the stop at zero_tol leaves a zero's last digits to the seed ranges
+    # the stop at 1e-10 leaves a zero's last digits to the seed ranges
     done = np.array([i for i in picked if not run.singular[i]], dtype=int)
     if done.size:
         V = fj(run.x[done], False)[0]

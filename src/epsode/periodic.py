@@ -52,9 +52,7 @@ class PeriodicOrbitResult:
     failure: str = None
 
 
-def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9,
-          max_iter=25, max_halvings=40, stall_window=3, stall_factor=0.98,
-          singular_tol=1e-8):
+def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9):
     """Damped Newton on the period map from the given seed.
 
     At eps = 0 with a seed on a cycle the period-map Jacobian is singular
@@ -71,9 +69,11 @@ def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9,
                             eps=eps, tangents=tangents)
         return end - X, S - eye if jacobian else None
 
+    # 25 steps and damping down to 2^-39 bound a seed that will not converge;
+    # a unit multiplier leaves J singular only to integration accuracy, so
+    # 1e-8; and a residual not 2% below its value 3 iterates back has stalled
     run = damped_newton(period_map, np.reshape(seed, (1, -1)), shoot_tol,
-                        max_iter, max_halvings, singular_tol,
-                        (stall_window, stall_factor))
+                        25, 40, 1e-8, (3, 0.98))
     status, history = run.status[0], run.history[0]
     if status == "singular" and eps != 0:
         sv = np.linalg.svd(run.jacobian[0], compute_uv=False)
@@ -129,14 +129,14 @@ def pullback_membership(sys, orbit, region, n_time=256, cfg=DEFAULT_CONFIG):
     return MembershipReport(False, 0.0, float(times[bad]))
 
 
-def orbit_amplitude(orbit, n=512):
+def orbit_amplitude(orbit):
     """max over the period of |x(t)|."""
-    times = np.linspace(orbit.t0, orbit.t1, n)
+    # 512 samples miss the max of a smooth |x(t)| by O((T/512)^2)
+    times = np.linspace(orbit.t0, orbit.t1, 512)
     return float(np.max(np.linalg.norm(orbit.eval(times), axis=1)))
 
 
-def equilibrium_candidates(sys, eps, region=None, n_grid=3, tol=1e-12,
-                           max_iter=60):
+def equilibrium_candidates(sys, eps, region=None):
     """Equilibria of the full autonomous field (each is T-periodic for
     every T); used as shooting seeds when the period map stalls.
 
@@ -148,7 +148,8 @@ def equilibrium_candidates(sys, eps, region=None, n_grid=3, tol=1e-12,
     if isinstance(region, PlanarRegion):
         pts = region.boundary_points(64)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
-        axes = [np.linspace(lo[j], hi[j], n_grid) for j in range(2)]
+        # the corners, edge midpoints and center of the bounding box
+        axes = [np.linspace(lo[j], hi[j], 3) for j in range(2)]
         grid = np.meshgrid(*axes, indexing="ij")
         seeds = list(np.column_stack([g.ravel() for g in grid]))
         if region.star_center is not None:
@@ -157,10 +158,11 @@ def equilibrium_candidates(sys, eps, region=None, n_grid=3, tol=1e-12,
         seeds = [np.concatenate([f.star_center for f in region.factors])]
     else:
         seeds = [np.zeros(sys.k)]
+    # f is evaluated, not integrated, so reaches 1e-12; 60 steps bound a seed
     run = damped_newton(
         lambda X, _: lane_field(sys, 0.0, X, np.eye(sys.k), eps=eps,
                                 tangents=sys.k),
-        np.array(seeds), tol, max_iter)
+        np.array(seeds), 1e-12, 60)
     found = []
     for x in run.x[run.status == "converged"]:
         if (region is None or region.contains(x)) and \

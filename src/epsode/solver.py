@@ -499,19 +499,25 @@ def integrate_checkpoints(field, t0, t1, xi, times, cfg=DEFAULT_CONFIG):
 # Quadrature over trajectories
 # ---------------------------------------------------------------------------
 
-_leggauss_cache = {}
+_PANELS, _ORDER = 64, 8  # the one composite Gauss-Legendre rule
 
 
-def gauss_legendre_panels(t0, t1, panels=64, order=8):
-    """Nodes and weights of a composite Gauss-Legendre rule on [t0, t1].
+@functools.cache
+def _rule():
+    """Nodes, weights and running-integral matrix of one panel on [-1, 1]."""
+    leg = np.polynomial.legendre
+    xg, wg = leg.leggauss(_ORDER)
+    lagrange = np.linalg.inv(leg.legvander(xg, _ORDER - 1))
+    upto = leg.legvander(xg, _ORDER) @ leg.legint(lagrange, lbnd=-1, axis=0)
+    return xg, wg, upto
 
-    This fixed composite rule, at its defaults, is used for every
-    quadrature over a dense trajectory so that results are reproducible.
-    """
-    if order not in _leggauss_cache:
-        _leggauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    xg, wg = _leggauss_cache[order]
-    edges = np.linspace(t0, t1, panels + 1)
+
+def gauss_legendre_panels(t0, t1):
+    """Nodes and weights of the composite Gauss-Legendre rule on [t0, t1],
+    64 panels of order 8: the one rule of every quadrature over a dense
+    trajectory, so that results are reproducible."""
+    xg, wg, _ = _rule()
+    edges = np.linspace(t0, t1, _PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -519,17 +525,13 @@ def gauss_legendre_panels(t0, t1, panels=64, order=8):
     return nodes, weights
 
 
-def gauss_legendre_running(values, t0, t1, panels=64, order=8):
+def gauss_legendre_running(values, t0, t1):
     """Integrals from t0 to each node of :func:`gauss_legendre_panels` of
     the function with ``values`` at those nodes: the panels before a node
-    by their rule, and its own panel by the integral of the polynomial that
-    interpolates the function at the panel's nodes."""
-    leg = np.polynomial.legendre
-    xg, wg = leg.leggauss(order)
-    # row j integrates the interpolant of the panel's values from -1 to xg[j]
-    lagrange = np.linalg.inv(leg.legvander(xg, order - 1))
-    upto = leg.legvander(xg, order) @ leg.legint(lagrange, lbnd=-1, axis=0)
-    half = 0.5 * np.diff(np.linspace(t0, t1, panels + 1))
-    f = np.reshape(values, (panels, order))
+    by their rule, and its own panel by the integral of the polynomial
+    that interpolates the function at the panel's nodes."""
+    _, wg, upto = _rule()  # row j integrates the interpolant from -1 to xg[j]
+    half = 0.5 * np.diff(np.linspace(t0, t1, _PANELS + 1))
+    f = np.reshape(values, (_PANELS, _ORDER))
     before = np.concatenate([[0.0], np.cumsum(half * (f @ wg))[:-1]])
     return (before[:, None] + half[:, None] * (f @ upto.T)).ravel()

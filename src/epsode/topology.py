@@ -106,13 +106,11 @@ class PlanarRegion:
                    _disk=(c.copy(), float(r)))
 
     @classmethod
-    def polygon(cls, vertices, star_center=None, n_hint=None):
+    def polygon(cls, vertices):
         vertices = np.asarray(vertices, dtype=float)
-        if n_hint is None:
-            n_hint = max(512, 8 * len(vertices))
-        if star_center is None:
-            star_center = vertices.mean(axis=0)
-        return cls(vertices=vertices, star_center=star_center, n_hint=n_hint)
+        # star center at the vertex mean; 8 samples per edge, at least 512
+        return cls(vertices=vertices, star_center=vertices.mean(axis=0),
+                   n_hint=max(512, 8 * len(vertices)))
 
     @classmethod
     def box(cls, lo, hi):
@@ -235,15 +233,14 @@ def accumulated_angle(values):
     return float(_loop_increments(np.arctan2(values[:, 1], values[:, 0])).sum())
 
 
-def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20,
-                   residue_tol=0.1):
+def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20):
     """Winding number of the planar field F along the region boundary.
 
     ``F`` maps boundary points of shape (n, 2) to field values (n, 2).
 
     Sampling is refined until every consecutive angle increment is below
     pi/2 (so no winding can be skipped for the sampled field) and the total
-    angle is within ``residue_tol`` radians of an integer multiple of 2 pi.
+    angle is within 0.1 radians of an integer multiple of 2 pi.
     An offending interval [u_l, u_r] with end values F_l, F_r gets its
     midpoint and, when it lies strictly inside and off the midpoint, the
     chord point u_l + lam (u_r - u_l) with
@@ -284,7 +281,8 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20,
             total = float(inc.sum())
             deg = total / (2 * np.pi)
             residue = abs(total - 2 * np.pi * np.rint(deg))
-            if residue <= residue_tol:
+            # a closed loop's wrapped increments sum to 2 pi k up to rounding
+            if residue <= 0.1:
                 return DegreeReport(int(np.rint(deg)), min_norm, len(us),
                                     refined, total, residue)
             new_us = (us + np.diff(nxt_u) / 2) % 1.0
@@ -332,7 +330,9 @@ def product_degree(Fs, product_region, **kwargs):
 
 def contract(region, delta):
     """Radial delta-contraction about the star center (expansion for
-    negative delta); a circle stays a circle, about the same star center."""
+    negative delta); a circle stays a circle, about the same star center.
+    A homothety of positive scale keeps a simple, positively oriented
+    boundary so, and the result skips that check."""
     if not -1.0 < delta < 1.0:
         raise ValueError("delta must lie in (-1, 1)")
     if region.star_center is None:
@@ -351,6 +351,8 @@ def contract(region, delta):
         def scaled(u):
             return c + scale * (fn(u) - c)
 
-        return PlanarRegion(curve=scaled, star_center=c, n_hint=region.n_hint)
+        return PlanarRegion(curve=scaled, star_center=c, n_hint=region.n_hint,
+                            _simple=True)
     verts = c + scale * (region.vertices - c)
-    return PlanarRegion(vertices=verts, star_center=c, n_hint=region.n_hint)
+    return PlanarRegion(vertices=verts, star_center=c, n_hint=region.n_hint,
+                        _simple=True)

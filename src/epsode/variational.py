@@ -403,14 +403,14 @@ class MonodromyReport:
     trace_integral: float
     det: float
     liouville_rel_err: float
-    cluster_tol: float = 1e-6
-    simple: list = field(default_factory=list)
+    # whether each multiplier is the only one within 1e-6 of itself, the
+    # distance at which floquet_condition_A3 calls a multiplier 1
+    simple: list = field(init=False)
 
     def __post_init__(self):
         mus = self.multipliers
-        self.simple = [
-            int(np.sum(np.abs(mus - mu) <= self.cluster_tol)) == 1 for mu in mus
-        ]
+        self.simple = [int(np.sum(np.abs(mus - mu) <= 1e-6)) == 1
+                       for mu in mus]
 
     def closest_to_one(self):
         i = int(np.argmin(np.abs(self.multipliers - 1.0)))

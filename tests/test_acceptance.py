@@ -199,7 +199,7 @@ def test_criterion_3_resonance_example(e2):
 def test_criterion_4_static_flow_reduction(e3):
     crit = Criterion(4, "static-flow averaging consistency", 5.0)
     av = averaged_field(e3, r=2.0)
-    nodes, weights = gauss_legendre_panels(0.0, TWO_PI, 64, 8)
+    nodes, weights = gauss_legendre_panels(0.0, TWO_PI)
     worst = 0.0
     for xi in av.samples:
         f0 = float(np.dot(weights,

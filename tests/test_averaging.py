@@ -29,7 +29,7 @@ def test_averaged_field_zero_forcing():
 
 def test_averaged_field_consistency_with_direct_quadrature(e3):
     av = averaged_field(e3, r=2.0)
-    nodes, weights = gauss_legendre_panels(0.0, TWO_PI, 64, 8)
+    nodes, weights = gauss_legendre_panels(0.0, TWO_PI)
     for xi in av.samples:
         f0 = float(np.dot(weights, np.array(
             [e3.phi(t, xi)[0] for t in nodes]))) / TWO_PI

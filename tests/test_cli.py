@@ -727,3 +727,44 @@ def test_flow_failure_exit_codes(command, rc, tmp_path, capsys):
     else:  # ended by the library failure: its message is the one note
         assert captured.out.startswith(f"{command} inconclusive (step failed")
         assert lines[0] == "note" and lines[1].startswith("step failed")
+
+
+E2_VERIFY_CFG = """
+[system]
+builtin = e2-resonance
+
+[verify]
+xi0 = (1, 0.5)
+d = 1
+eps = 0.02
+"""
+
+
+MALFORMED = [
+    ("check A3", E1_CFG, "cycle.seed=(1, 0, 0)"),
+    ("find-periodic", E1_CFG + "\n[shoot]\neps = 0.01\n",
+     "shoot.seed=(1, 0, 0)"),
+    ("sweep", SWEEP_CFG, "sweep.seed=(1, 0, 0)"),
+    ("verify-cauchy", E2_VERIFY_CFG, "verify.xi0=(1, 2, 3)"),
+    ("check A0", E1_CFG, "region.star_center=(0, 0, 1)"),
+    ("resonance", FIELD_CFG, "resonance.a_range=(1)"),
+    ("resonance", FIELD_CFG, "resonance.theta_range=(0, 1, 2)"),
+    ("resonance", FIELD_CFG, "resonance.grid=(0, 5)"),
+    ("resonance", FIELD_CFG, "resonance.grid=(5)"),
+    ("describe", E2_VERIFY_CFG, "system.param.lam=abc"),
+]
+
+
+@pytest.mark.parametrize("command, text, override", MALFORMED,
+                         ids=[case[2] for case in MALFORMED])
+def test_malformed_value_is_a_config_error_naming_its_key(
+        command, text, override, tmp_path, capsys):
+    p = tmp_path / "c.cfg"
+    p.write_text(text)
+    out = tmp_path / "o.csv"
+    rc, err = _usage_error(command.split() + ["--config", str(p), "--out",
+                                              str(out), "--set", override],
+                           capsys)
+    key = override.split("=")[0]
+    assert rc == 1 and err.startswith(f"config error: {key}: ")
+    assert not out.exists()

@@ -228,7 +228,7 @@ def test_melnikov_weight_is_running_quadrature(e1, monkeypatch):
 
     monkeypatch.setattr(conditions, "gauss_legendre_running", spy)
     prof = melnikov_profile(e1, UnitCycle(), np.array([0.0]))
-    nodes, _ = gauss_legendre_panels(0.0, TWO_PI, 64, 8)
+    nodes, _ = gauss_legendre_panels(0.0, TWO_PI)
     assert len(runs) == 1
     assert np.max(np.abs(np.exp(-runs[0]) / np.exp(2 * nodes) - 1)) <= 1e-12
     assert prof.weight_range == pytest.approx(

@@ -171,7 +171,7 @@ def test_tightening_tolerances_consistency(e1):
 
 
 def test_gauss_legendre_matches_adaptive_quadrature():
-    nodes, weights = gauss_legendre_panels(0.0, 2 * np.pi, 64, 8)
+    nodes, weights = gauss_legendre_panels(0.0, 2 * np.pi)
     ours = float(np.dot(weights, np.exp(2 * nodes) * np.cos(nodes)))
     ref, _ = quad(lambda t: np.exp(2 * t) * np.cos(t), 0.0, 2 * np.pi,
                   limit=200)
@@ -339,14 +339,15 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_running_quadrature_of_cos_is_sin():
-    nodes, _ = gauss_legendre_panels(0.0, 2 * np.pi, 64, 8)
-    run = gauss_legendre_running(np.cos(nodes), 0.0, 2 * np.pi, 64, 8)
+    nodes, _ = gauss_legendre_panels(0.0, 2 * np.pi)
+    run = gauss_legendre_running(np.cos(nodes), 0.0, 2 * np.pi)
     assert np.max(np.abs(run - np.sin(nodes))) <= 1e-13
 
 
 
 def test_running_quadrature_exact_below_rule_order():
-    # the interpolant of a cubic on 4 nodes is the cubic itself
-    nodes, _ = gauss_legendre_panels(-1.0, 2.0, 5, 4)
-    run = gauss_legendre_running(nodes ** 3, -1.0, 2.0, 5, 4)
-    assert np.max(np.abs(run - (nodes ** 4 - 1.0) / 4)) <= 1e-14
+    # the interpolant of x^7 on a panel's 8 nodes is x^7 itself, so only
+    # rounding remains, relative to integrals up to 2^8/8 = 32
+    nodes, _ = gauss_legendre_panels(-1.0, 2.0)
+    run = gauss_legendre_running(nodes ** 7, -1.0, 2.0)
+    assert np.max(np.abs(run - (nodes ** 8 - 1.0) / 8)) <= 32 * 1e-15

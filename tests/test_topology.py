@@ -211,6 +211,25 @@ def test_contract_polygon_and_errors():
         contract(sq, 1.0)
 
 
+def test_contract_skips_the_check_it_cannot_fail(monkeypatch):
+    # a homothety of positive scale keeps a simple, positive boundary so
+    box = PlanarRegion.box((0, 0), (1, 2))
+    sq = PlanarRegion.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    curve = PlanarRegion(curve=PlanarRegion.circle(0, 0, 1, 64).curve,
+                         star_center=(0.0, 0.0))
+    calls = []
+    monkeypatch.setattr(PlanarRegion, "_validate",
+                        lambda self: calls.append(self))
+    small_box, small_sq = contract(box, 0.5), contract(sq, 0.5)
+    small_curve = contract(curve, 0.5)
+    assert calls == []
+    assert np.array_equal(small_box.vertices, [(0.25, 0.5), (0.75, 0.5),
+                                               (0.75, 1.5), (0.25, 1.5)])
+    assert np.array_equal(small_sq.vertices, 0.5 * sq.vertices)
+    assert np.array_equal(small_curve.boundary_points(16),
+                          0.5 * curve.boundary_points(16))
+
+
 def test_membership_and_distance(disk):
     assert disk.contains([0.2, 0.3])
     assert not disk.contains([1.2, 0.0])
