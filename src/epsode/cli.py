@@ -95,6 +95,13 @@ def _two(text):
     return tuple(vals)
 
 
+def _increasing(text):
+    lo, hi = _two(text)
+    if not lo < hi:
+        raise ValueError("lo >= hi")
+    return lo, hi
+
+
 def _two_counts(text):
     counts = tuple(int(v) for v in _two(text))
     if min(counts) < 1:
@@ -111,7 +118,7 @@ def _strategy_name(text):
 _float = _parser(float, "not a number")
 _int = _parser(int, "not an integer")
 _list = _parser(_numbers, "not a number list")
-_range = _parser(_two, "not two numbers")
+_range = _parser(_increasing, "not two numbers lo < hi")
 _counts = _parser(_two_counts, "not two positive counts")
 _point = _parser(lambda text: np.asarray(_numbers(text)), "not a number list")
 _strategy = _parser(_strategy_name, "not continuation or fixed")
@@ -637,6 +644,11 @@ def _cmd_sweep(args, cfg, out):
                    melnikov=prof, cfg=icfg,
                    **_given(cfg, seed_strategy="sweep.strategy",
                             shoot_tol="tolerances.shoot_tol"))
+    # the converged shoot's Newton iterations and the kind of its start
+    out.header.append(
+        "# newton iterations="
+        + " ".join(str(r.iterations) for r in sw.results)
+        + " seeds=" + " ".join(sw.seed_kinds))
     out.write_csv(_orbit_columns(sys_def),
                   [_orbit_row(sys_def, r) for r in sw.results])
     conv = sw.converged()

@@ -601,6 +601,11 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12)):
         return weigh(tau, y)
 
     (a_lo, a_hi), (th_lo, th_hi) = a_range, theta_range
+    if not (a_lo < a_hi and th_lo < th_hi):
+        # the zeros are kept only inside the ranges, so an empty or reversed
+        # one would drop every zero Newton finds
+        raise ValueError(f"resonance ranges need lo < hi, not a_range="
+                         f"{tuple(a_range)}, theta_range={tuple(theta_range)}")
     AA, TT = np.meshgrid(np.linspace(a_lo, a_hi, grid[0]),
                          np.linspace(th_lo, th_hi, grid[1]), indexing="ij")
     seeds = np.column_stack([AA.ravel(), TT.ravel()])

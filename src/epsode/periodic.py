@@ -2,8 +2,9 @@
 
 Newton iteration on P(xi) = x(T; 0, xi) - xi with the flow Jacobian from
 the coupled variational run of the full field.  A sweep over decreasing
-eps values supports warm starts, records per-eps failures, and fits the
-convergence rate of the orbit's distance to the reference boundary.
+eps values follows the branch of orbits by Euler-Newton continuation,
+records per-eps failures, and fits the convergence rate of the orbit's
+distance to the reference boundary.
 """
 
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ class PeriodicOrbitResult:
     converged: bool
     multipliers: np.ndarray
     jacobian_singular: bool
+    monodromy: np.ndarray = None
     orbit: object = None
     in_region: bool = None
     membership_margin: float = None
@@ -83,11 +85,11 @@ def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9):
     if status not in ("converged", "singular"):
         raise NewtonStalledError(history)
     xi, converged = run.x[0], status == "converged"
+    monodromy = run.jacobian[0] + eye  # the period-map Jacobian at xi
     result = PeriodicOrbitResult(
         float(eps), np.asarray(seed, dtype=float), xi, float(run.residual[0]),
-        int(run.iterations[0]), converged,
-        np.linalg.eigvals(run.jacobian[0] + eye), bool(run.singular[0]),
-        residual_history=history)
+        int(run.iterations[0]), converged, np.linalg.eigvals(monodromy),
+        bool(run.singular[0]), monodromy, residual_history=history)
     if converged:
         result.orbit = integrate(augmented(sys, 1, eps)[0], 0.0, sys.T, xi,
                                  cfg)
@@ -176,6 +178,7 @@ class SweepResult:
     results: list
     slope: float = None
     seeds_used: list = field(default_factory=list)
+    seed_kinds: list = field(default_factory=list)
 
     def converged(self):
         return [r for r in self.results if r.converged]
@@ -187,13 +190,24 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
 
     Seeds: an explicit ``seed``; otherwise, with a cycle and its weighted
     integral profile, the cycle point where |M(theta)| peaks; otherwise the
-    region star center.  ``seed_strategy`` "continuation" starts each eps
-    from the last converged orbit, "fixed" always from that seed.  When the
-    period map stalls, degenerates or its flow fails, the sweep falls back
-    to equilibria of the full field (for autonomous systems) and to the
-    star center before recording a failure that names the last error.  The
-    rate fit regresses log distance-to-boundary of the found orbits on log
-    eps.
+    region star center.  ``seed_strategy`` "fixed" always starts from that
+    seed.  "continuation" is Euler-Newton continuation (Allgower and Georg,
+    *Numerical Continuation Methods*, ch. 2): after an orbit xi_c converges
+    at eps_c and a later eps remains, one run with the forcing column gives
+    dP/deps at xi_c, and the branch tangent is
+    v = -(monodromy - I)^-1 dP/deps, the monodromy being the period-map
+    Jacobian that :func:`shoot` keeps in ``PeriodicOrbitResult.monodromy``.
+    Each later eps is then tried from the prediction
+    xi_c + (eps - eps_c) v, then from xi_c itself.  No tangent is kept when
+    the orbit's Jacobian is singular, v is not finite or its run fails;
+    then eps starts from xi_c (from the seed until an orbit converges).
+    When these starts stall, degenerate or their flow fails, the sweep
+    falls back to equilibria of the full field (for autonomous systems)
+    and to the star center before recording a failure that names the last
+    error.  ``seeds_used`` holds the start that converged (the first one
+    tried for a failure) and ``seed_kinds`` its kind: "given", "predicted",
+    "continued", "fallback", or "none" for a failure.  The rate fit
+    regresses log distance-to-boundary of the found orbits on log eps.
     """
     if seed_strategy not in ("continuation", "fixed"):
         raise ValueError(f"seed_strategy must be 'continuation' or 'fixed', "
@@ -209,15 +223,16 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
     else:
         current = np.zeros(sys.k)
 
-    def fallbacks(eps):  # built only when the seed before them fails
+    def fallbacks(eps):  # built only when the seeds before them fail
         yield from equilibrium_candidates(sys, eps, region)
         if region is not None and getattr(region, "star_center", None) is not None:
             yield region.star_center
 
-    def attempt_eps(eps, start):
-        start = np.asarray(start, dtype=float)
+    def attempt_eps(eps, starts):
         last_error = None
-        for attempt in chain([start], fallbacks(eps)):
+        tries = chain(starts, ((x, "fallback") for x in fallbacks(eps)))
+        for attempt, kind in tries:
+            attempt = np.asarray(attempt, dtype=float)
             try:
                 outcome = shoot(sys, eps, attempt, cfg=cfg, region=region,
                                 shoot_tol=shoot_tol)
@@ -226,24 +241,47 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
                 last_error = err
                 continue
             if outcome.converged:
-                return outcome, np.asarray(attempt, dtype=float)
+                return outcome, attempt, kind
             last_error = RuntimeError("did not converge")
+        first = np.asarray(starts[0][0], dtype=float)
         failed = PeriodicOrbitResult(
-            eps=float(eps), seed=start,
+            eps=float(eps), seed=first,
             xi_star=np.full(sys.k, np.nan), residual=np.inf,
             iterations=0, converged=False,
             multipliers=np.full(sys.k, np.nan, dtype=complex),
-            jacobian_singular=False, failure=str(last_error))
-        return failed, start
+            jacobian_singular=False,
+            monodromy=np.full((sys.k, sys.k), np.nan),
+            failure=str(last_error))
+        return failed, first, "none"
 
-    results = []
-    seeds_used = []
-    for eps in eps_list:
-        outcome, used = attempt_eps(eps, current)
+    def tangent(orbit):
+        """d xi*/d eps along the branch through a converged orbit, or None."""
+        if orbit.jacobian_singular:
+            return None
+        try:
+            dP = flow_lanes(sys, 0.0, sys.T, orbit.xi_star, cfg, eps=orbit.eps,
+                            forcings=(sys,))[1][0, :, 0]
+        except IntegrationError:
+            return None
+        v = -np.linalg.solve(orbit.monodromy - np.eye(sys.k), dP)
+        return v if np.all(np.isfinite(v)) else None
+
+    results, seeds_used, seed_kinds = [], [], []
+    kind = "given"
+    branch = None  # (eps_c, v) of the last converged orbit, xi_c = current
+    for i, eps in enumerate(eps_list):
+        starts = [(current, kind)]
+        if branch is not None:
+            eps_c, v = branch
+            starts.insert(0, (current + (eps - eps_c) * v, "predicted"))
+        outcome, used, used_kind = attempt_eps(eps, starts)
         results.append(outcome)
         seeds_used.append(used)
+        seed_kinds.append(used_kind)
         if seed_strategy == "continuation" and outcome.converged:
-            current = outcome.xi_star
+            current, kind = outcome.xi_star, "continued"
+            v = tangent(outcome) if i + 1 < len(eps_list) else None
+            branch = None if v is None else (outcome.eps, v)
 
     slope = None
     pts = [(r.eps, r.boundary_distance) for r in results
@@ -252,4 +290,4 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
         le = np.log([p[0] for p in pts])
         ld = np.log([p[1] for p in pts])
         slope = float(np.polyfit(le, ld, 1)[0])
-    return SweepResult(results, slope, seeds_used)
+    return SweepResult(results, slope, seeds_used, seed_kinds)

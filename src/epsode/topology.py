@@ -30,7 +30,13 @@ class FieldVanishesError(RuntimeError):
 
 
 class NonConvergentError(RuntimeError):
-    """Refinement hit the sample cap without meeting the angle criteria."""
+    """Refinement hit the sample cap without meeting the angle criterion, or
+    the field is not finite on the boundary, at ``point`` (parameter
+    ``u``)."""
+
+    def __init__(self, message, point=None, u=None):
+        super().__init__(message)
+        self.point, self.u = point, u
 
 
 def _shoelace(pts):
@@ -239,17 +245,18 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20):
     ``F`` maps boundary points of shape (n, 2) to field values (n, 2).
 
     Sampling is refined until every consecutive angle increment is below
-    pi/2 (so no winding can be skipped for the sampled field) and the total
-    angle is within 0.1 radians of an integer multiple of 2 pi.
-    An offending interval [u_l, u_r] with end values F_l, F_r gets its
-    midpoint and, when it lies strictly inside and off the midpoint, the
-    chord point u_l + lam (u_r - u_l) with
+    pi/2, so no winding can be skipped for the sampled field; the wrapped
+    increments of the closed loop then sum to 2 pi times the degree up to
+    rounding, which ``residue`` reports.  An offending interval [u_l, u_r]
+    with end values F_l, F_r gets its midpoint and, when it lies strictly
+    inside and off the midpoint, the chord point u_l + lam (u_r - u_l) with
     lam = -<F_l, F_r - F_l> / |F_r - F_l|^2, where the segment between the
     end values passes closest to zero; so no interval shrinks more slowly
     than under bisection, and a boundary zero is closed in on like a
-    secant root.  A residue failure doubles the whole grid.  Raises
-    :class:`FieldVanishesError` at the sample of smallest u whose norm falls
-    below ``vanish_tol``, and :class:`NonConvergentError` at the sample cap.
+    secant root.  Raises :class:`FieldVanishesError` at the sample of
+    smallest u whose norm falls below ``vanish_tol``, and
+    :class:`NonConvergentError` at the first sample (in u) where F is not
+    finite, or at the sample cap.
     Fewer than 3 starting samples raise ``ValueError``: the increments of
     one or two samples sum to 0 when none reaches pi/2, so the degree would
     read 0 unrefined.
@@ -258,6 +265,13 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20):
         pts = region.boundary_points(us=us)
         vals = np.asarray(F(pts), dtype=float)
         norms = np.linalg.norm(vals, axis=1)
+        bad = ~np.isfinite(norms)
+        if bad.any():  # no refinement settles an angle of nan
+            j = int(np.argmin(np.where(bad, us, np.inf)))
+            raise NonConvergentError(
+                f"field not finite at u={us[j]:.6g}, point "
+                f"({pts[j][0]:.6g}, {pts[j][1]:.6g}), F = ({vals[j][0]:.6g}, "
+                f"{vals[j][1]:.6g})", pts[j], us[j])
         # the first vanishing sample in u: their norms are rounding noise
         j = int(np.argmin(np.where(norms < vanish_tol, us, np.inf)))
         if norms[j] < vanish_tol:
@@ -279,21 +293,16 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20):
         nxt_u = np.concatenate([us, [us[0] + 1.0]])
         if bad.size == 0:
             total = float(inc.sum())
-            deg = total / (2 * np.pi)
-            residue = abs(total - 2 * np.pi * np.rint(deg))
-            # a closed loop's wrapped increments sum to 2 pi k up to rounding
-            if residue <= 0.1:
-                return DegreeReport(int(np.rint(deg)), min_norm, len(us),
-                                    refined, total, residue)
-            new_us = (us + np.diff(nxt_u) / 2) % 1.0
-        else:
-            u_l, u_r = nxt_u[bad], nxt_u[bad + 1]
-            F_l, dF = vals[bad], vals[(bad + 1) % len(us)] - vals[bad]
-            # F_r != F_l, since their angles differ by at least pi/2
-            lam = -np.sum(F_l * dF, axis=1) / np.sum(dF * dF, axis=1)
-            mid, chord = (u_l + u_r) / 2, u_l + lam * (u_r - u_l)
-            inside = (chord > u_l) & (chord < u_r) & (chord != mid)
-            new_us = np.concatenate([mid, chord[inside]]) % 1.0
+            degree = np.rint(total / (2 * np.pi))
+            return DegreeReport(int(degree), min_norm, len(us), refined,
+                                total, abs(total - 2 * np.pi * degree))
+        u_l, u_r = nxt_u[bad], nxt_u[bad + 1]
+        F_l, dF = vals[bad], vals[(bad + 1) % len(us)] - vals[bad]
+        # F_r != F_l, since their angles differ by at least pi/2
+        lam = -np.sum(F_l * dF, axis=1) / np.sum(dF * dF, axis=1)
+        mid, chord = (u_l + u_r) / 2, u_l + lam * (u_r - u_l)
+        inside = (chord > u_l) & (chord < u_r) & (chord != mid)
+        new_us = np.concatenate([mid, chord[inside]]) % 1.0
         if len(us) + len(new_us) > max_samples:
             raise NonConvergentError(
                 f"no convergence with {len(us)} boundary samples "

@@ -209,6 +209,31 @@ f2 = "2*x1*x2"
     assert "degree 2" in capsys.readouterr().out
 
 
+def test_degree_of_a_field_not_finite_is_inconclusive_at_once(tmp_path,
+                                                               capsys):
+    # log(x1) is nan on the left half of the circle; no refinement round
+    # can settle its angle, so the first one names the sample
+    p = tmp_path / "deg.cfg"
+    p.write_text("""
+[region]
+shape = circle(0, 0, 1, 64)
+
+[field]
+f1 = "log(x1) + 5"
+f2 = "x2"
+""")
+    out = tmp_path / "deg.csv"
+    with np.errstate(invalid="ignore"):
+        rc = run(["degree", "--config", str(p), "--out", str(out)])
+    printed = capsys.readouterr()
+    assert rc == 3 and "Traceback" not in printed.err
+    found = re.search(r"^degree inconclusive \(field not finite at u=\S+, "
+                      r"point \((\S+), (\S+)\)", printed.out)
+    assert found and float(found.group(1)) < 0
+    assert abs(float(found.group(1)) ** 2 + float(found.group(2)) ** 2
+               - 1) <= 1e-5
+
+
 def test_degree_polygon_region(tmp_path, capsys):
     p = tmp_path / "deg.cfg"
     p.write_text("""
@@ -449,6 +474,22 @@ def test_empty_number_list_is_rejected(tmp_path, capsys):
 
 
 SWEEP_CFG = E1_CFG + "\n[sweep]\neps = 1e-2\n"
+
+
+def test_sweep_header_reports_newton_cost(tmp_path):
+    # the orbits benchmark's sweep: an equilibrium fallback at 1e-2, then
+    # one corrector step from each tangent prediction
+    p = tmp_path / "sw.cfg"
+    p.write_text(E1_CFG + "\n[sweep]\neps = 1e-2, 5e-3, 2.5e-3\n")
+    texts = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert run(["sweep", "--config", str(p), "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    header = [l for l in texts[0].splitlines() if l.startswith("#")]
+    assert header[-1] == ("# newton iterations=0 1 1 "
+                          "seeds=fallback predicted predicted")
 
 
 def test_quoted_sweep_strategy_sweeps_by_continuation(tmp_path, monkeypatch,
@@ -749,6 +790,9 @@ MALFORMED = [
     ("check A0", E1_CFG, "region.star_center=(0, 0, 1)"),
     ("resonance", FIELD_CFG, "resonance.a_range=(1)"),
     ("resonance", FIELD_CFG, "resonance.theta_range=(0, 1, 2)"),
+    ("resonance", FIELD_CFG, "resonance.a_range=(3.5, 0.5)"),
+    ("resonance", FIELD_CFG, "resonance.theta_range=(6.0, 0.2)"),
+    ("resonance", FIELD_CFG, "resonance.a_range=(1.0, 1.0)"),
     ("resonance", FIELD_CFG, "resonance.grid=(0, 5)"),
     ("resonance", FIELD_CFG, "resonance.grid=(5)"),
     ("describe", E2_VERIFY_CFG, "system.param.lam=abc"),

@@ -691,6 +691,16 @@ def test_resonance_rejects_a_forcing_that_jumps(monkeypatch, g, jump):
         resonance_H(g, (0.2, 3.5), (0.0, TWO_PI))
 
 
+@pytest.mark.parametrize("a_range, th_range", [
+    ((3.5, 0.5), (0.0, TWO_PI)), ((0.5, 3.5), (6.0, 0.2)),
+    ((1.0, 1.0), (0.0, TWO_PI))])
+def test_resonance_rejects_a_reversed_or_empty_range(a_range, th_range):
+    # a reversed a_range seeds Newton, which finds a = 2.383, and the
+    # in-range filter then drops that zero, reporting none
+    with pytest.raises(ValueError, match="lo < hi"):
+        resonance_H(FORCING, a_range, th_range)
+
+
 def test_resonance_accepts_abs_and_a_fixed_sign():
     # abs is continuous, and a sign of a constant does not move
     rm = resonance_H("(1 - x1^2)*abs(x2) + sign(2)*cos(t)", (0.2, 3.5),

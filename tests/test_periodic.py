@@ -177,6 +177,90 @@ def test_sweep_records_a_flow_failure_and_keeps_the_other_rows():
         assert np.array_equal(a.multipliers, b.multipliers)
 
 
+def _e1_dpsi(x):
+    # Jacobian of e1's psi = (-x2 + x1 (1 - r^2), x1 + x2 (1 - r^2))
+    x1, x2 = x
+    q = 1 - x1 ** 2 - x2 ** 2
+    return np.array([[q - 2 * x1 ** 2, -1 - 2 * x1 * x2],
+                     [1 - 2 * x1 * x2, q - 2 * x2 ** 2]])
+
+
+def test_sweep_predicts_along_the_branch_tangent(e1, disk, e1_cycle):
+    # the orbits are equilibria of eps (1, 0) + psi, so the branch tangent
+    # is -Dpsi(xi*)^-1 (1, 0), and one corrector step follows each
+    # prediction (4 and 6 Newton steps from the last orbit itself)
+    prof = melnikov_profile(e1, e1_cycle, np.linspace(0, TWO_PI, 65))
+    sw = eps_sweep(e1, disk, [1e-2, 5e-3, 2.5e-3], cycle=e1_cycle,
+                   melnikov=prof)
+    assert all(r.converged and r.residual <= 1e-9 for r in sw.results)
+    assert sw.seed_kinds == ["fallback", "predicted", "predicted"]
+    xi = sw.results[0].xi_star
+    tangent = -np.linalg.solve(_e1_dpsi(xi), [1.0, 0.0])
+    assert np.abs(sw.seeds_used[1] - (xi - 5e-3 * tangent)).max() <= 1e-8
+    assert sw.results[1].iterations <= 1 and sw.results[2].iterations <= 1
+    for r in sw.results:
+        assert np.array_equal(np.linalg.eigvals(r.monodromy), r.multipliers)
+
+
+def test_failed_prediction_falls_back_to_the_last_orbit(monkeypatch):
+    # x' = -(20 eps + log(x1 + 2)) has the stable equilibrium
+    # exp(-20 eps) - 2 with tangent -20 exp(-20 eps); from eps 0.05 the
+    # prediction for 0.15 lands below -2, where log is undefined
+    from epsode import periodic
+    sysd = system_from_expressions("log", 1, TWO_PI, ("-20",),
+                                   ("-log(x1 + 2)",))
+    tried = []
+    real = periodic.shoot
+
+    def spy(sys, eps, seed, **kwargs):
+        tried.append(float(seed[0]))
+        return real(sys, eps, seed, **kwargs)
+
+    monkeypatch.setattr(periodic, "shoot", spy)
+    sw = eps_sweep(sysd, None, [0.05, 0.15], seed=[0.0])
+    xi_c = np.exp(-1.0) - 2
+    assert [r.xi_star[0] for r in sw.results] == pytest.approx(
+        [xi_c, np.exp(-3.0) - 2], abs=1e-9)
+    assert tried[1] == pytest.approx(xi_c - 0.1 * 20 * np.exp(-1.0),
+                                     abs=1e-8)
+    assert tried[1] < -2
+    assert tried[2:] == [sw.results[0].xi_star[0]]
+    assert sw.seed_kinds == ["given", "continued"]
+    assert sw.results[1].seed[0] == tried[2]
+
+
+def test_singular_orbit_gives_no_tangent(e1, disk, monkeypatch):
+    # at eps = 0 the cycle point is a fixed point with a unit multiplier,
+    # so no tangent is computed and 1e-2 starts from the orbit itself
+    from epsode import periodic
+    runs = []
+    real = periodic.flow_lanes
+
+    def spy(*args, **kwargs):
+        runs.append(kwargs.get("forcings", ()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "flow_lanes", spy)
+    sw = eps_sweep(e1, disk, [0.0, 1e-2], seed=[1.0, 0.0])
+    assert sw.results[0].jacobian_singular
+    assert all(forcings == () for forcings in runs)
+    # the cycle point stalls at 1e-2, as from the given seed
+    assert sw.seed_kinds == ["given", "fallback"]
+
+
+def test_fixed_strategy_shoots_each_eps_on_its_own(e1, disk, e1_cycle):
+    prof = melnikov_profile(e1, e1_cycle, np.linspace(0, TWO_PI, 9))
+    eps_list = [1e-2, 5e-3]
+    sw = eps_sweep(e1, disk, eps_list, seed_strategy="fixed", cycle=e1_cycle,
+                   melnikov=prof)
+    assert "predicted" not in sw.seed_kinds
+    for eps, r in zip(eps_list, sw.results):
+        alone = eps_sweep(e1, disk, [eps], cycle=e1_cycle,
+                          melnikov=prof).results[0]
+        assert np.array_equal(r.xi_star, alone.xi_star)
+        assert r.residual_history == alone.residual_history
+
+
 def test_sweep_empty_list(e1, disk):
     sw = eps_sweep(e1, disk, [])
     assert sw.results == [] and sw.slope is None

@@ -137,6 +137,23 @@ def test_refinement_cap():
         winding_number(complex_square, disk, n0=4, max_samples=6)
 
 
+def test_field_not_finite_stops_in_the_first_round(disk):
+    # log(x1) is nan on the left half of the circle; no refinement settles
+    # the angle of nan, so the first round names the first such sample
+    calls = []
+
+    def F(P):
+        calls.append(len(P))
+        with np.errstate(invalid="ignore"):
+            return np.stack([np.log(P[:, 0]) + 5, P[:, 1]], axis=1)
+
+    with pytest.raises(NonConvergentError, match="not finite") as err:
+        winding_number(F, disk, n0=64)
+    assert calls == [64]
+    assert err.value.u == 17 / 64  # cos(2 pi u) < 0 from u > 1/4 on
+    assert err.value.point[0] < 0
+
+
 def test_doubling_cap_does_not_change_result(disk):
     a = winding_number(complex_square, disk, n0=8, max_samples=2 ** 20)
     b = winding_number(complex_square, disk, n0=8, max_samples=2 ** 21)
