@@ -20,7 +20,7 @@ from .systems import (SystemDef, system_from_expressions,
                       system_from_callables, builtin_names, builtin_system)
 from .variational import (flow_omega, flow_omega_dense, EtaSolution, eta,
                           DefectField, defect_many, defect_profile,
-                          MonodromyReport, monodromy, cycle_residual)
+                          cycle_residual)
 from .topology import (PlanarRegion, ProductRegion, DegreeReport,
                        FieldVanishesError, NonConvergentError, winding_number,
                        product_degree, contract, accumulated_angle)
@@ -51,7 +51,7 @@ __all__ = [
     "flow_omega", "flow_omega_dense", "builtin_names", "builtin_system",
     # variational
     "EtaSolution", "eta", "DefectField", "defect_many",
-    "defect_profile", "MonodromyReport", "monodromy", "cycle_residual",
+    "defect_profile", "cycle_residual",
     # topology
     "PlanarRegion", "ProductRegion", "DegreeReport", "FieldVanishesError",
     "NonConvergentError", "winding_number", "product_degree", "contract",

@@ -471,8 +471,11 @@ def _cmd_degree(args, cfg, out):
         raise ConfigError(f"bad field expression: {err}") from err
 
     def F(P):
-        cols = [np.broadcast_to(f(0.0, (P[:, 0], P[:, 1])), (len(P),))
-                for f in fns]
+        # winding_number names a point where the field is not finite, so
+        # numpy's warning about it only repeats that on stderr
+        with np.errstate(all="ignore"):
+            cols = [np.broadcast_to(f(0.0, (P[:, 0], P[:, 1])), (len(P),))
+                    for f in fns]
         return np.column_stack(cols)
 
     rep = winding_number(

@@ -556,7 +556,9 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12)):
     depends on them raises ``ValueError`` (``abs`` is fine): where a jump
     moves with a or theta, H' has a share from the jump that no pointwise
     partial of g carries, and the quadrature, a step function in the
-    jump's position, does not see it either.
+    jump's position, does not see it either.  g must also be finite on the
+    seed circles: at the first N whose sums are not all finite,
+    ``ValueError`` names the first seed among them.
     """
     expr = ex.parse(g) if isinstance(g, str) else g
     jump = _moving_jump(expr)
@@ -573,7 +575,8 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12)):
     for _ in range(5):  # the period is fixed at 2 pi for this construction
         t = rng.uniform(0, 2 * np.pi)
         u, v = rng.uniform(-2, 2, 2)
-        a, b = f(t, (u, v))[0], f(t + 2 * np.pi, (u, v))[0]
+        with np.errstate(all="ignore"):  # nan passes; the seeds name it
+            a, b = f(t, (u, v))[0], f(t + 2 * np.pi, (u, v))[0]
         if abs(a - b) > 1e-9 * (1 + abs(a)):
             raise ValueError("forcing expression is not 2 pi periodic in t")
 
@@ -586,8 +589,9 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12)):
         cost["quad_points"] += len(P) * N
         tau = 2 * np.pi * (np.arange(N) + offset) / N
         tt = tau + P[:, 1:]
-        return tau, [np.broadcast_to(y, tt.shape) for y in fn(
-            tt, (P[:, :1] * np.cos(tau), -P[:, :1] * np.sin(tau)))]
+        with np.errstate(all="ignore"):  # a non-finite H is named instead
+            ys = fn(tt, (P[:, :1] * np.cos(tau), -P[:, :1] * np.sin(tau)))
+        return tau, [np.broadcast_to(y, tt.shape) for y in ys]
 
     def weigh(tau, y):
         # a sum per row, not a gemv, and N fixed for the call, so a lane's
@@ -609,14 +613,27 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12)):
     AA, TT = np.meshgrid(np.linspace(a_lo, a_hi, grid[0]),
                          np.linspace(th_lo, th_hi, grid[1]), indexing="ij")
     seeds = np.column_stack([AA.ravel(), TT.ravel()])
-    N, Hgrid = _TRAP_START, trapezoid(seeds, _TRAP_START)
+
+    def finite(Hs, N):
+        """Hs, the N-node sums at the seeds, if all of them are finite."""
+        bad = ~np.isfinite(Hs).all(axis=1)
+        if bad.any():
+            a, th = seeds[np.argmax(bad)]
+            raise ValueError(f"forcing expression is not finite on the "
+                             f"{N}-node circle of the seed a={a:.6g}, "
+                             f"theta={th:.6g}; the resonance map needs g "
+                             "finite on every seed circle")
+        return Hs
+
+    N, Hgrid = _TRAP_START, finite(trapezoid(seeds, _TRAP_START), _TRAP_START)
     while N < _TRAP_CAP:  # g at the new midpoints only
         N, prev, Hgrid = 2 * N, Hgrid, (Hgrid + trapezoid(seeds, N, 0.5)) / 2
+        finite(Hgrid, N)
         quad_error = float(np.max(np.abs(Hgrid - prev)))
         tol = _TRAP_TOL * (1 + np.max(np.abs(Hgrid)))
         if quad_error <= tol:  # nested sums alias alike, shifted ones not
             quad_error = max(quad_error, float(np.max(np.abs(
-                trapezoid(seeds, N, _TRAP_SHIFT) - Hgrid))))
+                finite(trapezoid(seeds, N, _TRAP_SHIFT), N) - Hgrid))))
             if quad_error <= tol:
                 break
     cost.update(quad_nodes=N, quad_error=quad_error)

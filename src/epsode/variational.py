@@ -7,8 +7,7 @@ period defect eta(T, s, xi) - eta(0, s, xi) drives the existence checks,
 and monodromy matrices of the homogeneous part give Floquet multipliers.
 
 Every coupled or batched-flow integration of a system takes its
-right-hand side from :func:`augmented` (:func:`monodromy`, which integrates
-a given matrix function, stays generic).  Dense output is kept only where a
+right-hand side from :func:`augmented`.  Dense output is kept only where a
 trajectory is returned: :func:`flow_lanes` computes every end state, or
 every lane's states at given fractions of its span, and lets each lane start
 and end at its own time (so ``averaging.verify_cauchy`` makes one run for
@@ -43,19 +42,18 @@ numbers), and with numpy for wider batches.  Opaque callables run a loop
 of their pointwise evaluators.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from . import expressions as ex
-from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
-                     integrate, integrate_checkpoints)
+from .solver import (DEFAULT_CONFIG, IntegrationError, integrate,
+                     integrate_checkpoints)
 
 __all__ = [
     "augmented", "lane_field", "flow_lanes", "flow_omega", "flow_omega_dense",
-    "EtaSolution", "eta", "DefectField", "defect_profile", "MonodromyReport",
-    "monodromy", "cycle_residual",
+    "EtaSolution", "eta", "DefectField", "defect_profile", "cycle_residual",
 ]
 
 
@@ -390,54 +388,6 @@ def _defect_profiles(sys, forcings, Xi, s_grid, cfg):
     corr = np.linalg.solve(S_s[..., :k], S_s[..., k:])
     out = S_T[..., k:] - (S_T[..., :k] - np.eye(k)) @ corr
     return np.moveaxis(out, -1, 0)
-
-
-# ---------------------------------------------------------------------------
-# Monodromy and Floquet multipliers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MonodromyReport:
-    matrix: np.ndarray
-    multipliers: np.ndarray
-    trace_integral: float
-    det: float
-    liouville_rel_err: float
-    # whether each multiplier is the only one within 1e-6 of itself, the
-    # distance at which floquet_condition_A3 calls a multiplier 1
-    simple: list = field(init=False)
-
-    def __post_init__(self):
-        mus = self.multipliers
-        self.simple = [int(np.sum(np.abs(mus - mu) <= 1e-6)) == 1
-                       for mu in mus]
-
-    def closest_to_one(self):
-        i = int(np.argmin(np.abs(self.multipliers - 1.0)))
-        return self.multipliers[i], abs(self.multipliers[i] - 1.0)
-
-
-def monodromy(matrix_fn, T, cfg=DEFAULT_CONFIG):
-    """Monodromy matrix of y' = A(t) y over one period.
-
-    The k unit initial conditions are propagated as one matrix integration;
-    the determinant is checked against exp of trace A summed on the fixed
-    64 x 8 Gauss-Legendre rule (Liouville identity), apart from the ODE solve.
-    """
-    A0 = np.asarray(matrix_fn(0.0), dtype=float)
-    k = A0.shape[0]
-
-    def rhs(t, z):
-        return (np.asarray(matrix_fn(t)) @ z.reshape(k, k)).ravel()
-
-    M = integrate_checkpoints(rhs, 0.0, T, np.eye(k).ravel(), (),
-                              cfg)[1].reshape(k, k)
-    nodes, weights = gauss_legendre_panels(0.0, T)
-    tr = float(sum(w * np.trace(np.asarray(matrix_fn(t)))
-                   for t, w in zip(nodes, weights)))
-    det = float(np.linalg.det(M))
-    rel = abs(det - np.exp(tr)) / np.exp(tr)
-    return MonodromyReport(M, np.linalg.eigvals(M), tr, det, rel)
 
 
 def cycle_residual(cycle, T):

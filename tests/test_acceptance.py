@@ -13,13 +13,14 @@ from scipy.optimize import brentq
 
 from epsode import (PlanarRegion, accumulated_angle, check_A0, check_A1,
                     check_A2, eps_sweep, eta, averaged_field, flow_omega,
-                    gauss_legendre_panels, melnikov_profile, monodromy,
+                    flow_omega_dense, gauss_legendre_panels, melnikov_profile,
                     orbit_amplitude, product_degree, ProductRegion,
                     resonance_H, resonance_initial_point, shoot,
                     system_from_expressions, compare_defect_degrees,
                     verify_cauchy, winding_number, floquet_condition_A3)
 from epsode.cli import run as cli_run
 from epsode.expressions import differentiate, evaluate, parse, to_string
+from epsode.variational import flow_lanes
 
 TWO_PI = 2 * np.pi
 E1_PSI = ("-x2 + x1*(1 - x1^2 - x2^2)", "x1 + x2*(1 - x1^2 - x2^2)")
@@ -276,17 +277,24 @@ def test_criterion_6_homotopy_invariance(disk):
 
 def test_criterion_7_floquet_multipliers(e1, e1_cycle):
     crit = Criterion(7, "Floquet multipliers and Liouville identity", 5.0)
-    rep = monodromy(lambda t: e1.psi_jac(t, e1_cycle.eval(t)), TWO_PI)
-    mus = sorted(rep.multipliers, key=lambda m: -abs(m))
+    M = flow_lanes(e1, 0.0, TWO_PI, [1.0, 0.0], S=np.eye(2),
+                   tangents=2)[1][0]
+    mus = sorted(np.linalg.eigvals(M), key=lambda m: -abs(m))
     crit.check(abs(mus[0] - 1.0) <= 1e-6, f"|mu1 - 1| = {abs(mus[0] - 1):.2e}")
     crit.check(abs(mus[1] - np.exp(-4 * np.pi)) <= 1e-7,
                f"|mu2 - e^-4pi| = {abs(mus[1] - np.exp(-4 * np.pi)):.2e}")
-    liou = [rep.liouville_rel_err]
-    liou.append(monodromy(lambda t: np.array([[1.0]]), 1.0).liouville_rel_err)
-    liou.append(monodromy(lambda t: np.zeros((2, 2)), TWO_PI).liouville_rel_err)
-    a3 = floquet_condition_A3(e1, e1_cycle,
-                              theta_grid=np.linspace(0.0, TWO_PI, 9))
-    liou.append(a3.data["max_liouville_rel_err"])
+    # Liouville: det M = exp(int trace Dpsi) on e1, on y' = y (e at the
+    # equilibrium over period 1) and on psi = 0 (det M = 1)
+    exp1 = system_from_expressions("exp", 1, 1.0, ("0",), ("x1",))
+    still = system_from_expressions("still", 2, TWO_PI, ("0", "0"),
+                                    ("0", "0"))
+    liou = [floquet_condition_A3(sysd, flow_omega_dense(sysd, 0.0, sysd.T, x0),
+                                 theta_grid=np.linspace(0.0, sysd.T, 9))
+            .data["max_liouville_rel_err"]
+            for sysd, x0 in ((exp1, [0.0]), (still, [0.3, 0.3]))]
+    liou.append(floquet_condition_A3(e1, e1_cycle,
+                                     theta_grid=np.linspace(0.0, TWO_PI, 9))
+                .data["max_liouville_rel_err"])
     crit.check(max(liou) <= 1e-6,
                f"worst Liouville relative error {max(liou):.2e}")
     crit.finish()

@@ -1,4 +1,5 @@
 import re
+import warnings
 import xml.dom.minidom
 from pathlib import Path
 
@@ -223,7 +224,8 @@ f1 = "log(x1) + 5"
 f2 = "x2"
 """)
     out = tmp_path / "deg.csv"
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():  # the verdict says it; numpy does not
+        warnings.simplefilter("error")
         rc = run(["degree", "--config", str(p), "--out", str(out)])
     printed = capsys.readouterr()
     assert rc == 3 and "Traceback" not in printed.err
@@ -302,6 +304,26 @@ g = "(1 - x1^2)*x2 + sign(cos(t))"
               str(tmp_path / "res.csv")])
     assert rc == 1
     assert "jumps at sign(cos(t))" in capsys.readouterr().err
+
+
+def test_resonance_rejects_a_forcing_not_finite_on_a_seed_circle(tmp_path,
+                                                                  capsys):
+    # log(x1) is nan on half of every circle; without the check the rule
+    # doubled to its cap, every seed stopped as nonfinite and the command
+    # reported that it found no zeros
+    p = tmp_path / "res.cfg"
+    p.write_text("""
+[resonance]
+g = "log(x1) + cos(t)"
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["resonance", "--config", str(p), "--out",
+                  str(tmp_path / "res.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: forcing expression is not "
+                                      "finite")
+    assert "seed a=0.5, theta=0;" in err and "Traceback" not in err
 
 
 def test_resonance_header_reports_newton_cost(tmp_path):

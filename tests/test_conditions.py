@@ -1,5 +1,6 @@
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -689,6 +690,17 @@ def test_resonance_rejects_a_forcing_that_jumps(monkeypatch, g, jump):
     monkeypatch.setattr(conditions.ex, "compile_expr", refuse)
     with pytest.raises(ValueError, match=re.escape(f"jumps at {jump}")):
         resonance_H(g, (0.2, 3.5), (0.0, TWO_PI))
+
+
+def test_resonance_names_a_seed_where_the_forcing_is_not_finite():
+    # log(2 - x1) is finite on every circle of radius a < 2 and nan near
+    # tau = 0 on the larger ones, so the rule stops at its first level and
+    # names the first seed beyond a = 2, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "16-node circle of the seed a=2.13636, theta=0;")):
+            resonance_H("log(2 - x1) + cos(t)", (0.5, 3.5), (0.0, TWO_PI))
 
 
 @pytest.mark.parametrize("a_range, th_range", [

@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 from epsode import (averaging, conditions, periodic, solver, systems,
-                    topology, variational)
+                    topology)
 
 FIXED = {
     periodic.shoot: ("max_iter", "max_halvings", "stall_window",
@@ -23,7 +23,6 @@ FIXED = {
     averaging.StandardForm: ("periodicity_tol",),
     averaging.to_standard_form: ("periodicity_tol",),
     averaging.StandardForm.periodicity_defect: ("t_samples",),
-    variational.MonodromyReport: ("cluster_tol", "simple"),
     solver.gauss_legendre_panels: ("panels", "order"),
     solver.gauss_legendre_running: ("panels", "order"),
 }

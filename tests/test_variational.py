@@ -6,7 +6,7 @@ import pytest
 from epsode import (DEFAULT_CONFIG, IntegrationError, IntegratorConfig,
                     DefectField, defect_many, defect_profile, eta,
                     floquet_condition_A3, flow_omega, flow_omega_dense,
-                    integrate, monodromy, system_from_callables,
+                    integrate, system_from_callables,
                     system_from_expressions)
 from epsode.variational import _defect_profiles, augmented, flow_lanes
 
@@ -173,26 +173,55 @@ def test_profile_matches_direct_route(e1):
 
 
 def test_monodromy_zero_matrix():
-    rep = monodromy(lambda t: np.zeros((2, 2)), TWO_PI)
-    assert np.allclose(rep.matrix, np.eye(2), atol=1e-12)
-    assert np.allclose(sorted(rep.multipliers.real), [1.0, 1.0], atol=1e-12)
-    assert not any(rep.simple)  # double multiplier 1
+    sysd = make_sys(("0", "0"))
+    M = flow_lanes(sysd, 0.0, TWO_PI, [0.3, 0.3], S=np.eye(2),
+                   tangents=2)[1][0]
+    assert np.array_equal(M, np.eye(2))
+    rep = floquet_condition_A3(sysd, flow_omega_dense(sysd, 0.0, TWO_PI,
+                                                      [0.3, 0.3]), [0.0])
+    assert np.array_equal(np.sort(rep.data["multipliers"][0].real), [1, 1])
+    assert not rep.data["simple"][0]  # double multiplier 1
+    assert rep.data["max_liouville_rel_err"] == 0.0
 
 
 def test_monodromy_scalar_exponential():
-    rep = monodromy(lambda t: np.array([[1.0]]), 1.0)
-    assert rep.multipliers[0].real == pytest.approx(np.e, rel=1e-10)
-    assert rep.liouville_rel_err <= 1e-10
+    # y' = y over the period 1, whose only cycle is the equilibrium 0
+    sysd = system_from_expressions("exp", 1, 1.0, ("0",), ("x1",))
+    rep = floquet_condition_A3(sysd, flow_omega_dense(sysd, 0.0, 1.0, [0.0]),
+                               [0.0])
+    assert rep.data["multipliers"][0, 0].real == pytest.approx(np.e,
+                                                               rel=1e-10)
+    assert rep.data["max_liouville_rel_err"] <= 1e-10
 
 
 def test_e1_cycle_multipliers(e1, e1_cycle):
-    rep = monodromy(lambda t: e1.psi_jac(t, e1_cycle.eval(t)), TWO_PI)
-    mus = sorted(rep.multipliers, key=lambda m: -abs(m))
+    M = flow_lanes(e1, 0.0, TWO_PI, [1.0, 0.0], S=np.eye(2),
+                   tangents=2)[1][0]
+    mus = sorted(np.linalg.eigvals(M), key=lambda m: -abs(m))
     assert abs(mus[0] - 1.0) <= 1e-6
     assert abs(mus[1] - np.exp(-4 * np.pi)) <= 1e-7
-    assert rep.liouville_rel_err <= 1e-6
-    one, dist = rep.closest_to_one()
-    assert dist <= 1e-6 and rep.simple[list(rep.multipliers).index(one)]
+    rep = floquet_condition_A3(e1, e1_cycle, [0.0])
+    assert rep.data["max_liouville_rel_err"] <= 1e-6
+    # A3 holds: a multiplier within 1e-6 of 1, and it is simple
+    assert rep.verdict == "holds" and rep.data["simple"][0]
+    assert rep.data["dist_to_one"][0] <= 1e-6
+
+
+def test_monodromy_of_a_linear_periodic_system():
+    # y' = A(t) y as psi with its Jacobian A(t); A is triangular, so the
+    # multipliers are exp of the diagonal's integrals, -pi and -2 pi
+    def A(t):
+        return np.array([[np.cos(t) - 0.5, 1.0], [0.0, np.sin(t) - 1.0]])
+
+    sysd = system_from_callables("linear", 2, TWO_PI,
+                                 lambda t, y: np.zeros(2),
+                                 psi=lambda t, y: A(t) @ y,
+                                 psi_jac=lambda t, y: A(t))
+    M = flow_lanes(sysd, 0.0, TWO_PI, [0.0, 0.0], S=np.eye(2),
+                   tangents=2)[1][0]
+    mus = np.sort(np.linalg.eigvals(M).real)
+    assert mus == pytest.approx(np.exp([-TWO_PI, -np.pi]), rel=1e-8)
+    assert np.linalg.det(M) == pytest.approx(np.exp(-3 * np.pi), rel=1e-8)
 
 
 def test_floquet_condition_on_cycle(e1, e1_cycle):
