@@ -38,4 +38,4 @@ print(f"distance-to-boundary slope across the sweep: {sw.slope:.4f} "
 # membership: the whole orbit must pull back into the region
 orbit = sw.results[0].orbit
 rep = pullback_membership(e1, orbit, disk, n_time=64)
-print(f"pullback stays inside: {rep.in_region} (margin {rep.margin:.4f})")
+print(f"pullback: {rep.summary()}")

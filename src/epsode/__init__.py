@@ -26,17 +26,16 @@ from .topology import (PlanarRegion, ProductRegion, DegreeReport,
                        product_degree, contract, accumulated_angle)
 from .conditions import (HypothesisReport, check_A0, check_A1, check_A2,
                          floquet_condition_A3, MelnikovProfile,
-                         melnikov_profile, defect_normal_profile,
-                         DegreeComparisonReport,
-                         compare_defect_degrees, ResonanceMap, ResonanceZero,
+                         melnikov_profile, compare_defect_degrees,
+                         ResonanceMap, ResonanceZero,
                          resonance_H, resonance_initial_point)
 from .averaging import (NoConvergenceError, AveragedField, averaged_field,
                         solve_averaged, CauchyVerdict, verify_cauchy,
                         StandardForm, to_standard_form)
 from .periodic import (NewtonStalledError, SingularJacobianError,
-                       PeriodicOrbitResult, shoot, MembershipReport,
-                       pullback_membership, orbit_amplitude, equilibrium_candidates,
-                       SweepResult, eps_sweep)
+                       PeriodicOrbitResult, shoot, pullback_membership,
+                       orbit_amplitude, equilibrium_candidates, SweepResult,
+                       eps_sweep)
 
 __all__ = [
     "__version__",
@@ -59,14 +58,13 @@ __all__ = [
     # conditions
     "HypothesisReport", "check_A0", "check_A1", "check_A2",
     "floquet_condition_A3", "MelnikovProfile", "melnikov_profile",
-    "defect_normal_profile",
-    "DegreeComparisonReport", "compare_defect_degrees", "ResonanceMap", "ResonanceZero",
+    "compare_defect_degrees", "ResonanceMap", "ResonanceZero",
     "resonance_H", "resonance_initial_point",
     # averaging
     "NoConvergenceError", "AveragedField", "averaged_field", "solve_averaged",
     "CauchyVerdict", "verify_cauchy", "StandardForm", "to_standard_form",
     # periodic
     "NewtonStalledError", "SingularJacobianError", "PeriodicOrbitResult",
-    "shoot", "MembershipReport", "pullback_membership", "orbit_amplitude",
+    "shoot", "pullback_membership", "orbit_amplitude",
     "equilibrium_candidates", "SweepResult", "eps_sweep",
 ]

@@ -159,14 +159,14 @@ class CauchyVerdict:
     d: float
     gamma_tol: float
     sup_error: float
-    passed: bool
+    verdict: str  # holds | fails
     times: np.ndarray
     errors: np.ndarray
     x_values: np.ndarray = None
     approx_values: np.ndarray = None
 
     def summary(self):
-        status = "pass" if self.passed else "fail"
+        status = "pass" if self.verdict == "holds" else "fail"
         return (f"eps={self.eps:g}: sup error {self.sup_error:.6g} "
                 f"vs gamma {self.gamma_tol:g} -> {status}")
 
@@ -213,8 +213,8 @@ def verify_cauchy(sys, xi0, d, eps_list, avg, gamma_tol=0.1,
         errors = np.linalg.norm(x_vals - approx, axis=1)
         sup = float(errors.max())
         return CauchyVerdict(eps, xi0.copy(), float(d), float(gamma_tol),
-                             sup, bool(sup <= gamma_tol), times, errors,
-                             x_vals, approx)
+                             sup, "holds" if sup <= gamma_tol else "fails",
+                             times, errors, x_vals, approx)
 
     return [one(eps, approx) for eps, approx in zip(eps_list, flows)]
 

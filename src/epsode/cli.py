@@ -6,9 +6,9 @@ sectioned key-value text file; ``--set section.key=value`` overrides
 individual entries.  A key left unset takes the default of the library
 function it feeds, unless ``_KEYS`` states the CLI's own.  CSV output
 starts with comment lines recording the tool version, the config hash and
-the seed, so identical configurations give byte-identical files.  Exit
-codes: 0 holds/converged, 2 fails, 3 inconclusive, 1 usage or
-configuration error; ``_FAILURES`` maps library failures to 3 or 2.
+the seed, so identical configurations give byte-identical files.  Every
+command ends in a word, its verdict or that of a library failure
+(``_FAILURES``), and ``run`` returns the word's exit code from ``_EXIT``.
 """
 
 import argparse
@@ -40,16 +40,12 @@ __all__ = ["run", "main", "ConfigError", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 12345
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_FAILS = 2
-EXIT_INCONCLUSIVE = 3
-
-# The exit code of each verdict, and the word for each library failure that
-# ends a command without an answer: the flow blew up or a refinement did not
-# settle (inconclusive), or shooting's Newton iteration did not converge.
-_EXIT = {"holds": EXIT_OK, "fails": EXIT_FAILS, "failed": EXIT_FAILS,
-         "inconclusive": EXIT_INCONCLUSIVE}
+# The exit code of each word a command can end in: a verdict, "failed" when
+# shooting's Newton iteration did not converge, and "usage" for a command
+# line or config that does not parse.  _FAILURES gives the word of each
+# library failure that ends a command without an answer: the flow blew up
+# or a refinement did not settle (inconclusive), or Newton failed.
+_EXIT = {"holds": 0, "usage": 1, "fails": 2, "failed": 2, "inconclusive": 3}
 _FAILURES = {IntegrationError: "inconclusive",
              NoConvergenceError: "inconclusive",
              FieldVanishesError: "inconclusive",
@@ -363,11 +359,8 @@ class Output:
             write_svg(self.plot_path, series, title, xlabel, ylabel)
 
 
-def _verdict_exit(report):
-    return _EXIT[report.verdict]
-
-
 # -- commands ---------------------------------------------------------------
+# Each command prints its answer and returns its verdict, a key of _EXIT.
 
 def _cmd_describe(args, cfg, out):
     sys_def = build_system(cfg)
@@ -387,7 +380,7 @@ def _cmd_describe(args, cfg, out):
         kind = "circle/curve" if region.curve is not None else "polygon"
         print(f"region: {kind}, star_center={region.star_center}, "
               f"n_hint={region.n_hint}")
-    return EXIT_OK
+    return "holds"
 
 
 def _cmd_check(args, cfg, out):
@@ -439,7 +432,7 @@ def _cmd_check(args, cfg, out):
         out.write_plot([(np.arange(len(norms)), norms, "|defect|")],
                        "Defect field norm on the boundary", "sample", "|F|")
     print(rep.summary())
-    return _verdict_exit(rep)
+    return rep.verdict
 
 
 def _cmd_melnikov(args, cfg, out):
@@ -455,7 +448,7 @@ def _cmd_melnikov(args, cfg, out):
                    "Cycle integral profile", "theta", "M")
     rep = prof.check_A3_1(**_given(cfg, a3_tol="tolerances.a3_tol"))
     print(rep.summary())
-    return _verdict_exit(rep)
+    return rep.verdict
 
 
 def _cmd_degree(args, cfg, out):
@@ -490,7 +483,7 @@ def _cmd_degree(args, cfg, out):
                    "Boundary field angle", "sample", "atan2(F2, F1)")
     print(f"degree {rep.degree} (min |F| = {rep.min_field_norm:.6g}, "
           f"{rep.samples_used} samples)")
-    return EXIT_OK if rep.degree != 0 else EXIT_FAILS
+    return "holds" if rep.degree != 0 else "fails"
 
 
 def _cmd_resonance(args, cfg, out):
@@ -522,15 +515,15 @@ def _cmd_resonance(args, cfg, out):
     out.write_csv(("a", "theta", "residual", "detH", "local_degree"), rows)
     if rm.degenerate:
         print("resonance map degenerate (H vanishes identically on the grid)")
-        return EXIT_INCONCLUSIVE
+        return "inconclusive"
     good = [z for z in rm.zeros if z.det != 0]
     if good:
         z = good[0]
         print(f"resonance zeros: {len(rm.zeros)} "
               f"(first at a={z.a:.6g}, theta={z.theta:.6g}, det {z.det:.6g})")
-        return EXIT_OK
+        return "holds"
     print("no resonance zeros found in the given ranges")
-    return EXIT_FAILS
+    return "fails"
 
 
 def _averaged(cfg, sys_def, icfg):
@@ -559,7 +552,7 @@ def _cmd_average(args, cfg, out):
     print(f"averaged field converged (n_used={av.n_used}, evaluator "
           f"n={av.n_eval}, worst Cauchy estimate "
           f"{max(h for _, h in av.history[-1:]):.3g})")
-    return EXIT_OK
+    return "holds"
 
 
 def _cmd_verify_cauchy(args, cfg, out):
@@ -588,10 +581,10 @@ def _cmd_verify_cauchy(args, cfg, out):
                    "t", "|x_eps - prediction|")
     for v in verdicts:
         print(v.summary())
-    n_pass = sum(v.passed for v in verdicts)
+    n_pass = sum(v.verdict == "holds" for v in verdicts)
     print(f"verify-cauchy: {n_pass}/{len(verdicts)} pass at gamma "
           f"{verdicts[0].gamma_tol:g}")
-    return EXIT_OK if n_pass == len(verdicts) else EXIT_FAILS
+    return "holds" if n_pass == len(verdicts) else "fails"
 
 
 def _cmd_find_periodic(args, cfg, out):
@@ -607,9 +600,10 @@ def _cmd_find_periodic(args, cfg, out):
         pts = res.orbit.eval(ts)
         out.write_plot([(pts[:, 0], pts[:, 1], "orbit")],
                        "Periodic orbit", "x1", "x2")
-    print(f"find-periodic converged: xi*={res.xi_star} residual "
+    state = "converged" if res.converged else "did not converge"
+    print(f"find-periodic {state}: xi*={res.xi_star} residual "
           f"{res.residual:.3g} ({res.iterations} iterations)")
-    return EXIT_OK if res.converged else EXIT_FAILS
+    return "holds" if res.converged else "fails"
 
 
 def _orbit_columns(sys_def):
@@ -666,7 +660,7 @@ def _cmd_sweep(args, cfg, out):
     slope_txt = "n/a" if sw.slope is None else f"{sw.slope:.3f}"
     print(f"sweep: {len(conv)}/{len(sw.results)} converged, "
           f"distance slope {slope_txt}")
-    return EXIT_OK if len(conv) == len(sw.results) else EXIT_FAILS
+    return "holds" if len(conv) == len(sw.results) else "fails"
 
 
 _COMMANDS = {
@@ -704,30 +698,30 @@ def _build_parser():
 
 
 def run(argv):
-    """Entry point; returns the process exit code.  A library failure in
-    ``_FAILURES`` is written as the CSV's one ``note`` and printed."""
+    """Entry point; returns the exit code, from ``_EXIT``, of the word the
+    command ends in.  A library failure in ``_FAILURES`` is written as the
+    CSV's one ``note`` and printed."""
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as err:
-        return EXIT_OK if err.code == 0 else EXIT_USAGE
-    command = args.command
-    if command == "check":
-        command += f" {args.condition}"
-    try:
+        command = args.command
+        if command == "check":
+            command += f" {args.condition}"
         cfg = parse_config(args.config, args.overrides)
         out = Output(args, cfg, command)
-        return _COMMANDS[args.command](args, cfg, out)
+        word = _COMMANDS[args.command](args, cfg, out)
+    except SystemExit as err:  # argparse printed the help or the error
+        word = "holds" if err.code == 0 else "usage"
     except tuple(_FAILURES) as err:
         word = next(w for e, w in _FAILURES.items() if isinstance(err, e))
         out.write_csv(("note",), [(str(err),)])
         print(f"{command} {word} ({err})")
-        return _EXIT[word]
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        word = "usage"
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        word = "usage"
+    return _EXIT[word]
 
 
 def main():

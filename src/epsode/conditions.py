@@ -28,8 +28,7 @@ from .variational import (DefectField, _defect_profiles, _phase_points,
 __all__ = [
     "HypothesisReport", "check_A0", "check_A1", "check_A2",
     "floquet_condition_A3",
-    "MelnikovProfile", "melnikov_profile", "defect_normal_profile",
-    "DegreeComparisonReport", "compare_defect_degrees",
+    "MelnikovProfile", "melnikov_profile", "compare_defect_degrees",
     "ResonanceZero", "ResonanceMap", "resonance_H", "resonance_initial_point",
 ]
 
@@ -40,6 +39,9 @@ _A3_ONE_TOL, _A3_GAP_TOL = 1e-6, 1e-3  # A3's one_tol and gap_tol, reported
 
 @dataclass
 class HypothesisReport:
+    """The one record of a yes/no answer: the condition checked, its
+    verdict, the margin and where it is attained (the witness), and the
+    grids, tolerances and data behind them."""
     condition: str
     verdict: str  # holds | fails | inconclusive
     margin: float
@@ -322,17 +324,6 @@ class MelnikovProfile:
             tolerances={"a3_tol": a3_tol})
 
 
-def _perp(v):
-    """Counterclockwise quarter turn (u, v) -> (-v, u), row-wise."""
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
-
-
-def _require_planar(sys):
-    """The cycle normal perp(x0') needs a planar system."""
-    if sys.k != 2:
-        raise ValueError("the cycle integral is defined for planar systems")
-
-
 def melnikov_profile(sys, cycle, theta_grid=None, cycle_tol=1e-6):
     """Weighted cycle integral M(theta) of the forcing against the cycle
     normal.
@@ -343,7 +334,8 @@ def melnikov_profile(sys, cycle, theta_grid=None, cycle_tol=1e-6):
     on the same nodes; the cycle velocity is psi(t, x0(t)) exactly, never a
     difference quotient.
     """
-    _require_planar(sys)
+    if sys.k != 2:  # the cycle normal perp(x0') needs a planar system
+        raise ValueError("the cycle integral is defined for planar systems")
     res = cycle_residual(cycle, sys.T)
     if res > cycle_tol:
         raise ValueError(f"input trajectory is not {sys.T}-periodic "
@@ -353,7 +345,7 @@ def melnikov_profile(sys, cycle, theta_grid=None, cycle_tol=1e-6):
     nodes, weights = gauss_legendre_panels(0.0, sys.T)
     xq = cycle.eval(nodes)
     vq, jac = lane_field(sys, nodes, xq, np.eye(2), tangents=2)
-    perp = _perp(vq)
+    perp = np.stack([-vq[:, 1], vq[:, 0]], axis=-1)  # quarter turn of x0'
     # the weight from the running quadrature of div psi = trace Dpsi
     wq = np.exp(-gauss_legendre_running(np.trace(jac, axis1=1, axis2=2),
                                         0.0, sys.T))
@@ -366,40 +358,9 @@ def melnikov_profile(sys, cycle, theta_grid=None, cycle_tol=1e-6):
                            (float(wq.min()), float(wq.max())))
 
 
-def defect_normal_profile(sys, cycle, s_grid=None, theta_grid=None,
-                          cfg=DEFAULT_CONFIG):
-    """Projection <defect(s, x0(theta)), perp(x0'(theta))> on a grid.
-
-    Diagnostic companion to :func:`melnikov_profile`: both quantities are
-    exposed so their vanishing sets can be inspected side by side instead
-    of assumed to coincide.
-    """
-    _require_planar(sys)
-    s_grid = _phase_points(np.linspace(0.0, sys.T, 17) if s_grid is None
-                           else s_grid, sys.T, "s_grid")
-    thetas = _phase_points(np.linspace(0.0, sys.T, 33) if theta_grid is None
-                           else theta_grid, sys.T, "theta_grid")
-    pts = cycle.eval(np.mod(thetas, sys.T))
-    vel = lane_field(sys, thetas, pts)[0]
-    normals = _perp(vel)
-    prof = defect_profile(sys, pts, s_grid, cfg)
-    proj = np.einsum("snd,nd->sn", prof, normals)
-    return s_grid, thetas, proj
-
-
 # ---------------------------------------------------------------------------
 # Homotopy invariance of the defect degree
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DegreeComparisonReport:
-    verdict: str  # holds | fails | inconclusive
-    degree_1: int = None
-    degree_2: int = None
-    min_defect: float = np.inf
-    witness: dict = field(default_factory=dict)
-    grids: dict = field(default_factory=dict)
-
 
 def compare_defect_degrees(sys1, sys2, region, s_grid=None,
                      boundary_samples=512, a1_tol=1e-6, cfg=DEFAULT_CONFIG):
@@ -408,9 +369,10 @@ def compare_defect_degrees(sys1, sys2, region, s_grid=None,
     The defect is affine in the forcing, so the defect of the convex
     combination lam*phi1 + (1-lam)*phi2 is the same combination of the two
     endpoint defects; no additional integration is needed along the
-    homotopy.  If the combined defect drops below ``a1_tol`` somewhere on
-    the (lambda, s, boundary) grid the comparison is inconclusive and the
-    witness is reported.
+    homotopy.  The ``homotopy`` report's margin is the smallest combined
+    defect on the (lambda, s, boundary) grid, at its witness; below
+    ``a1_tol`` the comparison is inconclusive, else it holds when the two
+    degrees, ``data["degrees"]``, agree.
     """
     if not isinstance(region, PlanarRegion):
         raise ValueError("degree comparison implemented for planar regions")
@@ -434,8 +396,10 @@ def compare_defect_degrees(sys1, sys2, region, s_grid=None,
     pts = _boundary_samples(region, boundary_samples)
     D1, D2 = _defect_profiles(sys1, (sys1, sys2), pts, s_grid, cfg)
 
-    grids = {"lambda_points": len(lambdas), "s_points": len(s_grid),
-             "boundary_samples": len(pts)}
+    context = {"grids": {"lambda_points": len(lambdas),
+                         "s_points": len(s_grid),
+                         "boundary_samples": len(pts)},
+               "tolerances": {"a1_tol": a1_tol}}
     min_defect = np.inf
     witness = {}
     for lam in lambdas:
@@ -447,8 +411,8 @@ def compare_defect_degrees(sys1, sys2, region, s_grid=None,
             witness = {"lambda": float(lam), "s": float(s_grid[si]),
                        "point": pts[pi], "norm": float(norms[si, pi])}
     if min_defect < a1_tol:
-        return DegreeComparisonReport("inconclusive", min_defect=min_defect,
-                              witness=witness, grids=grids)
+        return HypothesisReport("homotopy", "inconclusive", min_defect,
+                                witness, **context)
 
     s0 = int(np.nonzero(s_grid == 0.0)[0][0])
     degrees = []
@@ -458,8 +422,8 @@ def compare_defect_degrees(sys1, sys2, region, s_grid=None,
         degrees.append(winding_number(fldi.eval_many, region,
                                       n0=len(pts)).degree)
     verdict = "holds" if degrees[0] == degrees[1] else "fails"
-    return DegreeComparisonReport(verdict, degrees[0], degrees[1], min_defect,
-                          witness, grids)
+    return HypothesisReport("homotopy", verdict, min_defect, witness,
+                            data={"degrees": tuple(degrees)}, **context)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +522,10 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12)):
     partial of g carries, and the quadrature, a step function in the
     jump's position, does not see it either.  g must also be finite on the
     seed circles: at the first N whose sums are not all finite,
-    ``ValueError`` names the first seed among them.
+    ``ValueError`` names the first seed among them.  Its 2 pi periodicity in
+    t is probed at 5 seeded points of the annulus the seed circles cover,
+    at those where g is finite; ``ValueError`` names the first probe when
+    g is finite at none of them.
     """
     expr = ex.parse(g) if isinstance(g, str) else g
     jump = _moving_jump(expr)
@@ -571,14 +538,30 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12)):
     f_jac = ex.compile_expr(
         [expr] + [ex.differentiate(expr, v) for v in ("t", "x1", "x2")],
         arrays=True)
+    (a_lo, a_hi), (th_lo, th_hi) = a_range, theta_range
+    if not (a_lo < a_hi and th_lo < th_hi):
+        # the zeros are kept only inside the ranges, so an empty or reversed
+        # one would drop every zero Newton finds
+        raise ValueError(f"resonance ranges need lo < hi, not a_range="
+                         f"{tuple(a_range)}, theta_range={tuple(theta_range)}")
+    # the period is fixed at 2 pi for this construction; g is probed on the
+    # annulus a_lo <= |x| <= a_hi that the seed circles cover
     rng = np.random.default_rng(3)
-    for _ in range(5):  # the period is fixed at 2 pi for this construction
-        t = rng.uniform(0, 2 * np.pi)
-        u, v = rng.uniform(-2, 2, 2)
-        with np.errstate(all="ignore"):  # nan passes; the seeds name it
-            a, b = f(t, (u, v))[0], f(t + 2 * np.pi, (u, v))[0]
-        if abs(a - b) > 1e-9 * (1 + abs(a)):
-            raise ValueError("forcing expression is not 2 pi periodic in t")
+    t, r, phase = rng.uniform((0.0, a_lo, 0.0), (2 * np.pi, a_hi, 2 * np.pi),
+                              (5, 3)).T
+    u, v = r * np.cos(phase), r * np.sin(phase)
+    with np.errstate(all="ignore"):  # the seeds name where g is needed
+        a, b = np.array([[f(s, (x, y))[0] for s in (tt, tt + 2 * np.pi)]
+                         for tt, x, y in zip(t, u, v)], dtype=float).T
+    ok = np.isfinite(a) & np.isfinite(b)
+    if not ok.any():
+        raise ValueError(f"forcing expression is not finite at any of its "
+                         f"{len(t)} periodicity probes, the first at "
+                         f"t={t[0]:.6g}, x1={u[0]:.6g}, x2={v[0]:.6g}; the "
+                         "resonance map needs g finite there to check that "
+                         "it is 2 pi periodic in t")
+    if np.any(np.abs(a - b)[ok] > 1e-9 * (1 + np.abs(a[ok]))):
+        raise ValueError("forcing expression is not 2 pi periodic in t")
 
     cost = {"forcing_calls": 0, "quad_points": 0}
 
@@ -604,12 +587,6 @@ def resonance_H(g, a_range, theta_range, grid=(12, 12)):
         tau, (y,) = on_nodes(f, P, N, offset)
         return weigh(tau, y)
 
-    (a_lo, a_hi), (th_lo, th_hi) = a_range, theta_range
-    if not (a_lo < a_hi and th_lo < th_hi):
-        # the zeros are kept only inside the ranges, so an empty or reversed
-        # one would drop every zero Newton finds
-        raise ValueError(f"resonance ranges need lo < hi, not a_range="
-                         f"{tuple(a_range)}, theta_range={tuple(theta_range)}")
     AA, TT = np.meshgrid(np.linspace(a_lo, a_hi, grid[0]),
                          np.linspace(th_lo, th_hi, grid[1]), indexing="ij")
     seeds = np.column_stack([AA.ravel(), TT.ravel()])

@@ -12,6 +12,7 @@ from itertools import chain
 
 import numpy as np
 
+from .conditions import HypothesisReport
 from .solver import DEFAULT_CONFIG, IntegrationError, integrate
 from .systems import damped_newton
 from .topology import PlanarRegion
@@ -19,7 +20,7 @@ from .variational import augmented, flow_lanes, lane_field
 
 __all__ = [
     "NewtonStalledError", "SingularJacobianError", "PeriodicOrbitResult",
-    "shoot", "MembershipReport", "pullback_membership", "orbit_amplitude",
+    "shoot", "pullback_membership", "orbit_amplitude",
     "equilibrium_candidates", "SweepResult", "eps_sweep",
 ]
 
@@ -48,7 +49,6 @@ class PeriodicOrbitResult:
     monodromy: np.ndarray = None
     orbit: object = None
     in_region: bool = None
-    membership_margin: float = None
     boundary_distance: float = None
     residual_history: list = field(default_factory=list)
     failure: str = None
@@ -94,19 +94,11 @@ def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9):
         result.orbit = integrate(augmented(sys, 1, eps)[0], 0.0, sys.T, xi,
                                  cfg)
         if region is not None:
-            mem = pullback_membership(sys, result.orbit, region, cfg=cfg)
-            result.in_region = mem.in_region
-            result.membership_margin = mem.margin
+            result.in_region = pullback_membership(
+                sys, result.orbit, region, cfg=cfg).verdict == "holds"
             result.boundary_distance = float(
                 region.distance_to_boundary(xi[None, :])[0])
     return result
-
-
-@dataclass
-class MembershipReport:
-    in_region: bool
-    margin: float
-    witness_time: float = None
 
 
 def pullback_membership(sys, orbit, region, n_time=256, cfg=DEFAULT_CONFIG):
@@ -115,8 +107,10 @@ def pullback_membership(sys, orbit, region, n_time=256, cfg=DEFAULT_CONFIG):
     All grid points are pulled back to time 0 by one run of the unperturbed
     flow with per-lane start times (:func:`flow_lanes`).  A circle answers
     interior membership from its center and radius, other regions by the
-    boundary winding number; the margin is the smallest distance from the
-    pullbacks to the boundary.
+    boundary winding number.  The ``membership`` report holds when every
+    pullback is inside; its margin is then their smallest distance to the
+    boundary, at the witness time, and otherwise 0, at the first time
+    whose pullback is outside.
     """
     times = np.linspace(0.0, sys.T, n_time)
     pulls = flow_lanes(sys, times, 0.0, orbit.eval(times), cfg)[0]
@@ -125,10 +119,13 @@ def pullback_membership(sys, orbit, region, n_time=256, cfg=DEFAULT_CONFIG):
     else:
         inside = np.array([region.contains(p) for p in pulls])
     if np.all(inside):
-        margin = float(region.distance_to_boundary(pulls).min())
-        return MembershipReport(True, margin)
-    bad = int(np.argmin(inside))
-    return MembershipReport(False, 0.0, float(times[bad]))
+        dist = region.distance_to_boundary(pulls)
+        i = int(np.argmin(dist))
+        return HypothesisReport("membership", "holds", float(dist[i]),
+                                {"time": float(times[i])})
+    i = int(np.argmin(inside))
+    return HypothesisReport("membership", "fails", 0.0,
+                            {"time": float(times[i])})
 
 
 def orbit_amplitude(orbit):

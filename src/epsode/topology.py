@@ -229,7 +229,6 @@ class DegreeReport:
     min_field_norm: float
     samples_used: int
     refined: bool
-    raw_angle: float = 0.0
     residue: float = 0.0
 
 
@@ -295,7 +294,7 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20):
             total = float(inc.sum())
             degree = np.rint(total / (2 * np.pi))
             return DegreeReport(int(degree), min_norm, len(us), refined,
-                                total, abs(total - 2 * np.pi * degree))
+                                abs(total - 2 * np.pi * degree))
         u_l, u_r = nxt_u[bad], nxt_u[bad + 1]
         F_l, dF = vals[bad], vals[(bad + 1) % len(us)] - vals[bad]
         # F_r != F_l, since their angles differ by at least pi/2

@@ -89,13 +89,13 @@ def test_verify_zero_forcing_zero_error(e1):
     verd = verify_cauchy(sysd, [0.4, 0.0], 0.5, [0.05],
                          lambda z: np.zeros(2), grid_points=64)
     assert verd[0].sup_error <= 1e-7
-    assert verd[0].passed
+    assert verd[0].verdict == "holds"
 
 
 def test_verify_full_pipeline_short(e3):
     verd = verify_cauchy(e3, [1.0], 0.5, [0.02], averaged_field(e3, r=4.0),
                          gamma_tol=0.1, grid_points=256)
-    assert verd[0].passed
+    assert verd[0].verdict == "holds"
     assert verd[0].sup_error == pytest.approx(0.02, rel=0.2)
 
 
@@ -114,7 +114,7 @@ def test_verify_tracks_cycle_with_constant_slow_solution(e1):
     # so the zero field is supplied directly
     verd = verify_cauchy(e1, [1.0, 0.0], 0.3, [1e-3], lambda z: np.zeros(2),
                          gamma_tol=0.1, grid_points=256)
-    assert verd[0].passed
+    assert verd[0].verdict == "holds"
     assert verd[0].sup_error <= 0.01
 
 
@@ -137,7 +137,7 @@ def test_verify_flow_factor_rotates_the_slow_solution(e2):
 
 
 def _same_verdict(a, b):
-    return (a.eps, a.sup_error, a.passed) == (b.eps, b.sup_error, b.passed) \
+    return (a.eps, a.sup_error, a.verdict) == (b.eps, b.sup_error, b.verdict) \
         and all(np.array_equal(getattr(a, name), getattr(b, name))
                 for name in ("times", "errors", "x_values", "approx_values"))
 

@@ -431,6 +431,22 @@ seed = (0.9)
     assert float(vals[2]) == pytest.approx(0.5, abs=1e-8)
 
 
+def test_find_periodic_says_when_it_did_not_converge(tmp_path, capsys):
+    # at eps = 0 Newton reaches e1's cycle, where the period map's Jacobian
+    # is singular; shoot reports that as not converged instead of raising
+    p = tmp_path / "fp.cfg"
+    p.write_text("[system]\nbuiltin = e1-circle\n\n"
+                 "[shoot]\neps = 0\nseed = (1.2, 0.1)\n")
+    out = tmp_path / "fp.csv"
+    rc = run(["find-periodic", "--config", str(p), "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert rc == 2
+    assert printed.startswith("find-periodic did not converge: xi*=")
+    assert "converged:" not in printed
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows[1].split(",")[1] == "false"
+
+
 def test_sweep_command(tmp_path, capsys):
     p = tmp_path / "sw.cfg"
     p.write_text("""
@@ -630,6 +646,41 @@ def test_unset_keys_keep_their_former_defaults(command, tmp_path, capsys):
                  if not l.startswith("# config ")]
         results.append((rc, lines, capsys.readouterr().out))
     assert results[0] == results[1]
+
+
+SMALL = {
+    "describe": (E1_CFG, []),
+    "check A0": (E1_CFG, ["grids.a0_samples=16"]),
+    "check A1": (INLINE_CFG, ["grids.boundary_samples=16",
+                              "grids.s_points=3"]),
+    "check A2": (INLINE_CFG, ["grids.boundary_samples=64"]),
+    "check A3": (E1_CFG, ["grids.theta_points=5"]),
+    "melnikov": (E1_CFG, ["grids.theta_points=5"]),
+    "degree": (FIELD_CFG, ["grids.boundary_samples=64"]),
+    "resonance": (FIELD_CFG, ["resonance.grid=(3, 3)"]),
+    "average": (E3_CFG, []),
+    "verify-cauchy": (E3_CFG, []),
+    "find-periodic": (E3_CFG, []),
+    "sweep": (SWEEP_CFG, []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL))
+def test_every_command_ends_in_a_word_of_the_exit_table(command, tmp_path,
+                                                        capsys):
+    from epsode import cli
+    assert {c.split()[0] for c in SMALL} == set(cli._COMMANDS)
+    text, overrides = SMALL[command]
+    p = tmp_path / "c.cfg"
+    p.write_text(text)
+    args = cli._build_parser().parse_args(
+        command.split() + ["--config", str(p), "--out",
+                           str(tmp_path / "o.csv")]
+        + [a for o in overrides for a in ("--set", o)])
+    cfg = cli.parse_config(args.config, args.overrides)
+    word = cli._COMMANDS[args.command](args, cfg,
+                                       cli.Output(args, cfg, command))
+    assert word in cli._EXIT
 
 
 def test_average_and_verify_cauchy_build_the_same_field(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from epsode import conditions, systems
 from epsode import (PlanarRegion, ProductRegion, check_A0, check_A1, check_A2,
-                    defect_normal_profile, floquet_condition_A3,
+                    floquet_condition_A3,
                     gauss_legendre_panels, melnikov_profile, resonance_H,
                     resonance_initial_point, system_from_callables,
                     system_from_expressions, compare_defect_degrees,
@@ -281,35 +281,6 @@ def test_melnikov_requires_planar(e3, e1_cycle):
         melnikov_profile(e3, e1_cycle)
 
 
-def test_defect_normal_profile_requires_planar(e3, e1_cycle):
-    with pytest.raises(ValueError, match="planar"):
-        defect_normal_profile(e3, e1_cycle)
-
-
-@pytest.mark.parametrize("grid", ["s_grid", "theta_grid"])
-def test_defect_normal_profile_rejects_an_empty_grid(e1, e1_cycle, grid):
-    with pytest.raises(ValueError, match=f"{grid} is empty"):
-        defect_normal_profile(e1, e1_cycle, **{grid: []})
-
-
-def test_defect_normal_profile_default_grids(e1, e1_cycle):
-    s_grid, thetas, proj = defect_normal_profile(e1, e1_cycle)
-    assert np.array_equal(s_grid, np.linspace(0.0, TWO_PI, 17))
-    assert np.array_equal(thetas, np.linspace(0.0, TWO_PI, 33))
-    assert proj.shape == (17, 33)
-
-
-def test_defect_normal_profile_matches_closed_form(e1, e1_cycle):
-    s_grid, thetas, proj = defect_normal_profile(
-        e1, e1_cycle, s_grid=np.array([0.0]),
-        theta_grid=np.array([0.0, 1.0, 3.0]))
-    # at s=0 the projection on the rotated velocity is -(radial defect)
-    c = (1 - np.exp(-4 * np.pi)) / 5
-    for j, th in enumerate(thetas):
-        expect = -c * (2 * np.cos(th) + np.sin(th))
-        assert proj[0, j] == pytest.approx(expect, abs=1e-7)
-
-
 # ----------------------------------------------------- homotopy compare ----
 
 def test_degree_comparison_identical_pair(disk):
@@ -318,8 +289,8 @@ def test_degree_comparison_identical_pair(disk):
     rep = compare_defect_degrees(s1, s2, disk, boundary_samples=64,
                            s_grid=np.linspace(0, TWO_PI, 5))
     assert rep.verdict == "holds"
-    assert rep.degree_1 == rep.degree_2 == 1
-    assert rep.min_defect == pytest.approx(TWO_PI, rel=1e-9)
+    assert rep.data["degrees"] == (1, 1)
+    assert rep.margin == pytest.approx(TWO_PI, rel=1e-9)
 
 
 def test_degree_comparison_scaled_pair(disk):
@@ -328,7 +299,7 @@ def test_degree_comparison_scaled_pair(disk):
                            boundary_samples=64,
                            s_grid=np.linspace(0, TWO_PI, 5))
     assert rep.verdict == "holds"
-    assert (rep.degree_1, rep.degree_2) == (1, 1)
+    assert rep.data["degrees"] == (1, 1)
 
 
 def test_degree_comparison_vanishing_homotopy_witness(disk):
@@ -339,7 +310,7 @@ def test_degree_comparison_vanishing_homotopy_witness(disk):
     assert rep.verdict == "inconclusive"
     assert rep.witness["lambda"] == pytest.approx(0.5)
     assert np.allclose(rep.witness["point"], [1.0, 0.0], atol=1e-12)
-    assert rep.min_defect <= 1e-9
+    assert rep.margin <= 1e-9
 
 
 def test_degree_comparison_rejects_product_region_before_integrating(
@@ -701,6 +672,24 @@ def test_resonance_names_a_seed_where_the_forcing_is_not_finite():
         with pytest.raises(ValueError, match=re.escape(
                 "16-node circle of the seed a=2.13636, theta=0;")):
             resonance_H("log(2 - x1) + cos(t)", (0.5, 3.5), (0.0, TWO_PI))
+
+
+def test_resonance_periodicity_probe_needs_a_finite_value():
+    # sqrt(r^2 - 8.5) is nan for r^2 < 8.5 and finite on the seed circles
+    # a > 3, so g is probed there, and nan does not stand for periodic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not 2 pi periodic in t"):
+            resonance_H("sqrt(x1^2 + x2^2 - 8.5)*0 + cos(t/2)", (3.0, 4.0),
+                        (0.0, TWO_PI))
+        rm = resonance_H("sqrt(x1^2 + x2^2 - 8.5)*0 + cos(t)", (3.0, 4.0),
+                         (0.0, TWO_PI))
+        assert not rm.degenerate
+        with pytest.raises(ValueError, match="not finite at any of its 5 "
+                           r"periodicity probes, the first at t=\S+, "
+                           r"x1=\S+, x2=\S+;"):
+            resonance_H("sqrt(8.5 - x1^2 - x2^2)*0 + cos(t/2)", (3.0, 4.0),
+                        (0.0, TWO_PI))
 
 
 @pytest.mark.parametrize("a_range, th_range", [

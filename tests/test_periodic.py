@@ -74,12 +74,12 @@ def test_membership_static_center():
     disk = PlanarRegion.circle(0, 0, 1, 128)
     orbit = integrate(sysd.psi, 0.0, TWO_PI, [0.2, 0.0])
     rep = pullback_membership(sysd, orbit, disk, n_time=32)
-    assert rep.in_region
+    assert rep.verdict == "holds"
     assert rep.margin == pytest.approx(0.8, abs=1e-3)
     outside = integrate(sysd.psi, 0.0, TWO_PI, [1.5, 0.0])
     rep = pullback_membership(sysd, outside, disk, n_time=32)
-    assert not rep.in_region
-    assert rep.witness_time == 0.0
+    assert rep.verdict == "fails"
+    assert rep.witness["time"] == 0.0
 
 
 def test_membership_pulls_back_a_rotating_orbit_in_one_run(e2, disk,
@@ -95,12 +95,14 @@ def test_membership_pulls_back_a_rotating_orbit_in_one_run(e2, disk,
 
     monkeypatch.setattr(variational, "integrate_checkpoints", counting)
     rep = pullback_membership(e2, orbit, disk)
-    assert rep.in_region and rep.margin == pytest.approx(0.5, abs=1e-9)
+    assert rep.verdict == "holds"
+    assert rep.margin == pytest.approx(0.5, abs=1e-9)
     assert len(calls) == 1
     # off-centre, the margin also checks the angle of each pullback
     shifted = PlanarRegion.circle(0.3, 0.0, 1.0, 512)
     rep = pullback_membership(e2, orbit, shifted)
-    assert rep.in_region and rep.margin == pytest.approx(0.8, abs=1e-9)
+    assert rep.verdict == "holds"
+    assert rep.margin == pytest.approx(0.8, abs=1e-9)
 
 
 def test_membership_of_found_orbit(e1, disk):
