@@ -32,8 +32,7 @@ from .conditions import (HypothesisReport, check_A0, check_A1, check_A2,
 from .averaging import (NoConvergenceError, AveragedField, averaged_field,
                         solve_averaged, CauchyVerdict, verify_cauchy,
                         StandardForm, to_standard_form)
-from .periodic import (NewtonStalledError, SingularJacobianError,
-                       PeriodicOrbitResult, shoot, pullback_membership,
+from .periodic import (PeriodicOrbitResult, shoot, pullback_membership,
                        orbit_amplitude, equilibrium_candidates, SweepResult,
                        eps_sweep)
 
@@ -64,7 +63,6 @@ __all__ = [
     "NoConvergenceError", "AveragedField", "averaged_field", "solve_averaged",
     "CauchyVerdict", "verify_cauchy", "StandardForm", "to_standard_form",
     # periodic
-    "NewtonStalledError", "SingularJacobianError", "PeriodicOrbitResult",
-    "shoot", "pullback_membership", "orbit_amplitude",
+    "PeriodicOrbitResult", "shoot", "pullback_membership", "orbit_amplitude",
     "equilibrium_candidates", "SweepResult", "eps_sweep",
 ]

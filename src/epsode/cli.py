@@ -7,8 +7,8 @@ individual entries.  A key left unset takes the default of the library
 function it feeds, unless ``_KEYS`` states the CLI's own.  CSV output
 starts with comment lines recording the tool version, the config hash and
 the seed, so identical configurations give byte-identical files.  Every
-command ends in a word, its verdict or that of a library failure
-(``_FAILURES``), and ``run`` returns the word's exit code from ``_EXIT``.
+command ends in a word, its verdict or "inconclusive" for a library failure
+in ``_FAILURES``, and ``run`` returns the word's exit code from ``_EXIT``.
 """
 
 import argparse
@@ -32,25 +32,20 @@ from .svgplot import write_svg
 from .systems import builtin_system, system_from_expressions
 from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
                        winding_number)
-from .periodic import (NewtonStalledError, SingularJacobianError, eps_sweep,
-                       shoot)
+from .periodic import eps_sweep, shoot
 from .variational import cycle_residual, flow_omega_dense
 
 __all__ = ["run", "main", "ConfigError", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 12345
 
-# The exit code of each word a command can end in: a verdict, "failed" when
-# shooting's Newton iteration did not converge, and "usage" for a command
-# line or config that does not parse.  _FAILURES gives the word of each
-# library failure that ends a command without an answer: the flow blew up
-# or a refinement did not settle (inconclusive), or Newton failed.
-_EXIT = {"holds": 0, "usage": 1, "fails": 2, "failed": 2, "inconclusive": 3}
-_FAILURES = {IntegrationError: "inconclusive",
-             NoConvergenceError: "inconclusive",
-             FieldVanishesError: "inconclusive",
-             NonConvergentError: "inconclusive",
-             NewtonStalledError: "failed", SingularJacobianError: "failed"}
+# The exit code of each word a command can end in: a verdict, or "usage"
+# for a command line or config that does not parse.  _FAILURES are the
+# library failures that end a command without an answer, in the word
+# "inconclusive": the flow blew up or a refinement did not settle.
+_EXIT = {"holds": 0, "usage": 1, "fails": 2, "inconclusive": 3}
+_FAILURES = (IntegrationError, NoConvergenceError, FieldVanishesError,
+             NonConvergentError)
 
 
 class ConfigError(ValueError):
@@ -127,7 +122,7 @@ _KEYS = {
     "system.builtin": _text, "system.k": _int, "system.T": _float,
     "region.shape": _text, "region.star_center": _point,
     "integrator.rel_tol": _float, "integrator.abs_tol": _float,
-    "integrator.max_step": _float, "integrator.max_steps": _int,
+    "integrator.max_steps": _int,
     "grids.s_points": _int, "grids.theta_points": _int,
     "grids.a0_samples": _int,
     # for degree; winding_number would start from the region's n_hint
@@ -303,7 +298,7 @@ def build_region(cfg):
 def build_integrator(cfg):
     return IntegratorConfig(**_given(
         cfg, rel_tol="integrator.rel_tol", abs_tol="integrator.abs_tol",
-        max_step="integrator.max_step", max_steps="integrator.max_steps"))
+        max_steps="integrator.max_steps"))
 
 
 def build_cycle(cfg, sys, icfg):
@@ -602,7 +597,8 @@ def _cmd_find_periodic(args, cfg, out):
                        "Periodic orbit", "x1", "x2")
     state = "converged" if res.converged else "did not converge"
     print(f"find-periodic {state}: xi*={res.xi_star} residual "
-          f"{res.residual:.3g} ({res.iterations} iterations)")
+          f"{res.residual:.3g} ({res.iterations} iterations)"
+          + ("" if res.converged else f"; {res.failure}"))
     return "holds" if res.converged else "fails"
 
 
@@ -711,8 +707,8 @@ def run(argv):
         word = _COMMANDS[args.command](args, cfg, out)
     except SystemExit as err:  # argparse printed the help or the error
         word = "holds" if err.code == 0 else "usage"
-    except tuple(_FAILURES) as err:
-        word = next(w for e, w in _FAILURES.items() if isinstance(err, e))
+    except _FAILURES as err:
+        word = "inconclusive"
         out.write_csv(("note",), [(str(err),)])
         print(f"{command} {word} ({err})")
     except ConfigError as err:

@@ -19,21 +19,9 @@ from .topology import PlanarRegion
 from .variational import augmented, flow_lanes, lane_field
 
 __all__ = [
-    "NewtonStalledError", "SingularJacobianError", "PeriodicOrbitResult",
-    "shoot", "pullback_membership", "orbit_amplitude",
+    "PeriodicOrbitResult", "shoot", "pullback_membership", "orbit_amplitude",
     "equilibrium_candidates", "SweepResult", "eps_sweep",
 ]
-
-
-class NewtonStalledError(RuntimeError):
-    def __init__(self, history):
-        self.history = list(history)
-        tail = ", ".join(f"{r:.3e}" for r in self.history[-6:])
-        super().__init__(f"shooting Newton stalled (residuals ... {tail})")
-
-
-class SingularJacobianError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -57,11 +45,14 @@ class PeriodicOrbitResult:
 def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9):
     """Damped Newton on the period map from the given seed.
 
-    At eps = 0 with a seed on a cycle the period-map Jacobian is singular
-    (unit multiplier); that case is reported through
-    ``jacobian_singular``, not raised.  A singular Jacobian away from
-    eps = 0 raises :class:`SingularJacobianError`; lack of progress raises
-    :class:`NewtonStalledError` with the residual history.
+    Every way the iteration can end gives a :class:`PeriodicOrbitResult`
+    at its last iterate, with the residual history; only a failed flow
+    raises (:class:`IntegrationError`).  A result that did not converge
+    names the status of :func:`damped_newton` in ``failure``: for a
+    singular period-map Jacobian its smallest singular value, otherwise
+    the last residuals.  At eps = 0 with a seed on a cycle the Jacobian is
+    singular (unit multiplier) at a converged orbit; ``jacobian_singular``
+    reports that.
     """
     eye = np.eye(sys.k)
 
@@ -77,20 +68,20 @@ def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9):
     run = damped_newton(period_map, np.reshape(seed, (1, -1)), shoot_tol,
                         25, 40, 1e-8, (3, 0.98))
     status, history = run.status[0], run.history[0]
-    if status == "singular" and eps != 0:
-        sv = np.linalg.svd(run.jacobian[0], compute_uv=False)
-        raise SingularJacobianError(
-            f"period-map Jacobian singular at eps={eps} "
-            f"(smallest singular value {sv[-1]:.3e})")
-    if status not in ("converged", "singular"):
-        raise NewtonStalledError(history)
     xi, converged = run.x[0], status == "converged"
     monodromy = run.jacobian[0] + eye  # the period-map Jacobian at xi
     result = PeriodicOrbitResult(
         float(eps), np.asarray(seed, dtype=float), xi, float(run.residual[0]),
         int(run.iterations[0]), converged, np.linalg.eigvals(monodromy),
         bool(run.singular[0]), monodromy, residual_history=history)
-    if converged:
+    if status == "singular":
+        sv = np.linalg.svd(run.jacobian[0], compute_uv=False)
+        result.failure = (f"period-map Jacobian singular at eps={eps} "
+                          f"(smallest singular value {sv[-1]:.3e})")
+    elif not converged:
+        tail = ", ".join(f"{r:.3e}" for r in history[-6:])
+        result.failure = f"shooting Newton {status} (residuals ... {tail})"
+    else:
         result.orbit = integrate(augmented(sys, 1, eps)[0], 0.0, sys.T, xi,
                                  cfg)
         if region is not None:
@@ -198,13 +189,15 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
     xi_c + (eps - eps_c) v, then from xi_c itself.  No tangent is kept when
     the orbit's Jacobian is singular, v is not finite or its run fails;
     then eps starts from xi_c (from the seed until an orbit converges).
-    When these starts stall, degenerate or their flow fails, the sweep
+    When these starts do not converge or their flow fails, the sweep
     falls back to equilibria of the full field (for autonomous systems)
-    and to the star center before recording a failure that names the last
-    error.  ``seeds_used`` holds the start that converged (the first one
-    tried for a failure) and ``seed_kinds`` its kind: "given", "predicted",
-    "continued", "fallback", or "none" for a failure.  The rate fit
-    regresses log distance-to-boundary of the found orbits on log eps.
+    and to the star center, skipping any start already tried at that eps,
+    before recording a failure that names the last shot's ``failure`` or
+    flow error.  ``seeds_used`` holds the start that converged (the first
+    one tried for a failure) and ``seed_kinds`` its kind: "given",
+    "predicted", "continued", "fallback", or "none" for a failure.  The
+    rate fit regresses log distance-to-boundary of the found orbits on log
+    eps.
     """
     if seed_strategy not in ("continuation", "fixed"):
         raise ValueError(f"seed_strategy must be 'continuation' or 'fixed', "
@@ -226,20 +219,22 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
             yield region.star_center
 
     def attempt_eps(eps, starts):
-        last_error = None
+        tried, last_error = [], None
         tries = chain(starts, ((x, "fallback") for x in fallbacks(eps)))
         for attempt, kind in tries:
             attempt = np.asarray(attempt, dtype=float)
+            if any(np.array_equal(attempt, x) for x in tried):
+                continue
+            tried.append(attempt)
             try:
                 outcome = shoot(sys, eps, attempt, cfg=cfg, region=region,
                                 shoot_tol=shoot_tol)
-            except (NewtonStalledError, SingularJacobianError,
-                    IntegrationError) as err:
+            except IntegrationError as err:
                 last_error = err
                 continue
             if outcome.converged:
                 return outcome, attempt, kind
-            last_error = RuntimeError("did not converge")
+            last_error = outcome.failure
         first = np.asarray(starts[0][0], dtype=float)
         failed = PeriodicOrbitResult(
             eps=float(eps), seed=first,

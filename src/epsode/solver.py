@@ -47,11 +47,10 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step"):
+        for name in ("rel_tol", "abs_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.max_steps > 0:
@@ -59,7 +58,7 @@ class IntegratorConfig:
 
     def tightened(self, factor=10.0):
         return IntegratorConfig(self.rel_tol / factor, self.abs_tol / factor,
-                                self.max_step, self.max_steps)
+                                self.max_steps)
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -286,7 +285,7 @@ class DOP853:
     repeats scipy's arithmetic, so it takes scipy's steps bit for bit.  A
     step evaluates the field 12 times; :meth:`dense_coeffs` adds 3 more."""
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=np.inf):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         y = np.asarray(y0, dtype=float)
         if y.ndim != 1:
             raise ValueError("`y0` must be 1-dimensional.")
@@ -299,7 +298,7 @@ class DOP853:
         self.fun = lambda t, x: np.asarray(fun(t, x), dtype=float)
         self.t, self.y, self.t_old, self.y_old = t0, y, None, None
         self.t_bound, self.rtol, self.atol = t_bound, rtol, atol
-        self.max_step, self.n, self.status = max_step, y.size, "running"
+        self.n, self.status = y.size, "running"
         self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
         self.f = self.fun(t0, y)
         self.h_abs, self._state = self._initial_step(), (y, self.f)
@@ -324,7 +323,7 @@ class DOP853:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        return min(100 * h0, h1, interval, self.max_step)
+        return min(100 * h0, h1, interval)
 
     def _trial(self, t, h):
         """The state, derivative, stages and error norm of a step h."""
@@ -353,7 +352,7 @@ class DOP853:
         """One accepted step; returns None, or the reason of a failure."""
         t, direction = self.t, self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min(self.max_step, max(self.h_abs, min_step))
+        h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -414,8 +413,7 @@ def _accepted_steps(field, t0, t1, xi, cfg):
     solver = None
     with np.errstate(all="ignore"):
         try:
-            solver = RK45(field, t0, xi, t1, cfg.rel_tol, cfg.abs_tol,
-                          cfg.max_step)
+            solver = RK45(field, t0, xi, t1, cfg.rel_tol, cfg.abs_tol)
             # a non-finite start would make every step size nan, and every
             # nan step would be rejected forever
             if not (np.isfinite(solver.f).all()

@@ -42,7 +42,7 @@ numbers), and with numpy for wider batches.  Opaque callables run a loop
 of their pointwise evaluators.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -206,10 +206,8 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
     ``t0`` and ``t1`` broadcast to (n,) and lane i runs at time
     ``t0[i] + u*(t1[i] - t0[i])`` for u in [0, 1] with its right-hand side
     scaled by ``t1[i] - t0[i]`` (a change of independent variable), so
-    lanes may run in either direction or not at all; ``max_step`` is
-    divided by the longest lane span, so no lane steps further than
-    ``cfg.max_step`` in its own time.  A failure of such a run names u and
-    carries the lane times in its ``t``.
+    lanes may run in either direction or not at all.  A failure of such a
+    run names u and carries the lane times in its ``t``.
 
     With ``fractions``, a sequence of u values in [0, 1], the result is
     instead the states of every lane at ``t0 + u*(t1 - t0)`` for each u,
@@ -239,10 +237,8 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
     def lane_rhs(u, z):
         return scale * rhs(t0 + u * span, z)
 
-    lane_cfg = replace(cfg, max_step=cfg.max_step / np.max(np.abs(span)))
     try:
-        vals, end = integrate_checkpoints(lane_rhs, 0.0, 1.0, z0, fracs,
-                                          lane_cfg)
+        vals, end = integrate_checkpoints(lane_rhs, 0.0, 1.0, z0, fracs, cfg)
     except IntegrationError as err:
         fail = IntegrationError(
             f"{err.reason} at u={float(err.t)!r}, where lane i is at time "

@@ -447,6 +447,22 @@ def test_find_periodic_says_when_it_did_not_converge(tmp_path, capsys):
     assert rows[1].split(",")[1] == "false"
 
 
+def test_find_periodic_writes_the_iterate_of_a_stalled_shot(e1_cfg, tmp_path,
+                                                           capsys):
+    # from e1's cycle at eps 1e-2 the period map has no fixed point nearby
+    out = tmp_path / "fp.csv"
+    rc = run(["find-periodic", "--config", e1_cfg, "--out", str(out),
+              "--set", "shoot.eps=0.01", "--set", "shoot.seed=(1, 0)"])
+    printed = capsys.readouterr().out
+    assert rc == 2
+    assert printed.startswith("find-periodic did not converge: xi*=")
+    assert "shooting Newton stalled (residuals ... " in printed
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows[0].startswith("eps,converged,xi1,xi2,residual")
+    assert "note" not in rows[0]
+    assert len(rows) == 2 and rows[1].split(",")[:2] == ["0.01", "false"]
+
+
 def test_sweep_command(tmp_path, capsys):
     p = tmp_path / "sw.cfg"
     p.write_text("""
@@ -501,6 +517,16 @@ def test_quadrature_keys_are_unknown(e1_cfg, tmp_path, capsys, key):
     assert rc == 1
     assert err.startswith("config error") and f"unknown key '{key}'" in err
     assert "a0_samples" in err and "boundary_samples" in err
+
+
+def test_max_step_is_an_unknown_key(e1_cfg, tmp_path, capsys):
+    # the step controller alone sizes every step; no config bounds it
+    rc = run(["check", "A0", "--config", e1_cfg, "--out",
+              str(tmp_path / "a0.csv"), "--set", "integrator.max_step=inf"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error") and "unknown key 'max_step'" in err
+    assert "max_steps" in err and "rel_tol" in err
 
 
 def test_empty_number_list_is_rejected(tmp_path, capsys):
@@ -573,7 +599,6 @@ def test_check_a1_inconclusive_writes_the_library_grid(e1_cfg, tmp_path,
 # Each subcommand that reads defaulted keys, a cheap config for it and its
 # keys set to the defaults the CLI used to write out itself.
 INTEGRATOR_DEFAULTS = ["integrator.rel_tol=1e-10", "integrator.abs_tol=1e-12",
-                       "integrator.max_step=inf",
                        "integrator.max_steps=1000000"]
 E3_CFG = """
 [system]
@@ -841,6 +866,27 @@ def test_flow_failure_exit_codes(command, rc, tmp_path, capsys):
     else:  # ended by the library failure: its message is the one note
         assert captured.out.startswith(f"{command} inconclusive (step failed")
         assert lines[0] == "note" and lines[1].startswith("step failed")
+
+
+def test_sweep_shoots_each_start_once_per_eps(tmp_path, monkeypatch, capsys):
+    # without a seed or a cycle the sweep starts from the star center, and
+    # its last fallback is the star center again
+    from epsode import periodic
+    starts = []
+    real = periodic.shoot
+
+    def spy(sys, eps, seed, **kwargs):
+        starts.append((eps, tuple(seed)))
+        return real(sys, eps, seed, **kwargs)
+
+    monkeypatch.setattr(periodic, "shoot", spy)
+    cfg = tmp_path / "nocycle.cfg"
+    cfg.write_text(re.sub(r"\[cycle\][^[]*", "", BLOWUP_CFG.read_text()))
+    rc = run(["sweep", "--config", str(cfg), "--out",
+              str(tmp_path / "sweep.csv")])
+    assert rc == 2
+    assert capsys.readouterr().out.count(" failed: step failed (") == 2
+    assert starts == [(0.1, (0.0, 0.0)), (0.05, (0.0, 0.0))]
 
 
 E2_VERIFY_CFG = """
