@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from epsode import (FieldVanishesError, PlanarRegion, ProductRegion,
-                    contract, product_degree, winding_number)
+from epsode import (PlanarRegion, ProductRegion, contract, product_degree,
+                    winding_number)
 
 disk = PlanarRegion.circle(0.0, 0.0, 1.0, 512)
 
@@ -21,11 +21,9 @@ rep = winding_number(complex_square, disk)
 print(f"z^2: degree {rep.degree} from {rep.samples_used} samples "
       f"(min |F| = {rep.min_field_norm:.3f})")
 
-# vanishing fields are reported with a witness instead of a bogus integer
-try:
-    winding_number(lambda P: P * P[:, :1], disk)
-except FieldVanishesError as err:
-    print("vanishing detected:", err)
+# a vanishing field gets no degree: the report says why, at which sample
+rep = winding_number(lambda P: P * P[:, :1], disk)
+print(f"degree {rep.degree}: {rep.failure} at u = {rep.witness['u']}")
 
 # product regions multiply the factor degrees
 prod = ProductRegion([disk, PlanarRegion.circle(0, 0, 2.0, 256)])

@@ -25,8 +25,7 @@ print(f"  worst grid point: s = {rep.witness['s']:.4f}, "
 
 # the defect field on this boundary is radial with two sign changes, so its
 # rotation number is genuinely undefined; the check reports the witness
-a2, _ = check_A2(e1, disk, boundary_samples=256)
-print(a2.summary())
+print(check_A2(e1, disk, boundary_samples=256).summary())
 
 cycle = flow_omega_dense(e1, 0.0, e1.T, [1.0, 0.0])
 prof = melnikov_profile(e1, cycle)

@@ -22,8 +22,8 @@ from .variational import (flow_omega, flow_omega_dense, EtaSolution, eta,
                           DefectField, defect_many, defect_profile,
                           cycle_residual)
 from .topology import (PlanarRegion, ProductRegion, DegreeReport,
-                       FieldVanishesError, NonConvergentError, winding_number,
-                       product_degree, contract, accumulated_angle)
+                       winding_number, product_degree, contract,
+                       accumulated_angle)
 from .conditions import (HypothesisReport, check_A0, check_A1, check_A2,
                          floquet_condition_A3, MelnikovProfile,
                          melnikov_profile, compare_defect_degrees,
@@ -51,9 +51,8 @@ __all__ = [
     "EtaSolution", "eta", "DefectField", "defect_many",
     "defect_profile", "cycle_residual",
     # topology
-    "PlanarRegion", "ProductRegion", "DegreeReport", "FieldVanishesError",
-    "NonConvergentError", "winding_number", "product_degree", "contract",
-    "accumulated_angle",
+    "PlanarRegion", "ProductRegion", "DegreeReport", "winding_number",
+    "product_degree", "contract", "accumulated_angle",
     # conditions
     "HypothesisReport", "check_A0", "check_A1", "check_A2",
     "floquet_condition_A3", "MelnikovProfile", "melnikov_profile",

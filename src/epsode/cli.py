@@ -26,12 +26,12 @@ from . import __version__
 from .averaging import NoConvergenceError, averaged_field, verify_cauchy
 from .conditions import (check_A0, check_A1, check_A2, floquet_condition_A3,
                          melnikov_profile, resonance_H)
-from .expressions import ParseError, compile_expr, parse as parse_expr
+from .expressions import (ParseError, compile_expr, free_names,
+                          parse as parse_expr)
 from .solver import IntegrationError, IntegratorConfig
 from .svgplot import write_svg
 from .systems import builtin_system, system_from_expressions
-from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
-                       winding_number)
+from .topology import PlanarRegion, winding_number
 from .periodic import eps_sweep, shoot
 from .variational import cycle_residual, flow_omega_dense
 
@@ -42,10 +42,9 @@ DEFAULT_SEED = 12345
 # The exit code of each word a command can end in: a verdict, or "usage"
 # for a command line or config that does not parse.  _FAILURES are the
 # library failures that end a command without an answer, in the word
-# "inconclusive": the flow blew up or a refinement did not settle.
+# "inconclusive": the flow blew up or the averaging did not settle.
 _EXIT = {"holds": 0, "usage": 1, "fails": 2, "inconclusive": 3}
-_FAILURES = (IntegrationError, NoConvergenceError, FieldVanishesError,
-             NonConvergentError)
+_FAILURES = (IntegrationError, NoConvergenceError)
 
 
 class ConfigError(ValueError):
@@ -72,8 +71,15 @@ def _parser(convert, failure):
     return parse
 
 
+def _finite(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _numbers(text):
-    vals = [float(p) for p in text.strip("()[]").split(",") if p.strip()]
+    vals = [_finite(p) for p in text.strip("()[]").split(",") if p.strip()]
     if not vals:
         raise ValueError("no numbers")
     return vals
@@ -106,7 +112,7 @@ def _strategy_name(text):
     return text
 
 
-_float = _parser(float, "not a number")
+_float = _parser(_finite, "not a finite number")
 _int = _parser(int, "not an integer")
 _list = _parser(_numbers, "not a number list")
 _range = _parser(_increasing, "not two numbers lo < hi")
@@ -151,6 +157,14 @@ _DYNAMIC_KEY = {
     "system": re.compile(r"^(phi[1-9][0-9]*|psi[1-9][0-9]*|param\.\w+)$"),
     "field": re.compile(r"^f[1-9][0-9]*$"),
 }
+
+
+def _reject_unread(cfg, section, read, reader):
+    """A config error naming the first key of ``section`` not in ``read``,
+    the keys that ``reader`` reads."""
+    for key in cfg.get(section, {}):
+        if key not in read:
+            raise ConfigError(f"{section}.{key}: not read by {reader}")
 
 
 def _check_keys(cfg):
@@ -243,27 +257,40 @@ def config_hash(cfg):
 # -- builders ---------------------------------------------------------------
 
 def build_system(cfg):
+    """The configured system.  A key of [system] that it does not read,
+    such as a ``param.`` value that no phi or psi expression reads, is a
+    config error."""
     sec = cfg.get("system", {})
     params = {k.split(".", 1)[1]: _float(f"system.{k}", v)
               for k, v in sec.items() if k.startswith("param.")}
     if "builtin" in sec:
+        name = _get(cfg, "system.builtin")
         try:
-            return builtin_system(_get(cfg, "system.builtin"), params or None)
+            sys_def = builtin_system(name, params or None)
         except KeyError as err:
             raise ConfigError(str(err)) from err
-    if "k" not in sec:
+        read, reader = {"builtin"}, f"builtin {name}"
+    elif "k" not in sec:
         raise ConfigError("section [system] needs either builtin or an "
                           "inline definition (k, T, phiN, psiN)")
-    k = _get(cfg, "system.k")
-    T = _get(cfg, "system.T")
-    phi = [_unquote(sec.get(f"phi{i + 1}", "")) for i in range(k)]
-    psi = [_unquote(sec.get(f"psi{i + 1}", "")) for i in range(k)]
-    if any(not c for c in phi) or any(not c for c in psi):
-        raise ConfigError(f"inline system needs phi1..phi{k} and psi1..psi{k}")
-    try:
-        return system_from_expressions("config-system", k, T, phi, psi, params)
-    except (ParseError, ValueError) as err:
-        raise ConfigError(f"bad system definition: {err}") from err
+    else:
+        k = _get(cfg, "system.k")
+        T = _get(cfg, "system.T")
+        names = [f"{f}{i + 1}" for f in ("phi", "psi") for i in range(k)]
+        comps = [_unquote(sec.get(name, "")) for name in names]
+        if not all(comps):
+            raise ConfigError(
+                f"inline system needs phi1..phi{k} and psi1..psi{k}")
+        try:
+            sys_def = system_from_expressions("config-system", k, T,
+                                              comps[:k], comps[k:], params)
+        except (ParseError, ValueError) as err:
+            raise ConfigError(f"bad system definition: {err}") from err
+        read, reader = {"k", "T", *names}, f"an inline system of k={k}"
+    exprs = sys_def.phi_exprs.components + sys_def.psi_exprs.components
+    used = set().union(*map(free_names, exprs))
+    _reject_unread(cfg, "system", read | {f"param.{p}" for p in used}, reader)
+    return sys_def
 
 
 _SHAPE_RE = re.compile(r"^\s*(circle|polygon)\s*\((.*)\)\s*$", re.S)
@@ -349,6 +376,13 @@ class Output:
         else:
             sys.stdout.write(data)
 
+    def note(self, command, text):
+        """End ``command`` without an answer: write ``text`` as the CSV's
+        one ``note``, print it and return the word "inconclusive"."""
+        self.write_csv(("note",), [(text,)])
+        print(f"{command} inconclusive ({text})")
+        return "inconclusive"
+
     def write_plot(self, series, title, xlabel, ylabel):
         if self.plot_path:
             write_svg(self.plot_path, series, title, xlabel, ylabel)
@@ -415,7 +449,7 @@ def _cmd_check(args, cfg, out):
         out.write_plot([(s_grid, per_s, "min defect")],
                        "Smallest defect norm per anchor", "s", "min |defect|")
     else:
-        rep, _ = check_A2(sys_def, build_region(cfg), cfg=icfg, **_given(
+        rep = check_A2(sys_def, build_region(cfg), cfg=icfg, **_given(
             cfg, boundary_samples="grids.boundary_samples",
             vanish_tol="tolerances.vanish_tol"))
         pts = rep.data.get("points", np.zeros((0, 2)))
@@ -449,6 +483,7 @@ def _cmd_melnikov(args, cfg, out):
 def _cmd_degree(args, cfg, out):
     region = build_region(cfg)
     sec = cfg.get("field", {})
+    _reject_unread(cfg, "field", {"f1", "f2"}, "degree")
     comps = [sec.get("f1"), sec.get("f2")]
     if not all(comps):
         raise ConfigError("section [field] needs f1 and f2 expressions")
@@ -469,6 +504,8 @@ def _cmd_degree(args, cfg, out):
     rep = winding_number(
         F, region, n0=_get(cfg, "grids.boundary_samples"),
         **_given(cfg, vanish_tol="tolerances.vanish_tol"))
+    if rep.degree is None:
+        return out.note("degree", rep.failure)
     pts = region.boundary_points(min(rep.samples_used, 1024))
     vals = F(pts)
     out.write_csv(("x1", "x2", "F1", "F2"),
@@ -493,13 +530,8 @@ def _cmd_resonance(args, cfg, out):
         raise ConfigError(f"bad forcing expression: {err}") from err
     rows = []
     for z in rm.zeros:
-        try:
-            box = rm.box(z)
-            local = winding_number(
-                lambda P: rm.evaluate_many(P[:, 0], P[:, 1]),
-                box, n0=256).degree
-        except (FieldVanishesError, NonConvergentError):
-            local = 0
+        local = winding_number(lambda P: rm.evaluate_many(P[:, 0], P[:, 1]),
+                               rm.box(z), n0=256).degree or 0
         rows.append((z.a, z.theta, z.residual, z.det, local))
     out.header.append(" ".join(["# newton"] + [f"{s}={n}" for s, n
                                                in rm.newton.items()]))
@@ -708,9 +740,7 @@ def run(argv):
     except SystemExit as err:  # argparse printed the help or the error
         word = "holds" if err.code == 0 else "usage"
     except _FAILURES as err:
-        word = "inconclusive"
-        out.write_csv(("note",), [(str(err),)])
-        print(f"{command} {word} ({err})")
+        word = out.note(command, str(err))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         word = "usage"

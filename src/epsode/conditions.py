@@ -19,8 +19,7 @@ from . import expressions as ex
 from .solver import (DEFAULT_CONFIG, IntegrationError, gauss_legendre_panels,
                      gauss_legendre_running)
 from .systems import _lane_norms, damped_newton
-from .topology import (FieldVanishesError, NonConvergentError, PlanarRegion,
-                       product_degree, winding_number)
+from .topology import PlanarRegion, product_degree, winding_number
 from .variational import (DefectField, _defect_profiles, _phase_points,
                           flow_lanes, cycle_residual, defect_profile,
                           lane_field)
@@ -178,10 +177,11 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     components 2i and 2i+1 of phi and psi read no state variable but
     x(2i+1) and x(2i+2), so the verdict is ``inconclusive`` for any other
     system, with the first coupling as witness, and for opaque callables,
-    whose variables cannot be read.  On a planar region ``data`` holds the
-    initial boundary grid (``points``) and the defect field there
-    (``values``), unless the flow failed.  Returns ``(HypothesisReport,
-    DegreeReport or None)``.
+    whose variables cannot be read, and where the count stops, with the
+    vanishing sample's ``point`` and ``norm`` or the failure as witness.
+    On a planar region ``data`` holds the initial boundary grid
+    (``points``) and the defect field there (``values``), unless the flow
+    failed.
     """
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be positive")
@@ -192,7 +192,7 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
     coupling = None if planar else _block_coupling(sys)
     if coupling:
         return HypothesisReport("A2", "inconclusive", 0.0, witness=coupling,
-                                grids=grids, tolerances=tols), None
+                                grids=grids, tolerances=tols)
 
     def degree():
         if planar:
@@ -209,32 +209,28 @@ def check_A2(sys, region, boundary_samples=512, vanish_tol=1e-9,
             [partial(slice_field, i=i) for i in range(len(region.factors))],
             region, n0=boundary_samples, vanish_tol=vanish_tol)
 
-    report = None
-    try:
-        report, failed = _flow("A2", degree, grids=grids, tolerances=tols)
-        if failed:  # filling data would rerun the failing flow
-            return failed, None
-        verdict = "holds" if report.degree != 0 else "fails"
+    report, failed = _flow("A2", degree, grids=grids, tolerances=tols)
+    if failed:  # filling data would rerun the failing flow
+        return failed
+    if report.degree is None:
+        w = report.witness
+        witness = ({"point": w["point"], "norm": w["norm"],
+                    "reason": "defect field vanishes on the boundary"}
+                   if "norm" in w else {"reason": report.failure})
+        hyp = HypothesisReport("A2", "inconclusive", 0.0, witness=witness,
+                               grids=grids, tolerances=tols)
+    else:
         hyp = HypothesisReport(
-            "A2", verdict, float(abs(report.degree)),
+            "A2", "holds" if report.degree != 0 else "fails",
+            float(abs(report.degree)),
             witness={"degree": report.degree,
                      "min_field_norm": report.min_field_norm},
             grids={**grids, "samples_used": report.samples_used},
             tolerances=tols)
-    except FieldVanishesError as err:
-        hyp = HypothesisReport(
-            "A2", "inconclusive", 0.0,
-            witness={"point": err.point, "norm": err.norm,
-                     "reason": "defect field vanishes on the boundary"},
-            grids=grids, tolerances=tols)
-    except NonConvergentError as err:
-        hyp = HypothesisReport(
-            "A2", "inconclusive", 0.0, witness={"reason": str(err)},
-            grids=grids, tolerances=tols)
     if planar:  # the first refinement round cached these values
         pts = region.boundary_points(boundary_samples)
         hyp.data = {"points": pts, "values": fld.eval_many(pts)}
-    return hyp, report
+    return hyp
 
 
 def floquet_condition_A3(sys, cycle, theta_grid=None, cycle_tol=1e-6,
@@ -372,7 +368,9 @@ def compare_defect_degrees(sys1, sys2, region, s_grid=None,
     homotopy.  The ``homotopy`` report's margin is the smallest combined
     defect on the (lambda, s, boundary) grid, at its witness; below
     ``a1_tol`` the comparison is inconclusive, else it holds when the two
-    degrees, ``data["degrees"]``, agree.
+    degrees, ``data["degrees"]``, agree.  An endpoint whose count stops
+    (lambda 1 for ``sys1``, 0 for ``sys2``) makes it inconclusive too, with
+    the count's sample and failure as witness.
     """
     if not isinstance(region, PlanarRegion):
         raise ValueError("degree comparison implemented for planar regions")
@@ -416,11 +414,17 @@ def compare_defect_degrees(sys1, sys2, region, s_grid=None,
 
     s0 = int(np.nonzero(s_grid == 0.0)[0][0])
     degrees = []
-    for sysi, Di in ((sys1, D1), (sys2, D2)):
+    for lam, sysi, Di in ((1.0, sys1, D1), (0.0, sys2, D2)):
         fldi = DefectField(sysi, cfg)
         fldi.preseed(pts, Di[s0])
-        degrees.append(winding_number(fldi.eval_many, region,
-                                      n0=len(pts)).degree)
+        rep = winding_number(fldi.eval_many, region, n0=len(pts))
+        if rep.degree is None:
+            return HypothesisReport(
+                "homotopy", "inconclusive",
+                min(min_defect, rep.min_field_norm),
+                {"lambda": lam, "s": 0.0, **rep.witness,
+                 "reason": rep.failure}, **context)
+        degrees.append(rep.degree)
     verdict = "holds" if degrees[0] == degrees[1] else "fails"
     return HypothesisReport("homotopy", verdict, min_defect, witness,
                             data={"degrees": tuple(degrees)}, **context)

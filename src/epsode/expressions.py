@@ -223,7 +223,11 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "NUM":
-            return Num(float(text), pos)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text} overflows a float", self.src,
+                                 pos)
+            return Num(value, pos)
         if kind == "IDENT":
             k2, t2, _ = self.peek()
             if k2 == "OP" and t2 == "(":
@@ -549,18 +553,23 @@ _ARRAY_ENV = {
 }
 
 
+def _float_code(v):
+    """Code of the float ``v``; the repr of inf or nan names no value."""
+    return repr(v) if math.isfinite(v) else f"float({repr(v)!r})"
+
+
 def _codegen(e, params, sub=None):
     """Code of ``e`` with parameter values folded in; ``sub(child)`` gives
     the code of each child (by default its full code)."""
     sub = sub or (lambda c: _codegen(c, params))
     if isinstance(e, Num):
-        return repr(e.value)
+        return _float_code(e.value)
     if isinstance(e, Var):
         return "t" if e.name == "t" else f"x{e.index}"
     if isinstance(e, Param):
         if e.name not in params:
             raise EvalError(f"unbound parameter {e.name!r}", e)
-        return repr(float(params[e.name]))
+        return _float_code(float(params[e.name]))
     if isinstance(e, Neg):
         return f"(-{sub(e.child)})"
     if isinstance(e, Call):

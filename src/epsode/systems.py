@@ -35,8 +35,8 @@ class SystemDef:
     def __init__(self, name, k, T, phi, psi, phi_jac, psi_jac, params=None,
                  jacobian_mode="exact", phi_exprs=None, psi_exprs=None,
                  phi_autonomous=False, psi_autonomous=False):
-        if not (int(k) > 0 and T > 0):
-            raise ValueError("k and T must be positive")
+        if not (int(k) > 0 and 0 < T < np.inf):
+            raise ValueError("k must be positive and T positive and finite")
         self.name = name
         self.k = int(k)
         self.T = float(T)

@@ -7,36 +7,14 @@ contractions about a star center realise the delta-contraction of a region,
 and products of planar regions cover even-dimensional product systems.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "PlanarRegion", "ProductRegion", "DegreeReport",
-    "FieldVanishesError", "NonConvergentError",
-    "winding_number", "product_degree", "contract", "accumulated_angle",
+    "PlanarRegion", "ProductRegion", "DegreeReport", "winding_number",
+    "product_degree", "contract", "accumulated_angle",
 ]
-
-
-class FieldVanishesError(RuntimeError):
-    """The field norm dropped below the vanish tolerance on the boundary."""
-
-    def __init__(self, point, norm, u=None):
-        self.point = np.asarray(point, dtype=float)
-        self.norm = float(norm)
-        self.u = u
-        super().__init__(f"field vanishes on the boundary near {self.point} "
-                         f"(|F| = {self.norm:.3e})")
-
-
-class NonConvergentError(RuntimeError):
-    """Refinement hit the sample cap without meeting the angle criterion, or
-    the field is not finite on the boundary, at ``point`` (parameter
-    ``u``)."""
-
-    def __init__(self, message, point=None, u=None):
-        super().__init__(message)
-        self.point, self.u = point, u
 
 
 def _shoelace(pts):
@@ -225,11 +203,16 @@ class ProductRegion:
 
 @dataclass
 class DegreeReport:
+    """The answer of a winding count.  ``degree`` is None when the count
+    stopped: ``failure`` says why and ``witness`` holds the sample (its
+    ``point``, parameter ``u`` and, where the field vanishes, ``norm``)."""
     degree: int
     min_field_norm: float
     samples_used: int
     refined: bool
     residue: float = 0.0
+    failure: str = None
+    witness: dict = field(default_factory=dict)
 
 
 def accumulated_angle(values):
@@ -252,41 +235,44 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20):
     lam = -<F_l, F_r - F_l> / |F_r - F_l|^2, where the segment between the
     end values passes closest to zero; so no interval shrinks more slowly
     than under bisection, and a boundary zero is closed in on like a
-    secant root.  Raises :class:`FieldVanishesError` at the sample of
-    smallest u whose norm falls below ``vanish_tol``, and
-    :class:`NonConvergentError` at the first sample (in u) where F is not
-    finite, or at the sample cap.
+    secant root.  The count stops without a degree at the first sample (in
+    u) where F is not finite, at the sample of smallest u whose norm falls
+    below ``vanish_tol``, or at the sample cap, with the first unsettled
+    interval's left end as witness.
     Fewer than 3 starting samples raise ``ValueError``: the increments of
     one or two samples sum to 0 when none reaches pi/2, so the degree would
     read 0 unrefined.
     """
-    def evaluate(us):
+    def evaluate(us):  # values, norms and the stop at the first bad sample
         pts = region.boundary_points(us=us)
         vals = np.asarray(F(pts), dtype=float)
         norms = np.linalg.norm(vals, axis=1)
         bad = ~np.isfinite(norms)
         if bad.any():  # no refinement settles an angle of nan
             j = int(np.argmin(np.where(bad, us, np.inf)))
-            raise NonConvergentError(
+            return vals, norms, dict(failure=(
                 f"field not finite at u={us[j]:.6g}, point "
                 f"({pts[j][0]:.6g}, {pts[j][1]:.6g}), F = ({vals[j][0]:.6g}, "
-                f"{vals[j][1]:.6g})", pts[j], us[j])
+                f"{vals[j][1]:.6g})"), witness={"point": pts[j], "u": us[j]})
         # the first vanishing sample in u: their norms are rounding noise
         j = int(np.argmin(np.where(norms < vanish_tol, us, np.inf)))
         if norms[j] < vanish_tol:
-            raise FieldVanishesError(pts[j], norms[j], us[j])
-        return vals, norms
+            return vals, norms, dict(failure=(
+                f"field vanishes on the boundary near {pts[j]} "
+                f"(|F| = {norms[j]:.3e})"), witness={
+                    "point": pts[j], "u": us[j], "norm": float(norms[j])})
+        return vals, norms, None
 
     n_start = int(n0 if n0 is not None else
                   getattr(region, "n_hint", 512) or 512)
     if n_start < 3:
         raise ValueError(f"n0 must be at least 3, not {n_start}")
     us = np.arange(n_start) / float(n_start)
-    vals, norms = evaluate(us)
-    min_norm = float(norms.min())
+    vals, norms, stop = evaluate(us)
+    min_norm = float(np.fmin.reduce(norms))  # nan only where all are
     refined = False
 
-    while True:
+    while stop is None:
         inc = _loop_increments(np.arctan2(vals[:, 1], vals[:, 0]))
         bad = np.nonzero(np.abs(inc) >= np.pi / 2)[0]
         nxt_u = np.concatenate([us, [us[0] + 1.0]])
@@ -303,33 +289,37 @@ def winding_number(F, region, n0=None, vanish_tol=1e-9, max_samples=2 ** 20):
         inside = (chord > u_l) & (chord < u_r) & (chord != mid)
         new_us = np.concatenate([mid, chord[inside]]) % 1.0
         if len(us) + len(new_us) > max_samples:
-            raise NonConvergentError(
-                f"no convergence with {len(us)} boundary samples "
-                f"(cap {max_samples})")
+            stop = dict(failure=f"no convergence with {len(us)} boundary "
+                        f"samples (cap {max_samples})", witness={
+                            "point": region.boundary_points(us=u_l[:1])[0],
+                            "u": u_l[0]})
+            break
         refined = True
-        new_vals, new_norms = evaluate(new_us)
-        min_norm = min(min_norm, float(new_norms.min()))
+        new_vals, new_norms, stop = evaluate(new_us)
+        min_norm = float(np.fmin(min_norm, np.fmin.reduce(new_norms)))
         us = np.concatenate([us, new_us])
         order = np.argsort(us, kind="stable")
         us, vals = us[order], np.concatenate([vals, new_vals])[order]
+    return DegreeReport(None, min_norm, len(us), refined, **stop)
 
 
 def product_degree(Fs, product_region, **kwargs):
     """Degree of a product map over a product region.
 
     The Brouwer degree of (F1 x ... x Fp) over U1 x ... x Up is the product
-    of the planar degrees.
+    of the planar degrees.  A factor whose count stops ends the product
+    with that factor's report.
     """
     Fs = list(Fs)
     if len(Fs) != len(product_region.factors):
         raise ValueError("one field per factor required")
-    reports = [winding_number(F, region, **kwargs)
-               for F, region in zip(Fs, product_region.factors)]
-    degree = 1
-    for r in reports:
-        degree *= r.degree
+    reports = []
+    for F, region in zip(Fs, product_region.factors):
+        reports.append(winding_number(F, region, **kwargs))
+        if reports[-1].degree is None:
+            return reports[-1]
     return DegreeReport(
-        degree,
+        int(np.prod([r.degree for r in reports])),
         min(r.min_field_norm for r in reports),
         max(r.samples_used for r in reports),
         any(r.refined for r in reports),

@@ -126,10 +126,10 @@ def test_criterion_2_existence_loop_on_e1(e1, disk, e1_cycle):
     crit.check(a1.verdict == "holds" and a1.margin > 0,
                f"A1 {a1.verdict} min {a1.margin:.3e}")
     for n in (512, 1024):
-        a2, deg = check_A2(e1, disk, boundary_samples=n)
-        crit.check(a2.verdict == "inconclusive" and deg is None,
+        a2 = check_A2(e1, disk, boundary_samples=n)
+        crit.check(a2.verdict == "inconclusive" and "degree" not in a2.witness,
                    f"A2 at {n} samples {a2.verdict} (degree "
-                   f"{getattr(deg, 'degree', None)}) although the closed-form "
+                   f"{a2.witness.get('degree')}) although the closed-form "
                    f"defect vanishes at {_fmt(zeros[0])} and {_fmt(zeros[1])}")
         point = np.asarray(a2.witness.get("point", (np.nan, np.nan)))
         norm = a2.witness.get("norm", np.inf)
@@ -463,10 +463,10 @@ def test_criterion_9_positive_existence_loop_on_e2(e2):
                and abs(a1.margin - a1_oracle) <= 1e-6 * a1_oracle,
                f"A1 {a1.verdict} margin {a1.margin:.9g} vs 2 pi min |Phi| "
                f"{a1_oracle:.9g}")
-    a2, deg = check_A2(e2, region, boundary_samples=256)
-    crit.check(a2.verdict == "holds" and deg is not None
-               and deg.degree == round(winding),
-               f"A2 {a2.verdict} (degree {getattr(deg, 'degree', None)}) vs "
+    a2 = check_A2(e2, region, boundary_samples=256)
+    crit.check(a2.verdict == "holds"
+               and a2.witness.get("degree") == round(winding),
+               f"A2 {a2.verdict} (degree {a2.witness.get('degree')}) vs "
                f"arctan2 winding {winding:.6f}")
     sw = eps_sweep(e2, region, eps_list)
     conv = [r for r in sw.results if r.converged and r.in_region]

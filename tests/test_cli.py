@@ -915,7 +915,44 @@ MALFORMED = [
     ("resonance", FIELD_CFG, "resonance.grid=(0, 5)"),
     ("resonance", FIELD_CFG, "resonance.grid=(5)"),
     ("describe", E2_VERIFY_CFG, "system.param.lam=abc"),
+    # numbers that are not finite
+    ("verify-cauchy", E2_VERIFY_CFG, "verify.d=inf"),
+    ("verify-cauchy", E2_VERIFY_CFG, "verify.eps=inf"),
+    ("verify-cauchy", E2_VERIFY_CFG, "verify.xi0=(nan, 0.5)"),
+    ("resonance", FIELD_CFG, "resonance.a_range=(0.5, inf)"),
+    ("resonance", FIELD_CFG, "resonance.grid=(inf, 5)"),
+    ("describe", INLINE_CFG, "system.T=inf"),
+    ("describe", E2_VERIFY_CFG, "system.param.lam=inf"),
+    ("find-periodic", E1_CFG + "\n[shoot]\nseed = (1, 0)\n", "shoot.eps=inf"),
+    ("find-periodic", E1_CFG + "\n[shoot]\nseed = (1, 0)\n", "shoot.eps=nan"),
+    # keys the command would not read
+    ("describe", E2_VERIFY_CFG, "system.T=3"),
+    ("describe", E2_VERIFY_CFG, "system.phi1=x1"),
+    ("describe", INLINE_CFG, 'system.phi3="junk("'),
+    ("degree", FIELD_CFG, "field.f3=x1"),
+    ("describe", E2_VERIFY_CFG, "system.param.lamda=2"),
+    ("describe", INLINE_CFG, "system.param.mu=1"),
 ]
+
+
+def test_an_overflowing_literal_is_a_config_error(inline_cfg, capsys):
+    rc, err = _usage_error(["check", "A0", "--config", inline_cfg,
+                            "--set", "system.phi1=1e400"], capsys)
+    assert rc == 1 and "number 1e400 overflows a float at offset 0" in err
+
+
+def test_readme_inline_system_example_is_accepted(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    # the commented inline definition in place of the builtin
+    text = re.sub(r"builtin = .*\n# or an inline definition:\n", "", block)
+    text = re.sub(r"^# ((k|T|phi\d|psi\d|param\.\w+) = )", r"\1", text,
+                  flags=re.M)
+    assert "builtin" not in text and "param.mu" in text
+    p = tmp_path / "readme.cfg"
+    p.write_text(text)
+    assert run(["describe", "--config", str(p)]) == 0
+    assert "parameters: mu=1.0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, text, override", MALFORMED,

@@ -155,6 +155,25 @@ def test_compile_expr_bits_match_full_trees():
                 assert _outcome(f_new, t, x, n) == _outcome(f_ref, t, x, n), e
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_constant_compiles_in_both_bindings(value):
+    scalar = ex.compile_expr(ex.parse("k*x1"), {"k": value})(0.0, [1.0])
+    array = ex.compile_expr(ex.parse("k*x1"), {"k": value},
+                            arrays=True)(0.0, [np.array([1.0, 2.0])])
+    np.testing.assert_array_equal([scalar, *array], [value] * 3)
+    # a folded constant, as the forcing's eps is, too
+    np.testing.assert_array_equal(ex.compile_expr(ex.Num(value))(0.0, []),
+                                  value)
+
+
+def test_an_infinite_eps_is_a_failed_flow():
+    from epsode.solver import IntegrationError
+
+    e1 = builtin_system("e1-circle")
+    with pytest.raises(IntegrationError):
+        var.flow_lanes(e1, 0.0, 1.0, (1.0, 0.0), eps=np.inf)
+
+
 def test_e1_shared_factor_is_computed_once():
     e1 = builtin_system("e1-circle")
     src = var._lane_source(e1, 0.0, 0, (e1,))

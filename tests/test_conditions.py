@@ -77,24 +77,23 @@ def test_a1_zero_average_forcing_fails(disk):
 # ---------------------------------------------------------------- A2 -------
 
 def test_a2_linear_inward_forcing(disk):
-    rep, deg = check_A2(trivial_sys(("-x1", "-x2")), disk,
-                        boundary_samples=64)
+    rep = check_A2(trivial_sys(("-x1", "-x2")), disk, boundary_samples=64)
     assert rep.verdict == "holds"
-    assert deg.degree == 1
+    assert rep.witness["degree"] == 1
 
 
 def test_a2_constant_forcing_fails(disk):
-    rep, deg = check_A2(trivial_sys(("1", "0")), disk, boundary_samples=64)
+    rep = check_A2(trivial_sys(("1", "0")), disk, boundary_samples=64)
     assert rep.verdict == "fails"
-    assert deg.degree == 0
+    assert rep.witness["degree"] == 0
 
 
 def test_a2_e1_defect_vanishes_on_boundary(e1, disk):
     # the defect field on the cycle is radial with two sign flips, so the
     # rotation number is undefined there and the check reports it
-    rep, deg = check_A2(e1, disk, boundary_samples=128)
+    rep = check_A2(e1, disk, boundary_samples=128)
     assert rep.verdict == "inconclusive"
-    assert deg is None
+    assert "degree" not in rep.witness
     p = rep.witness["point"]
     assert abs(2 * p[0] + p[1]) <= 1e-4  # flips sit on 2 cos a + sin a = 0
 
@@ -105,9 +104,9 @@ def test_a2_decoupled_product_system():
                                    ("0", "0", "0", "0"))
     prod = ProductRegion([PlanarRegion.circle(0, 0, 1, 64),
                           PlanarRegion.circle(0, 0, 1, 64)])
-    rep, deg = check_A2(sysd, prod, boundary_samples=64)
+    rep = check_A2(sysd, prod, boundary_samples=64)
     assert rep.verdict == "holds"
-    assert deg.degree == 1
+    assert rep.witness["degree"] == 1
 
 
 def test_a2_coupled_product_system_is_not_holds():
@@ -122,8 +121,8 @@ def test_a2_coupled_product_system_is_not_holds():
     assert np.hypot(*zero[2:]) > 1.0
     prod = ProductRegion([PlanarRegion.circle(0, 0, 1, 64),
                           PlanarRegion.circle(0, 0, 1, 64)])
-    rep, deg = check_A2(sysd, prod, boundary_samples=64)
-    assert rep.verdict == "inconclusive" and deg is None
+    rep = check_A2(sysd, prod, boundary_samples=64)
+    assert rep.verdict == "inconclusive" and "degree" not in rep.witness
     assert rep.witness["component"] == "phi3"
     assert rep.witness["variable"] == "x1"
 
@@ -133,8 +132,8 @@ def test_a2_opaque_system_on_product_region_is_inconclusive():
                                  lambda t, x: 0 * x)
     prod = ProductRegion([PlanarRegion.circle(0, 0, 1, 64),
                           PlanarRegion.circle(0, 0, 1, 64)])
-    rep, deg = check_A2(sysd, prod, boundary_samples=64)
-    assert rep.verdict == "inconclusive" and deg is None
+    rep = check_A2(sysd, prod, boundary_samples=64)
+    assert rep.verdict == "inconclusive" and "degree" not in rep.witness
     assert "opaque" in rep.witness["reason"]
 
 
@@ -154,9 +153,9 @@ def test_flow_failure_is_inconclusive_with_the_error_as_witness(
         return real(*args)
 
     monkeypatch.setattr(variational, "defect_many", counting)
-    a2, degree = check_A2(blowup, disk, boundary_samples=32)
+    a2 = check_A2(blowup, disk, boundary_samples=32)
     # one failing round, and no second run of it to fill data
-    assert degree is None and a2.data == {} and calls == [32]
+    assert "degree" not in a2.witness and a2.data == {} and calls == [32]
     reports = [check_A0(blowup, disk, n_samples=32),
                check_A1(blowup, disk, [0.0, 1.0], boundary_samples=32), a2,
                # the e1 cycle closes up, so the flow fails only in the check
@@ -311,6 +310,26 @@ def test_degree_comparison_vanishing_homotopy_witness(disk):
     assert rep.witness["lambda"] == pytest.approx(0.5)
     assert np.allclose(rep.witness["point"], [1.0, 0.0], atol=1e-12)
     assert rep.margin <= 1e-9
+
+
+def test_degree_comparison_is_inconclusive_where_a_count_stops(e1):
+    # the doubled drift doubles e1's defect, so every combination misses 0
+    # on the 128-point grid, but refining the count at lambda = 1 lands on
+    # the boundary zero of smallest u, at angle pi - atan(2)
+    doubled = system_from_expressions(
+        "e1-doubled", 2, TWO_PI, ("2", "0"),
+        [str(c) for c in e1.psi_exprs.components])
+    rep = compare_defect_degrees(e1, doubled,
+                                 PlanarRegion.circle(0, 0, 1, 128),
+                                 s_grid=np.linspace(0, TWO_PI, 5),
+                                 boundary_samples=128)
+    assert rep.summary().startswith("homotopy inconclusive (lambda=1.0, s=0.0")
+    assert np.allclose(rep.witness["point"], [-1 / np.sqrt(5), 2 / np.sqrt(5)],
+                       atol=1e-7)
+    assert rep.witness["norm"] < 1e-9
+    assert rep.witness["reason"].startswith(
+        "field vanishes on the boundary near")
+    assert rep.margin <= rep.witness["norm"] and "degrees" not in rep.data
 
 
 def test_degree_comparison_rejects_product_region_before_integrating(

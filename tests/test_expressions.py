@@ -42,6 +42,16 @@ def test_unknown_function():
         parse("foo(t)")
 
 
+def test_overflowing_literal_is_a_parse_error_at_its_offset():
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse("1e400")
+    assert err.value.offset == 0
+    with pytest.raises(ParseError) as err:
+        parse("2*x1 + 1.5e309")
+    assert err.value.offset == 7
+    assert ev("1.7e308") == 1.7e308
+
+
 def test_empty_expression():
     with pytest.raises(ParseError):
         parse("   ")

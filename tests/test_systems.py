@@ -62,6 +62,12 @@ def test_nonperiodic_system_rejected():
         system_from_expressions("bad", 1, 2 * np.pi, ("cos(t/2)",), ("0",))
 
 
+@pytest.mark.parametrize("T", [np.inf, np.nan, 0.0])
+def test_period_must_be_positive_and_finite(T):
+    with pytest.raises(ValueError, match="T positive and finite"):
+        system_from_expressions("bad", 1, T, ("1",), ("0",))
+
+
 def test_callable_system_finite_difference_fallback(e1):
     sys_fd = system_from_callables(
         "e1-opaque", 2, 2 * np.pi,

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from epsode import (FieldVanishesError, NonConvergentError, PlanarRegion,
-                    ProductRegion, accumulated_angle, contract,
+from epsode import (PlanarRegion, ProductRegion, accumulated_angle, contract,
                     product_degree, winding_number)
 
 
@@ -82,9 +81,10 @@ def test_field_vanishing_detected(disk):
     def F(P):
         return P * P[:, :1]
 
-    with pytest.raises(FieldVanishesError) as err:
-        winding_number(F, disk)
-    assert abs(err.value.point[0]) <= 1e-4
+    rep = winding_number(F, disk)
+    assert rep.degree is None
+    assert rep.failure.startswith("field vanishes on the boundary near")
+    assert abs(rep.witness["point"][0]) <= 1e-4
 
     # the same zeros, scaled so that the one at larger u (0.75) has the
     # smaller norm: the witness is still the first zero in u
@@ -94,10 +94,11 @@ def test_field_vanishing_detected(disk):
     norms = np.linalg.norm(G(disk.boundary_points(us=np.array([0.25, 0.75]))),
                            axis=1)
     assert 0 < norms[1] < norms[0] < 1e-9
-    with pytest.raises(FieldVanishesError) as err:
-        winding_number(G, disk)
-    assert err.value.u == 0.25
-    assert err.value.point[1] == pytest.approx(1.0)
+    rep = winding_number(G, disk)
+    assert rep.degree is None
+    assert rep.witness["u"] == 0.25
+    assert rep.witness["point"][1] == pytest.approx(1.0)
+    assert rep.witness["norm"] == norms[0]
 
 
 def _off_grid_point_field(radius, calls):
@@ -115,9 +116,9 @@ def _off_grid_point_field(radius, calls):
 def test_boundary_zero_is_located_in_few_rounds(disk):
     calls = []
     F, c = _off_grid_point_field(1.0, calls)
-    with pytest.raises(FieldVanishesError) as err:
-        winding_number(F, disk)
-    assert np.linalg.norm(err.value.point - c) <= 1e-9
+    rep = winding_number(F, disk)
+    assert rep.degree is None
+    assert np.linalg.norm(rep.witness["point"] - c) <= 1e-9
     assert len(calls) <= 4  # bisection alone needs 24
 
 
@@ -133,8 +134,9 @@ def test_near_boundary_zero_resolved_in_few_rounds(disk, radius, degree):
 
 def test_refinement_cap():
     disk = PlanarRegion.circle(0, 0, 1, 8)
-    with pytest.raises(NonConvergentError):
-        winding_number(complex_square, disk, n0=4, max_samples=6)
+    rep = winding_number(complex_square, disk, n0=4, max_samples=6)
+    assert rep.degree is None
+    assert rep.failure == "no convergence with 4 boundary samples (cap 6)"
 
 
 def test_field_not_finite_stops_in_the_first_round(disk):
@@ -147,11 +149,11 @@ def test_field_not_finite_stops_in_the_first_round(disk):
         with np.errstate(invalid="ignore"):
             return np.stack([np.log(P[:, 0]) + 5, P[:, 1]], axis=1)
 
-    with pytest.raises(NonConvergentError, match="not finite") as err:
-        winding_number(F, disk, n0=64)
+    rep = winding_number(F, disk, n0=64)
+    assert rep.degree is None and "not finite" in rep.failure
     assert calls == [64]
-    assert err.value.u == 17 / 64  # cos(2 pi u) < 0 from u > 1/4 on
-    assert err.value.point[0] < 0
+    assert rep.witness["u"] == 17 / 64  # cos(2 pi u) < 0 from u > 1/4 on
+    assert rep.witness["point"][0] < 0
 
 
 def test_doubling_cap_does_not_change_result(disk):
@@ -203,6 +205,30 @@ def test_product_degrees():
     single = ProductRegion([d1])
     assert product_degree([complex_square], single).degree \
         == winding_number(complex_square, d1).degree
+
+
+def test_product_degree_returns_the_failing_factors_report():
+    d1 = PlanarRegion.circle(0, 0, 1, 128)
+    d2 = PlanarRegion.circle(0, 0, 2, 128)
+
+    def through_two(P):  # vanishes at (2, 0), the sample u = 0 of d2
+        return P - np.array([2.0, 0.0])
+
+    rep = product_degree([lambda P: P, through_two],
+                         ProductRegion([d1, d2]))
+    alone = winding_number(through_two, d2)
+    assert rep.degree is None and rep.failure == alone.failure
+    assert rep.witness["u"] == 0.0 and rep.witness["norm"] == 0.0
+    assert np.array_equal(rep.witness["point"], [2.0, 0.0])
+    # a first factor that stops ends the product before the second count
+    calls = []
+
+    def identity(P):
+        calls.append(len(P))
+        return P
+
+    rep = product_degree([through_two, identity], ProductRegion([d2, d1]))
+    assert rep.degree is None and rep.witness["u"] == 0.0 and calls == []
 
 
 def test_contract_identity_and_scaling():
