@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import DEFAULT_CONFIG, integrate, integrate_checkpoints
+from .solver import (DEFAULT_CONFIG, NoConvergenceError, integrate,
+                     integrate_checkpoints)
 from .systems import fd_jacobian
 from .variational import augmented, flow_lanes
 
@@ -21,15 +22,6 @@ __all__ = [
     "solve_averaged", "CauchyVerdict", "verify_cauchy",
     "StandardForm", "to_standard_form",
 ]
-
-
-class NoConvergenceError(RuntimeError):
-    """The backward-period limit showed no Cauchy convergence up to n_max."""
-
-    def __init__(self, message, history):
-        self.history = history
-        trend = ", ".join(f"n={n}: {est:.3e}" for n, est in history)
-        super().__init__(f"{message} (estimates: {trend})")
 
 
 def _phi_n_many(sys, Xi, n, cfg):

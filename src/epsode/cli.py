@@ -16,6 +16,7 @@ import ast
 import configparser
 import functools
 import hashlib
+import importlib
 import io
 import re
 import sys
@@ -23,19 +24,44 @@ import sys
 import numpy as np
 
 from . import __version__
-from .averaging import NoConvergenceError, averaged_field, verify_cauchy
-from .conditions import (check_A0, check_A1, check_A2, floquet_condition_A3,
-                         melnikov_profile, resonance_H)
-from .expressions import (ParseError, compile_expr, free_names,
-                          parse as parse_expr)
-from .solver import IntegrationError, IntegratorConfig
-from .svgplot import write_svg
+from .expressions import (EvalError, ParseError, compile_expr, free_names,
+                          parse as parse_expr, to_string)
+from .solver import IntegrationError, IntegratorConfig, NoConvergenceError
 from .systems import builtin_system, system_from_expressions
-from .topology import PlanarRegion, winding_number
-from .periodic import eps_sweep, shoot
-from .variational import cycle_residual, flow_omega_dense
 
 __all__ = ["run", "main", "ConfigError", "DEFAULT_SEED"]
+
+
+def _on_first_call(module, name):
+    """A stand-in for ``module.name`` that imports it on its first call and
+    keeps it, so that a command loads only the modules it runs.  The
+    function is looked up once, not per call: perfbench's tracer wraps
+    the stand-in here and the module's own name apart, and a per-call
+    lookup would reach that second wrapper and count each call twice."""
+    fn = None
+
+    def call(*args, **kwargs):
+        nonlocal fn
+        if fn is None:
+            fn = getattr(importlib.import_module(f".{module}", __package__),
+                         name)
+        return fn(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+averaged_field = _on_first_call("averaging", "averaged_field")
+verify_cauchy = _on_first_call("averaging", "verify_cauchy")
+check_A0 = _on_first_call("conditions", "check_A0")
+check_A1 = _on_first_call("conditions", "check_A1")
+check_A2 = _on_first_call("conditions", "check_A2")
+floquet_condition_A3 = _on_first_call("conditions", "floquet_condition_A3")
+melnikov_profile = _on_first_call("conditions", "melnikov_profile")
+resonance_H = _on_first_call("conditions", "resonance_H")
+eps_sweep = _on_first_call("periodic", "eps_sweep")
+shoot = _on_first_call("periodic", "shoot")
+winding_number = _on_first_call("topology", "winding_number")
 
 DEFAULT_SEED = 12345
 
@@ -297,6 +323,7 @@ _SHAPE_RE = re.compile(r"^\s*(circle|polygon)\s*\((.*)\)\s*$", re.S)
 
 
 def build_region(cfg):
+    from .topology import PlanarRegion
     sec = cfg.get("region", {})
     if "shape" not in sec:
         raise ConfigError("missing region.shape "
@@ -329,6 +356,7 @@ def build_integrator(cfg):
 
 
 def build_cycle(cfg, sys, icfg):
+    from .variational import cycle_residual, flow_omega_dense
     cycle = flow_omega_dense(sys, 0.0, sys.T,
                              _point_at(cfg, "cycle.seed", sys.k), icfg)
     tol = _get(cfg, "tolerances.cycle_tol")
@@ -385,6 +413,7 @@ class Output:
 
     def write_plot(self, series, title, xlabel, ylabel):
         if self.plot_path:
+            from .svgplot import write_svg
             write_svg(self.plot_path, series, title, xlabel, ylabel)
 
 
@@ -397,7 +426,6 @@ def _cmd_describe(args, cfg, out):
         print(line)
     if sys_def.phi_exprs is not None:
         jac = sys_def.psi_exprs.jacobian_exprs()
-        from .expressions import to_string
         for i, row in enumerate(jac):
             print(f"dpsi{i + 1}/dx = (" + ", ".join(to_string(e) for e in row)
                   + ")")
@@ -484,14 +512,15 @@ def _cmd_degree(args, cfg, out):
     region = build_region(cfg)
     sec = cfg.get("field", {})
     _reject_unread(cfg, "field", {"f1", "f2"}, "degree")
-    comps = [sec.get("f1"), sec.get("f2")]
-    if not all(comps):
+    if not (sec.get("f1") and sec.get("f2")):
         raise ConfigError("section [field] needs f1 and f2 expressions")
-    try:
-        fns = [compile_expr(parse_expr(_unquote(c)), arrays=True)
-               for c in comps]
-    except ParseError as err:
-        raise ConfigError(f"bad field expression: {err}") from err
+    fns = []
+    for key in ("f1", "f2"):
+        try:
+            fns.append(compile_expr(parse_expr(_unquote(sec[key])),
+                                    arrays=True))
+        except (ParseError, EvalError) as err:
+            raise ConfigError(f"field.{key}: {err}") from err
 
     def F(P):
         # winding_number names a point where the field is not finite, so

@@ -272,7 +272,8 @@ def _prec(e):
 
 
 def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
+    # inf and nan fail the first test, so int() never sees them
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 

@@ -25,8 +25,8 @@ import numpy as np
 
 __all__ = [
     "IntegratorConfig", "DEFAULT_CONFIG", "Trajectory", "IntegrationError",
-    "integrate", "integrate_checkpoints", "gauss_legendre_panels",
-    "gauss_legendre_running",
+    "NoConvergenceError", "integrate", "integrate_checkpoints",
+    "gauss_legendre_panels", "gauss_legendre_running",
 ]
 
 
@@ -41,6 +41,17 @@ class IntegrationError(RuntimeError):
         if t is not None:
             message = f"{message} at t={float(t)!r}"
         super().__init__(message)
+
+
+class NoConvergenceError(RuntimeError):
+    """The backward-period limit of ``averaging.averaged_field`` showed no
+    Cauchy convergence up to n_max.  It sits beside IntegrationError so
+    that catching both imports no averaging code."""
+
+    def __init__(self, message, history):
+        self.history = history
+        trend = ", ".join(f"n={n}: {est:.3e}" for n, est in history)
+        super().__init__(f"{message} (estimates: {trend})")
 
 
 @dataclass(frozen=True)

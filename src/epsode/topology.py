@@ -80,6 +80,9 @@ class PlanarRegion:
         if n < 3:
             raise ValueError(f"circle needs n >= 3 boundary samples, not {n}")
         c = np.array([cx, cy], dtype=float)
+        if not np.all(np.isfinite(c)):
+            raise ValueError(
+                f"circle centre must be finite, not ({cx}, {cy})")
 
         def fn(u):
             u = np.asarray(u, dtype=float)
@@ -92,6 +95,8 @@ class PlanarRegion:
     @classmethod
     def polygon(cls, vertices):
         vertices = np.asarray(vertices, dtype=float)
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("polygon vertices must be finite")
         # star center at the vertex mean; 8 samples per edge, at least 512
         return cls(vertices=vertices, star_center=vertices.mean(axis=0),
                    n_hint=max(512, 8 * len(vertices)))

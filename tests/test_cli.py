@@ -55,6 +55,14 @@ def test_describe_builtin(e1_cfg, capsys):
     assert "div psi" in out
 
 
+def test_describe_prints_an_infinite_constant(tmp_path, capsys):
+    # 1e300*x1*1e300 folds its two constants into inf
+    p = tmp_path / "inf.cfg"
+    p.write_text(INLINE_CFG.replace('psi1 = "0"', 'psi1 = "1e300*x1*1e300"'))
+    assert run(["describe", "--config", str(p)]) == 0
+    assert "dpsi1/dx = (inf, 0)" in capsys.readouterr().out
+
+
 def test_describe_resonance_slot_note(tmp_path, capsys):
     p = tmp_path / "e2.cfg"
     p.write_text("[system]\nbuiltin = e2-resonance\n")
@@ -264,7 +272,10 @@ def test_region_star_center_keeps_the_circle(e1_cfg):
 
 @pytest.mark.parametrize("shape, word", [
     ("circle(0, 0, -1, 512)", "radius r"), ("circle(0, 0, 0, 512)", "radius r"),
-    ("circle(0, 0, 1, 2)", "n >= 3")])
+    ("circle(0, 0, 1, 2)", "n >= 3"),
+    ("circle(1e999, 0, 1, 64)", "centre must be finite"),
+    ("circle(0, -1e999, 1, 64)", "centre must be finite"),
+    ("polygon([(0, 0), (1, 0), (1e999, 1)])", "vertices must be finite")])
 def test_bad_circle_is_a_config_error(e1_cfg, tmp_path, capsys, shape, word):
     rc = run(["check", "A0", "--config", e1_cfg, "--out",
               str(tmp_path / "a0.csv"), "--set", f"region.shape={shape}"])
@@ -930,6 +941,8 @@ MALFORMED = [
     ("describe", E2_VERIFY_CFG, "system.phi1=x1"),
     ("describe", INLINE_CFG, 'system.phi3="junk("'),
     ("degree", FIELD_CFG, "field.f3=x1"),
+    # a field expression that reads a parameter, which degree never binds
+    ("degree", FIELD_CFG, "field.f1=a*x1"),
     ("describe", E2_VERIFY_CFG, "system.param.lamda=2"),
     ("describe", INLINE_CFG, "system.param.mu=1"),
 ]

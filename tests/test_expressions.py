@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from epsode.expressions import (EvalError, ParseError, VectorExpr,
+from epsode.expressions import (EvalError, ParseError, VectorExpr, _fmt_num,
                                 compile_expr, differentiate, evaluate, parse,
                                 to_string)
 
@@ -240,3 +240,12 @@ def test_compiled_paths_agree_with_checked_evaluation():
         for i in range(5):
             assert vals[i] == pytest.approx(evaluate(e, t, X[i]),
                                             rel=1e-13, abs=1e-13)
+
+
+def test_to_string_prints_non_finite_constants():
+    # a product of large constants folds to inf; int() of it would raise
+    folded = parse("1e300*x1*1e300")
+    assert to_string(differentiate(folded, "x1")) == "inf"
+    assert to_string(parse("x1 + 1e16")) == "x1 + 1e+16"
+    assert [_fmt_num(v) for v in (np.inf, -np.inf, np.nan, 3.0)] == [
+        "inf", "-inf", "nan", "3"]
