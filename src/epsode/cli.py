@@ -659,8 +659,8 @@ def _cmd_find_periodic(args, cfg, out):
     state = "converged" if res.converged else "did not converge"
     print(f"find-periodic {state}: xi*={res.xi_star} residual "
           f"{res.residual:.3g} ({res.iterations} iterations)"
-          + ("" if res.converged else f"; {res.failure}"))
-    return "holds" if res.converged else "fails"
+          + ("" if res.found else f"; {res.failure}"))
+    return "holds" if res.found else "fails"
 
 
 def _orbit_columns(sys_def):
@@ -705,19 +705,21 @@ def _cmd_sweep(args, cfg, out):
         + " seeds=" + " ".join(sw.seed_kinds))
     out.write_csv(_orbit_columns(sys_def),
                   [_orbit_row(sys_def, r) for r in sw.results])
-    conv = sw.converged()
-    if conv and region is not None:
-        out.write_plot([([r.eps for r in conv],
-                         [r.boundary_distance for r in conv], "distance")],
+    conv, found = sw.converged(), sw.found()
+    if found and region is not None:
+        out.write_plot([([r.eps for r in found],
+                         [r.boundary_distance for r in found], "distance")],
                        "Orbit distance to the reference boundary", "eps",
                        "distance")
     for r in sw.results:  # not in the CSV: failure texts hold commas
-        if not r.converged:
+        if not r.found:
             print(f"eps={r.eps:g} failed: {r.failure}")
+    outside = len(conv) - len(found)
     slope_txt = "n/a" if sw.slope is None else f"{sw.slope:.3f}"
-    print(f"sweep: {len(conv)}/{len(sw.results)} converged, "
-          f"distance slope {slope_txt}")
-    return "holds" if len(conv) == len(sw.results) else "fails"
+    print(f"sweep: {len(conv)}/{len(sw.results)} converged"
+          + (f" ({outside} outside the region)" if outside else "")
+          + f", distance slope {slope_txt}")
+    return "holds" if len(found) == len(sw.results) else "fails"
 
 
 _COMMANDS = {

@@ -41,6 +41,11 @@ class PeriodicOrbitResult:
     residual_history: list = field(default_factory=list)
     failure: str = None
 
+    @property
+    def found(self):
+        """Converged, and inside the region when one was given."""
+        return self.converged and self.in_region is not False
+
 
 def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9):
     """Damped Newton on the period map from the given seed.
@@ -52,7 +57,8 @@ def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9):
     singular period-map Jacobian its smallest singular value, otherwise
     the last residuals.  At eps = 0 with a seed on a cycle the Jacobian is
     singular (unit multiplier) at a converged orbit; ``jacobian_singular``
-    reports that.
+    reports that.  A converged orbit whose pullback leaves ``region`` has
+    ``in_region`` False and a ``failure`` naming the time it leaves.
     """
     eye = np.eye(sys.k)
 
@@ -85,10 +91,13 @@ def shoot(sys, eps, seed, cfg=DEFAULT_CONFIG, region=None, shoot_tol=1e-9):
         result.orbit = integrate(augmented(sys, 1, eps)[0], 0.0, sys.T, xi,
                                  cfg)
         if region is not None:
-            result.in_region = pullback_membership(
-                sys, result.orbit, region, cfg=cfg).verdict == "holds"
+            inside = pullback_membership(sys, result.orbit, region, cfg=cfg)
+            result.in_region = inside.verdict == "holds"
             result.boundary_distance = float(
                 region.distance_to_boundary(xi[None, :])[0])
+            if not result.in_region:
+                result.failure = (f"orbit outside the region (its pullback "
+                                  f"leaves at t={inside.witness['time']:g})")
     return result
 
 
@@ -171,6 +180,9 @@ class SweepResult:
     def converged(self):
         return [r for r in self.results if r.converged]
 
+    def found(self):
+        return [r for r in self.results if r.found]
+
 
 def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
               cycle=None, melnikov=None, cfg=DEFAULT_CONFIG, shoot_tol=1e-9):
@@ -193,11 +205,14 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
     falls back to equilibria of the full field (for autonomous systems)
     and to the star center, skipping any start already tried at that eps,
     before recording a failure that names the last shot's ``failure`` or
-    flow error.  ``seeds_used`` holds the start that converged (the first
-    one tried for a failure) and ``seed_kinds`` its kind: "given",
-    "predicted", "continued", "fallback", or "none" for a failure.  The
-    rate fit regresses log distance-to-boundary of the found orbits on log
-    eps.
+    flow error.  An orbit that converges outside the region is no success:
+    the next start is tried, and when no start finds one inside, the first
+    such orbit is the result at that eps, with ``in_region`` False.
+    ``seeds_used`` holds the start that converged (the first one tried for
+    a failure) and ``seed_kinds`` its kind: "given", "predicted",
+    "continued", "fallback", or "none" for a failure.  The rate fit
+    regresses log distance-to-boundary of the orbits found inside the
+    region on log eps.
     """
     if seed_strategy not in ("continuation", "fixed"):
         raise ValueError(f"seed_strategy must be 'continuation' or 'fixed', "
@@ -219,7 +234,7 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
             yield region.star_center
 
     def attempt_eps(eps, starts):
-        tried, last_error = [], None
+        tried, last_error, outside = [], None, None
         tries = chain(starts, ((x, "fallback") for x in fallbacks(eps)))
         for attempt, kind in tries:
             attempt = np.asarray(attempt, dtype=float)
@@ -232,9 +247,13 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
             except IntegrationError as err:
                 last_error = err
                 continue
-            if outcome.converged:
+            if outcome.found:
                 return outcome, attempt, kind
+            if outcome.converged and outside is None:
+                outside = outcome, attempt, kind
             last_error = outcome.failure
+        if outside is not None:
+            return outside
         first = np.asarray(starts[0][0], dtype=float)
         failed = PeriodicOrbitResult(
             eps=float(eps), seed=first,
@@ -270,14 +289,16 @@ def eps_sweep(sys, region, eps_list, seed_strategy="continuation", seed=None,
         results.append(outcome)
         seeds_used.append(used)
         seed_kinds.append(used_kind)
-        if seed_strategy == "continuation" and outcome.converged:
+        if seed_strategy == "continuation" and outcome.found:
             current, kind = outcome.xi_star, "continued"
             v = tangent(outcome) if i + 1 < len(eps_list) else None
             branch = None if v is None else (outcome.eps, v)
 
     slope = None
+    # dist_to_boundary is unsigned, so orbits outside the region are
+    # skipped, and so is eps 0, which has no logarithm
     pts = [(r.eps, r.boundary_distance) for r in results
-           if r.converged and r.boundary_distance and r.boundary_distance > 0]
+           if r.found and r.eps > 0 and (r.boundary_distance or 0) > 0]
     if len(pts) >= 2:
         le = np.log([p[0] for p in pts])
         ld = np.log([p[1] for p in pts])

@@ -7,14 +7,18 @@ a combined 5th/3rd-order error estimate.  One loop over accepted steps drives it
 integration is direct negative stepping.  Dense output costs 3 more stages
 per step, so the stepper computes them only when asked
 (:meth:`DOP853.dense_coeffs`): :func:`integrate` keeps the 7 interpolant
-rows of every step as one array, and :func:`integrate_checkpoints` computes
-them only on the steps that contain a requested time between their nodes.
+rows of every step as one array, and :func:`integrate_checkpoints` asks the
+stepper for the states at the requested times of each step
+(:meth:`DOP853.states_at`), which computes them only when a time lies
+between the step's nodes and, for lane fields, evaluates the interpolant on
+floats.
 
 Finiteness is checked at the start and once per accepted step: a later
 non-finite field value makes the error norm non-finite, so the step is
 rejected until it fails.
 """
 
+import bisect
 import functools
 import inspect
 import math
@@ -246,7 +250,9 @@ def _scalar_kernel(n):
     the new state and its derivative as lists, the 13 stages, and the sums
     of squares of the scaled 5th- and 3rd-order error estimates.
     ``dense(fun, t, h, y, y_new, K)`` computes the 3 interpolant stages and
-    returns the rows F0..F6 per state component."""
+    returns the rows F0..F6 per state component.  ``interp(xs, y, F)``
+    evaluates those rows at each fraction x of ``xs`` in the order of
+    operations of :func:`_interpolate` and returns one state list per x."""
     def seq(template, sep=", "):
         return sep.join(template.format(i=i) for i in range(n))
 
@@ -280,12 +286,22 @@ def _scalar_kernel(n):
              "return [" + seq(f"(d{{i}}, h*k0_{{i}} - d{{i}}, "
                               f"2*d{{i}} - h*(k12_{{i}} + k0_{{i}}), {rows})")
              + "]"]
+    nested = "0.0"
+    for r in range(6, -1, -1):
+        nested = f"({nested} + f{{i}}_{r})*{'x' if r % 2 == 0 else 'w'}"
+    interp = [f"{seq('y{i}')}, = y",
+              "(" + seq("(" + ", ".join(f"f{{i}}_{r}" for r in range(7))
+                        + ")") + ",) = F",
+              "out = []", "for x in xs:", "    w = 1 - x",
+              f"    out.append([{seq(nested + ' + y{i}')}])", "return out"]
     ns = {}
-    exec("def step(fun, t, h, y, f, atol, rtol):\n    "  # noqa: S102
-         + "\n    ".join(step) + "\n"
-         + "def dense(fun, t, h, y, y_new, K):\n    "
-         + "\n    ".join(dense) + "\n", ns)
-    return ns["step"], ns["dense"]
+    for name, args, body in (("step", "fun, t, h, y, f, atol, rtol", step),
+                             ("dense", "fun, t, h, y, y_new, K", dense),
+                             ("interp", "xs, y, F", interp)):
+        # one source at a time keeps the compiler's peak memory down
+        exec(f"def {name}({args}):\n    "  # noqa: S102
+             + "\n    ".join(body) + "\n", ns)
+    return ns["step"], ns["dense"], ns["interp"]
 
 
 class DOP853:
@@ -318,7 +334,7 @@ class DOP853:
             # Python floats: numpy scalars would slow every step
             self.t, self.t_bound, self.direction, self.h_abs = map(
                 float, (t0, t_bound, self.direction, self.h_abs))
-            self._kernel, self._dense = _scalar_kernel(self.n)
+            self._kernel, self._dense, self._interp = _scalar_kernel(self.n)
             self._state = (y.tolist(), self.f.tolist())
 
     def _initial_step(self):
@@ -408,6 +424,28 @@ class DOP853:
         F[3:] = h * np.dot(_D, K)
         return F.T
 
+    def states_at(self, ts):
+        """States at the times ``ts`` (a list) of the last accepted step, in
+        their order.  A time on a node takes the node's state, and only a
+        time strictly between the nodes pays for the 3 interpolant stages.
+        The scalar kernel evaluates the interpolant on floats and returns
+        lists; the numpy kernel calls :func:`_interpolate` once per step and
+        returns arrays.  Both follow its order of operations."""
+        t, h, y, y_new, K = self._last
+        t_new = self.t
+        out = [y_new if s == t_new else y for s in ts]
+        inner = [i for i, s in enumerate(ts) if s != t_new and s != t]
+        if inner:
+            if self._lane is not None:
+                F = self._dense(self._lane, t, h, y, y_new, K)
+                vals = self._interp([(ts[i] - t) / h for i in inner], y, F)
+            else:
+                x = (np.array([ts[i] for i in inner])[:, None] - t) / h
+                vals = _interpolate(x, y, self.dense_coeffs())
+            for i, v in zip(inner, vals):
+                out[i] = v
+        return out
+
 
 # _accepted_steps looks the stepper up by this name, and perfbench's tracer
 # replaces it to count accepted steps
@@ -471,7 +509,8 @@ def integrate_checkpoints(field, t0, t1, xi, times, cfg=DEFAULT_CONFIG):
 
     ``times`` must lie between ``t0`` and ``t1`` (inclusive, either
     direction).  Returns ``(values, endpoint)`` where ``values[i]`` is the
-    state at ``times[i]``.
+    state at ``times[i]``, from :meth:`DOP853.states_at` on the step that
+    holds it; a time past ``t1`` within the slack takes the endpoint.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     times = np.asarray(times, dtype=float)
@@ -479,26 +518,20 @@ def integrate_checkpoints(field, t0, t1, xi, times, cfg=DEFAULT_CONFIG):
     if times.size and (times.min() < lo - 1e-12 * (1 + hi - lo)
                        or times.max() > hi + 1e-12 * (1 + hi - lo)):
         raise ValueError("checkpoint outside integration interval")
-    values = np.empty((len(times), len(xi)))
     sign = 1.0 if t1 >= t0 else -1.0
     order = np.argsort(sign * times, kind="stable")
-    keys = sign * times[order]
-    done = 0
-    end = xi
+    # Python lists, searched with bisect; each step that holds a time makes
+    # one numpy call, which writes its states, so no step's arrays are held
+    at = times[order].tolist()
+    keys = (sign * times[order]).tolist()
+    order = order.tolist()
+    values = np.empty((len(at), len(xi)))
+    done, end = 0, xi
     for s in _accepted_steps(field, t0, t1, xi, cfg):
-        end = s.y
-        if done < len(keys) and keys[done] <= sign * s.t:
-            stop = np.searchsorted(keys, sign * s.t, side="right")
-            idx = order[done:stop]
-            at = times[idx]
-            # a time on a node takes the node's state; only a time between
-            # the nodes pays for the interpolant's stages
-            values[idx] = np.where((at == s.t)[:, None], s.y, s.y_old)
-            inner = idx[(at != s.t) & (at != s.t_old)]
-            if inner.size:
-                values[inner] = _interpolate(
-                    (times[inner, None] - s.t_old) / (s.t - s.t_old),
-                    s.y_old, s.dense_coeffs())
+        end, key = s.y, sign * s.t
+        if done < len(keys) and keys[done] <= key:
+            stop = bisect.bisect_right(keys, key, done)
+            values[order[done:stop]] = s.states_at(at[done:stop])
             done = stop
     values[order[done:]] = end  # t0 == t1, or past t1 within the slack
     return values, end

@@ -73,16 +73,23 @@ class SystemDef:
     def check_periodicity(self):
         """Verify phi and psi are T-periodic in t at 7 seeded random points
         and return the worst relative deviation; raise above 1e-8, which is
-        far above the rounding of t + T in a periodic argument.  The stdlib
-        sampler keeps ``numpy.random`` out of every system build."""
+        far above the rounding of t + T in a periodic argument, and at a
+        sample where a value is not finite.  The stdlib sampler keeps
+        ``numpy.random`` out of every system build."""
         rng = random.Random(11)
         worst = 0.0
         for _ in range(7):
             t = rng.uniform(0, self.T)
             x = np.array([rng.uniform(-1.5, 1.5) for _ in range(self.k)])
-            for f in (self.phi, self.psi):
-                a = np.asarray(f(t, x), dtype=float)
-                b = np.asarray(f(t + self.T, x), dtype=float)
+            for name, f in (("phi", self.phi), ("psi", self.psi)):
+                with np.errstate(all="ignore"):  # named below instead
+                    a = np.asarray(f(t, x), dtype=float)
+                    b = np.asarray(f(t + self.T, x), dtype=float)
+                for at, v in ((t, a), (t + self.T, b)):
+                    if not np.isfinite(v).all():
+                        raise ValueError(
+                            f"{name} of {self.name!r} is not finite at the "
+                            f"periodicity sample t={at!r}, x={x.tolist()!r}")
                 dev = np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a)))
                 worst = max(worst, dev)
         if worst > 1e-8:

@@ -206,8 +206,11 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
     ``t0`` and ``t1`` broadcast to (n,) and lane i runs at time
     ``t0[i] + u*(t1[i] - t0[i])`` for u in [0, 1] with its right-hand side
     scaled by ``t1[i] - t0[i]`` (a change of independent variable), so
-    lanes may run in either direction or not at all.  A failure of such a
-    run names u and carries the lane times in its ``t``.
+    lanes may run in either direction or not at all.  The per-lane times
+    are built only when the field can read t, that is unless psi, phi
+    (when eps is not 0) and every forcing's phi are autonomous; otherwise
+    the right-hand side gets u itself.  A failure of such a run names u
+    and carries the lane times in its ``t``.
 
     With ``fractions``, a sequence of u values in [0, 1], the result is
     instead the states of every lane at ``t0 + u*(t1 - t0)`` for each u,
@@ -233,9 +236,12 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
 
     span = t1 - t0
     scale = np.repeat(span, len(z0) // n)
+    reads_t = not (sys.psi_autonomous
+                   and (eps == 0 or sys.phi_autonomous)
+                   and all(f.phi_autonomous for f in forcings))
 
     def lane_rhs(u, z):
-        return scale * rhs(t0 + u * span, z)
+        return scale * rhs(t0 + u * span if reads_t else u, z)
 
     try:
         vals, end = integrate_checkpoints(lane_rhs, 0.0, 1.0, z0, fracs, cfg)

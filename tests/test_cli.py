@@ -55,12 +55,18 @@ def test_describe_builtin(e1_cfg, capsys):
     assert "div psi" in out
 
 
-def test_describe_prints_an_infinite_constant(tmp_path, capsys):
-    # 1e300*x1*1e300 folds its two constants into inf
+def test_describe_refuses_a_field_that_is_not_finite(tmp_path, capsys):
+    # 1e300*x1*1e300 is inf at every sample of the periodicity check, whose
+    # relative deviation would be nan
     p = tmp_path / "inf.cfg"
     p.write_text(INLINE_CFG.replace('psi1 = "0"', 'psi1 = "1e300*x1*1e300"'))
-    assert run(["describe", "--config", str(p)]) == 0
-    assert "dpsi1/dx = (inf, 0)" in capsys.readouterr().out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["describe", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert re.search(r"psi of .* is not finite at the periodicity sample "
+                     r"t=[0-9.e+-]+, x=\[", err)
 
 
 def test_describe_resonance_slot_note(tmp_path, capsys):
@@ -456,6 +462,41 @@ def test_find_periodic_says_when_it_did_not_converge(tmp_path, capsys):
     assert "converged:" not in printed
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert rows[1].split(",")[1] == "false"
+
+
+OUTSIDE_CFG = """
+[system]
+k = 2
+T = 6.283185307179586
+phi1 = "cos(t)"
+phi2 = "0"
+psi1 = "-x2 + x1*(1 - x1^2 - x2^2)"
+psi2 = "x1 + x2*(1 - x1^2 - x2^2)"
+
+[region]
+shape = circle(0, 0, 0.5, 512)
+
+[sweep]
+eps = 1e-2
+
+[shoot]
+eps = 1e-2
+seed = (0, 0)
+"""
+
+
+@pytest.mark.parametrize("command", ["sweep", "find-periodic"])
+def test_an_orbit_outside_the_region_fails(tmp_path, capsys, command):
+    # the orbit converges near the cycle, outside the disk of radius 0.5
+    p = tmp_path / "outside.cfg"
+    p.write_text(OUTSIDE_CFG)
+    out = tmp_path / "outside.csv"
+    assert run([command, "--config", str(p), "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert "orbit outside the region" in printed
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    row = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert row["converged"] == "true" and row["in_region"] == "false"
 
 
 def test_find_periodic_writes_the_iterate_of_a_stalled_shot(e1_cfg, tmp_path,

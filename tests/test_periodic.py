@@ -162,6 +162,23 @@ def test_sweep_on_drifting_cycle_finds_interior_orbits(e1, disk, e1_cycle,
     assert sw.slope is not None and abs(sw.slope) < 0.1
 
 
+def test_sweep_does_not_count_an_orbit_outside_the_region():
+    # e1's psi forced by (cos t, 0): from the star centre Newton overshoots
+    # to the orbit near the cycle, at distance 0.5 outside the disk; the
+    # orbit inside, near (-eps*0.6, eps*0.2), is too unstable (multiplier
+    # e^{2 pi}) for single shooting, and no other start is left
+    sysd = system_from_expressions(
+        "e1-forced", 2, TWO_PI, ("cos(t)", "0"),
+        ("-x2 + x1*(1 - x1^2 - x2^2)", "x1 + x2*(1 - x1^2 - x2^2)"))
+    sw = eps_sweep(sysd, PlanarRegion.circle(0.0, 0.0, 0.5, 512), [1e-2])
+    (r,) = sw.results
+    assert r.converged and r.in_region is False and not r.found
+    assert np.linalg.norm(r.xi_star - [-0.9962, 0.0019]) <= 1e-3
+    assert r.failure.startswith("orbit outside the region")
+    assert sw.found() == [] and sw.seed_kinds == ["given"]
+    assert sw.slope is None
+
+
 def test_sweep_records_a_flow_failure_and_keeps_the_other_rows():
     # x' = eps*x^2 + cos t - x: small eps keep an orbit near 1/2, at eps = 5
     # the flow from there escapes to infinity within the period
@@ -233,9 +250,10 @@ def test_failed_prediction_falls_back_to_the_last_orbit(monkeypatch):
     assert sw.results[1].seed[0] == tried[2]
 
 
-def test_singular_orbit_gives_no_tangent(e1, disk, monkeypatch):
+def test_singular_orbit_gives_no_tangent(e1, monkeypatch):
     # at eps = 0 the cycle point is a fixed point with a unit multiplier,
-    # so no tangent is computed and 1e-2 starts from the orbit itself
+    # so no tangent is computed and 1e-2 starts from the orbit itself; the
+    # disk of radius 2 holds the cycle, which the unit disk's boundary is
     from epsode import periodic
     runs = []
     real = periodic.flow_lanes
@@ -245,7 +263,8 @@ def test_singular_orbit_gives_no_tangent(e1, disk, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(periodic, "flow_lanes", spy)
-    sw = eps_sweep(e1, disk, [0.0, 1e-2], seed=[1.0, 0.0])
+    sw = eps_sweep(e1, PlanarRegion.circle(0.0, 0.0, 2.0, 512), [0.0, 1e-2],
+                   seed=[1.0, 0.0])
     assert sw.results[0].jacobian_singular
     assert all(forcings == () for forcings in runs)
     # the cycle point stalls at 1e-2, as from the given seed

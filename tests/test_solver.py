@@ -274,6 +274,63 @@ def test_dense_stages_are_paid_only_where_read():
     assert dense == none + 3 * steps
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_lane_checkpoints_are_the_dense_output_bit_for_bit(e1, n):
+    # the scalar kernel's interpolant on floats keeps the bits of
+    # Trajectory.eval, which runs _interpolate on the rows as arrays
+    rhs = augmented(e1, n)[0]
+    assert hasattr(rhs, "lane")
+    # inside the cycle, which repels backward
+    z0 = np.random.default_rng(n).uniform(-0.6, 0.6, 2 * n)
+    rng = np.random.default_rng(7)
+    for t0, t1 in ((0.0, 2 * np.pi), (1.0, 1.0 - 2 * np.pi)):
+        traj = integrate(rhs, t0, t1, z0)
+        mid = 0.5 * (traj.ts[2:5] + traj.ts[3:6])
+        inside = t0 + (t1 - t0) * rng.uniform(0.0, 1.0, 9)
+        before = t0 - np.sign(t1 - t0) * 1e-13  # within the slack
+        times = np.concatenate([[t0, t1, before], traj.ts[3:6], mid, mid[:2],
+                                traj.ts[4:5], inside])
+        rng.shuffle(times)
+        past = t1 + np.sign(t1 - t0) * 1e-13
+        vals, end = integrate_checkpoints(rhs, t0, t1, z0,
+                                          np.append(times, past))
+        assert np.array_equal(vals[:-1], traj.eval(times))
+        assert np.array_equal(end, traj.endpoint)
+        assert np.array_equal(vals[-1], end)  # past t1: the end state
+
+
+def test_lane_dense_stages_are_paid_only_where_read(e1):
+    rhs = augmented(e1, 2)[0]
+    z0 = np.array([1.0, 0.0, 0.5, 0.2])
+    calls = []
+
+    def counted(t, z):
+        calls.append(t)
+        return rhs(t, z)
+
+    def counted_lane(t, y):
+        calls.append(t)
+        return rhs.lane(t, y)
+
+    counted.lane = counted_lane
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    nodes = integrate(rhs, 0.0, 3.0, z0).ts
+    none = count(lambda: integrate_checkpoints(counted, 0.0, 3.0, z0, ()))
+    on_nodes = count(lambda: integrate_checkpoints(
+        counted, 0.0, 3.0, z0, [0.0, *nodes[2:5], 3.0]))
+    assert on_nodes == none
+    one = count(lambda: integrate_checkpoints(counted, 0.0, 3.0, z0,
+                                              [0.0, 1.234, 3.0]))
+    assert one == none + 3
+    dense = count(lambda: integrate(counted, 0.0, 3.0, z0))
+    assert dense == none + 3 * (len(nodes) - 1)
+
+
 def test_scalar_and_numpy_interpolants_agree(e1):
     rhs, z0 = _e1_lane(e1, 2)
     lanes = integrate(rhs, 0.0, 2 * np.pi, z0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,23 @@ def test_fields_are_time_periodic(e1, e2, e3):
 def test_nonperiodic_system_rejected():
     with pytest.raises(ValueError, match="periodic"):
         system_from_expressions("bad", 1, 2 * np.pi, ("cos(t/2)",), ("0",))
+
+
+def test_nonfinite_field_rejected_at_a_named_sample():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"phi of 'bad' is not finite at "
+                           r"the periodicity sample t=.*, x=\["):
+            system_from_expressions("bad", 1, 2 * np.pi, ("1e300*x1*1e300",),
+                                    ("0",))
+
+
+def test_describe_lines_print_an_infinite_constant():
+    # 1e300*x1*1e300 folds its two constants into inf in the derivative
+    sysd = system_from_expressions("inf", 2, 2 * np.pi, ("0", "0"),
+                                   ("1e300*x1*1e300", "-x1"),
+                                   check_periodicity=False)
+    assert "div psi = inf" in sysd.describe_lines()
 
 
 @pytest.mark.parametrize("T", [np.inf, np.nan, 0.0])

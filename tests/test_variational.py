@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -496,3 +497,41 @@ def test_flow_lanes_with_no_lanes_and_lane_times_takes_no_step(e1, t0, t1):
     assert X.shape == (0, 2) and S.shape == (0, 2, 0)
     X, S = flow_lanes(e1, t0, t1, np.empty((0, 2)), tangents=2)
     assert X.shape == (0, 2) and S.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("phi,psi,eps,forcing,reads_t", [
+    (("1", "0"), ("-x2", "x1*cos(t)"), 0.0, None, True),
+    (("cos(t)", "0"), ("-x2", "x1"), 1e-2, None, True),
+    (("cos(t)", "0"), ("-x2", "x1"), 0.0, None, False),
+    (("1", "0"), ("-x2", "x1"), 1e-2, ("sin(t)", "0"), True),
+    (("1", "0"), ("-x2", "x1"), 1e-2, ("x1", "0"), False),
+], ids=["psi-reads-t", "phi-reads-t", "phi-unread-at-eps-0",
+        "forcing-reads-t", "autonomous"])
+def test_flow_lanes_passes_lane_times_where_the_field_reads_t(
+        monkeypatch, phi, psi, eps, forcing, reads_t):
+    from epsode import variational
+    sysd = make_sys(phi, psi)
+    forcings = () if forcing is None else (make_sys(forcing),)
+    t0, t1 = np.array([0.0, 1.0, 2.0]), np.array([2.0, -1.0, 5.0])
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 2))
+    # a copy whose psi claims to read t takes the per-lane path
+    opaque = copy.copy(sysd)
+    opaque.psi_autonomous = False
+    ref = flow_lanes(opaque, t0, t1, X, eps=eps, forcings=forcings)
+    seen, real = [], variational.augmented
+
+    def recording_augmented(*args, **kwargs):
+        rhs, pack, unpack = real(*args, **kwargs)
+
+        def recording(t, z):
+            seen.append(np.array(t))
+            return rhs(t, z)
+        return recording, pack, unpack
+
+    monkeypatch.setattr(variational, "augmented", recording_augmented)
+    got = flow_lanes(sysd, t0, t1, X, eps=eps, forcings=forcings)
+    assert seen and all(t.shape == ((3,) if reads_t else ()) for t in seen)
+    for t in seen if reads_t else ():
+        u = (t - t0) / (t1 - t0)  # every lane at one value of u
+        assert np.allclose(u, u[0], rtol=0, atol=1e-15)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
