@@ -370,6 +370,8 @@ def build_cycle(cfg, sys, icfg):
 # -- output helpers ---------------------------------------------------------
 
 def _fmt_value(v):
+    if type(v) is float:  # most cells: rows are built from tolist()
+        return repr(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -449,7 +451,8 @@ def _cmd_check(args, cfg, out):
             _phase_grid(cfg, "grids.theta_points", sys_def.T),
             cfg=icfg, **_given(cfg, cycle_tol="tolerances.cycle_tol"))
         cols = ("theta", "dist_to_one", "gap", "simple")
-        out.write_csv(cols, zip(*(rep.data.get(c, ()) for c in cols)))
+        out.write_csv(cols, zip(*(np.asarray(rep.data.get(c, ())).tolist()
+                                  for c in cols)))
         out.write_plot([(rep.data.get("theta", ()), rep.data.get("gap", ()),
                          "gap")],
                        "Floquet simplicity gap", "theta", "|mu_j - 1|")
@@ -458,7 +461,8 @@ def _cmd_check(args, cfg, out):
             cfg, n_samples="grids.a0_samples", a0_tol="tolerances.a0_tol"))
         pts = rep.data.get("points", np.zeros((0, sys_def.k)))
         res = rep.data.get("residuals", np.zeros(0))
-        rows = [(i, *pts[i], float(res[i])) for i in range(len(pts))]
+        rows = [(i, *p, r)
+                for i, (p, r) in enumerate(zip(pts.tolist(), res.tolist()))]
         out.write_csv(("index",) + tuple(f"x{j + 1}" for j in range(sys_def.k))
                       + ("residual",), rows)
         out.write_plot([(np.arange(len(res)), res, "residual")],
@@ -473,7 +477,8 @@ def _cmd_check(args, cfg, out):
         s_grid = rep.data["s_grid"]
         per_s = rep.data.get("min_norm_per_s", np.full(len(s_grid), rep.margin))
         out.write_csv(("s", "min_defect_norm"),
-                      list(zip(map(float, s_grid), map(float, per_s))))
+                      zip(np.asarray(s_grid, dtype=float).tolist(),
+                          np.asarray(per_s, dtype=float).tolist()))
         out.write_plot([(s_grid, per_s, "min defect")],
                        "Smallest defect norm per anchor", "s", "min |defect|")
     else:
@@ -484,8 +489,8 @@ def _cmd_check(args, cfg, out):
         vals = rep.data.get("values", np.zeros((0, 2)))
         norms = np.linalg.norm(vals, axis=1)
         out.write_csv(("x1", "x2", "F1", "F2", "norm"),
-                      [(p[0], p[1], v[0], v[1], float(n))
-                       for p, v, n in zip(pts, vals, norms)])
+                      [(*p, *v, n) for p, v, n in zip(
+                          pts.tolist(), vals.tolist(), norms.tolist())])
         out.write_plot([(np.arange(len(norms)), norms, "|defect|")],
                        "Defect field norm on the boundary", "sample", "|F|")
     print(rep.summary())
@@ -500,7 +505,7 @@ def _cmd_melnikov(args, cfg, out):
         sys_def, cycle, _phase_grid(cfg, "grids.theta_points", sys_def.T),
         **_given(cfg, cycle_tol="tolerances.cycle_tol"))
     out.write_csv(("theta", "M"),
-                  list(zip(prof.thetas, prof.values)))
+                  zip(prof.thetas.tolist(), prof.values.tolist()))
     out.write_plot([(prof.thetas, prof.values, "M(theta)")],
                    "Cycle integral profile", "theta", "M")
     rep = prof.check_A3_1(**_given(cfg, a3_tol="tolerances.a3_tol"))
@@ -599,8 +604,8 @@ def _cmd_average(args, cfg, out):
     cols = (tuple(f"xi{j + 1}" for j in range(sys_def.k))
             + tuple(f"Phi{j + 1}" for j in range(sys_def.k))
             + ("cauchy_estimate",))
-    rows = [tuple(s) + tuple(v) + (e,)
-            for s, v, e in zip(av.samples, vals, av.estimates)]
+    rows = [(*s, *v, e) for s, v, e in zip(
+        av.samples.tolist(), vals.tolist(), av.estimates.tolist())]
     out.write_csv(cols, rows)
     out.write_plot([(np.arange(len(vals)), np.linalg.norm(vals, axis=1),
                      "|Phi|")], "Averaged field at validation samples",
@@ -624,11 +629,10 @@ def _cmd_verify_cauchy(args, cfg, out):
     rows = []
     series = []
     for v in verdicts:
-        stride = max(1, len(v.times) // 256)
-        for i in range(0, len(v.times), stride):
-            rows.append((v.eps, float(v.times[i]))
-                        + tuple(v.x_values[i]) + tuple(v.approx_values[i])
-                        + (float(v.errors[i]),))
+        every = slice(None, None, max(1, len(v.times) // 256))
+        rows += [(v.eps, t, *x, *a, e) for t, x, a, e in zip(
+            *(w[every].tolist() for w in (v.times, v.x_values,
+                                          v.approx_values, v.errors)))]
         series.append((v.times, v.errors, f"eps={v.eps:g}"))
     cols = (("eps", "t") + tuple(f"x{j + 1}" for j in range(k))
             + tuple(f"approx{j + 1}" for j in range(k)) + ("error",))

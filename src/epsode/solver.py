@@ -236,6 +236,8 @@ _D = _sparse((4, 16), {
         13: 96.32455395918828, 14: -39.17726167561544,
         15: -149.72683625798564}})
 _B = _A[12, :12]
+# stage s of the numpy kernel: its node as a float and its row of _A
+_STAGES = [(float(_C[s]), _A[s, :s].copy()) for s in range(16)]
 _MIN_RTOL = 100 * float(np.finfo(float).eps)
 
 
@@ -308,9 +310,12 @@ class DOP853:
     """DOP853 stepper with scipy's initial step, controller and
     ``step()``/``status``/``t``/``y``/``t_old``/``y_old`` protocol.  A field
     whose unwrapped callable has a ``lane(t, y)`` (float t, lists in and
-    out) runs :func:`_scalar_kernel`; any other runs a numpy kernel that
-    repeats scipy's arithmetic, so it takes scipy's steps bit for bit.  A
-    step evaluates the field 12 times; :meth:`dense_coeffs` adds 3 more."""
+    out) runs :func:`_scalar_kernel`, and its ``y`` is a list after the
+    first step; any other runs a numpy kernel that repeats scipy's
+    arithmetic, so it takes scipy's steps bit for bit.  That kernel builds
+    each stage's argument in one fresh array, which the field may keep, and
+    the error estimate in a buffer of the stepper's own.  A step evaluates
+    the field 12 times; :meth:`dense_coeffs` adds 3 more."""
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         y = np.asarray(y0, dtype=float)
@@ -336,6 +341,8 @@ class DOP853:
                 float, (t0, t_bound, self.direction, self.h_abs))
             self._kernel, self._dense, self._interp = _scalar_kernel(self.n)
             self._state = (y.tolist(), self.f.tolist())
+        else:
+            self._work = np.empty((2, self.n))  # error scale and estimate
 
     def _initial_step(self):
         """Scipy's starting step (Hairer, Norsett and Wanner II.4)."""
@@ -352,6 +359,15 @@ class DOP853:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval)
 
+    def _stage(self, K, s, t, h, y):
+        """Stage s of a numpy step into ``K[s]``; the field gets a fresh
+        array, which it may keep."""
+        c, a = _STAGES[s]
+        x = np.dot(K[:s].T, a)
+        x *= h
+        x += y
+        K[s] = self.fun(t + c * h, x)
+
     def _trial(self, t, h):
         """The state, derivative, stages and error norm of a step h."""
         if self._lane is not None:
@@ -359,17 +375,25 @@ class DOP853:
             y_new, f_new, K, e5, e3 = self._kernel(self._lane, t, h, y, f,
                                                    self.atol, self.rtol)
         else:
-            (y, f), fun = self._state, self.fun  # scipy's rk_step, to the bit
+            y, f = self._state  # scipy's rk_step, to the bit
             K = np.empty((16, self.n))
             K[0] = f
             for s in range(1, 12):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:12].T, _B)
-            K[12] = f_new = fun(t + h, y_new)
-            scale = (self.atol
-                     + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol)
-            e5 = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
-            e3 = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
+                self._stage(K, s, t, h, y)
+            y_new = np.dot(K[:12].T, _B)
+            y_new *= h
+            y_new += y
+            K[12] = f_new = self.fun(t + h, y_new)
+            # scipy's error norm; norm(v) of a real vector is sqrt(v.dot(v))
+            scale, err = self._work
+            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=err),
+                       out=scale)
+            scale *= self.rtol
+            scale += self.atol
+            np.divide(np.dot(K[:13].T, _E5, out=err), scale, out=err)
+            e5 = math.sqrt(err.dot(err)) ** 2
+            np.divide(np.dot(K[:13].T, _E3, out=err), scale, out=err)
+            e3 = math.sqrt(err.dot(err)) ** 2
         if e5 == 0 and e3 == 0:
             return y_new, f_new, K, 0.0
         return y_new, f_new, K, abs(h) * e5 / math.sqrt((e5 + 0.01 * e3)
@@ -401,8 +425,7 @@ class DOP853:
         self.h_abs = h_abs * (min(1, factor) if rejected else factor)
         (y, _), self._state = self._state, (y_new, f_new)
         self._last = (t, h, y, y_new, K)
-        self.t_old, self.y_old, self.t = t, self.y, t_new
-        self.y = np.asarray(y_new, dtype=float)
+        self.t_old, self.y_old, self.t, self.y = t, self.y, t_new, y_new
         if direction * (t_new - self.t_bound) >= 0:
             self.status = "finished"
         return None
@@ -415,8 +438,7 @@ class DOP853:
         if self._lane is not None:
             return np.array(self._dense(self._lane, t, h, y, y_new, K))
         for s in range(13, 16):
-            K[s] = self.fun(t + _C[s] * h,
-                            y + np.dot(K[:s].T, _A[s, :s]) * h)
+            self._stage(K, s, t, h, y)
         dy = y_new - y
         F = np.empty((7, self.n))
         F[0], F[1] = dy, h * K[0] - dy
@@ -447,6 +469,15 @@ class DOP853:
         return out
 
 
+def _finite(y):
+    """Whether every value of a state is finite: a list on the lane path,
+    where numpy calls on a few floats would cost more than the step's
+    arithmetic, and an array otherwise."""
+    if type(y) is list:
+        return all(map(math.isfinite, y))
+    return bool(np.isfinite(y).all())
+
+
 # _accepted_steps looks the stepper up by this name, and perfbench's tracer
 # replaces it to count accepted steps
 RK45 = DOP853
@@ -474,7 +505,7 @@ def _accepted_steps(field, t0, t1, xi, cfg):
                 if solver.status == "failed":
                     raise IntegrationError(f"step failed ({msg})",
                                            solver.t, solver.y)
-                if not np.isfinite(solver.y).all():
+                if not _finite(solver.y):
                     raise IntegrationError("non-finite state", solver.t,
                                            solver.y)
                 yield solver
@@ -534,7 +565,7 @@ def integrate_checkpoints(field, t0, t1, xi, times, cfg=DEFAULT_CONFIG):
             values[order[done:stop]] = s.states_at(at[done:stop])
             done = stop
     values[order[done:]] = end  # t0 == t1, or past t1 within the slack
-    return values, end
+    return values, np.asarray(end)
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,22 @@ all its eps values);
 ``integrate_checkpoints`` computes every state at known times;
 ``integrate`` runs only in :func:`flow_omega_dense` here, and in
 ``periodic.shoot`` for its orbit and the averaged trajectory of
-``averaging``.  The state is ``n`` lanes laid end to end.
-A lane is ``x`` (k values) followed by a k x m matrix ``S`` stored row by
-row, with ``m = tangents + len(forcings)``:
+``averaging``.  The state holds ``n`` lanes.  A lane is ``x`` (k values)
+followed by a k x m matrix ``S`` stored row by row, ``dim = k*(1 + m)``
+values with ``m = tangents + len(forcings)``:
 
     x' = eps*phi(t, x) + psi(t, x)
     S' = J S + [0 | phi_1(t, x) ... phi_f(t, x)],   J = eps*Dphi + Dpsi
 
 The first ``tangents`` columns are homogeneous (a fundamental matrix when
 started at the identity); column ``tangents + j`` is the particular
-response to the phi of ``forcings[j]``.  ``pack`` and ``unpack`` convert
-between lanes and the flat state, so no caller indexes it.  One lane with
-no columns is ``x`` itself, so such a run is the trajectory of x.
+response to the phi of ``forcings[j]``.  The flat state lays the lanes
+end to end, except in a generated batch wider than ``_MATH_MAX_LANES``,
+which stores one row per lane component: component c of every lane is
+row c of a (dim, n) array, contiguous for its numpy binding.  ``pack`` and
+``unpack`` convert between lanes and the flat state, so no caller indexes
+it.  One lane with no columns is ``x`` itself, so such a run is the
+trajectory of x.
 
 For systems and forcings built from expressions one function of a lane,
 with the Jacobian products written out and structural zeros dropped, is
@@ -38,8 +42,9 @@ algebra, so its values keep the bits of the trees written out in full.
 It is compiled with ``math``, which runs lane by lane
 on ``z.tolist()`` for batches of up to ``_MATH_MAX_LANES`` lanes (several
 times faster than numpy there, as in the refinement rounds of winding
-numbers), and with numpy for wider batches.  Opaque callables run a loop
-of their pointwise evaluators.
+numbers), and with numpy for wider batches, which reads each component
+as a row and writes each derivative into one.  Opaque callables run a
+loop of their pointwise evaluators over lanes laid end to end.
 """
 
 from dataclasses import dataclass
@@ -58,7 +63,8 @@ __all__ = [
 
 
 # Widest batch that runs the math binding lane by lane; beyond it one numpy
-# call over the lane columns is cheaper (measured per RHS call on e1 and e2).
+# call over the component rows is cheaper (measured per RHS call on e1 and
+# e2).
 _MATH_MAX_LANES = 8
 
 
@@ -135,8 +141,11 @@ def augmented(sys, n, eps=0.0, tangents=0, forcings=()):
     ``pack(X, S=0.0)`` takes X of shape (n, k) (or (k,) for one lane) and S
     broadcastable to (n, k, m) and returns the flat state; ``unpack(z)``
     maps a state, or states stacked along leading axes, to ``(X, S)`` of
-    shapes (..., n, k) and (..., n, k, m).  With ``eps == 0`` neither phi
-    nor Dphi of ``sys`` is evaluated.  For a generated variant of up to
+    shapes (..., n, k) and (..., n, k, m).  The flat state's layout, lanes
+    end to end or (for a generated variant of more than
+    ``_MATH_MAX_LANES`` lanes) one row of n values per lane component, is
+    seen only through them.  With ``eps == 0`` neither phi nor Dphi of
+    ``sys`` is evaluated.  For a generated variant of up to
     ``_MATH_MAX_LANES`` lanes, ``rhs.lane(t, y)`` is the ``math`` binding for
     a float ``t``, taking and returning the state as a list; the solver's
     scalar kernel calls it.
@@ -144,22 +153,34 @@ def augmented(sys, n, eps=0.0, tangents=0, forcings=()):
     k = sys.k
     m = tangents + len(forcings)
     dim = k * (1 + m)
+    opaque = any(s.phi_exprs is None for s in (sys, *forcings))
+    rows = n > _MATH_MAX_LANES and not opaque
 
     def pack(X, S=0.0):
         Z = np.empty((n, dim))
         Z[:, :k] = np.reshape(X, (n, k))
         Z[:, k:] = np.broadcast_to(S, (n, k, m)).reshape(n, k * m)
-        return Z.ravel()
+        return (Z.T if rows else Z).ravel()
 
     def unpack(z):
-        Z = np.reshape(z, np.shape(z)[:-1] + (n, dim))
-        return Z[..., :k], Z[..., k:].reshape(Z.shape[:-1] + (k, m))
+        lead = np.shape(z)[:-1]
+        if rows:
+            Z = np.swapaxes(np.reshape(z, lead + (dim, n)), -1, -2)
+        else:
+            Z = np.reshape(z, lead + (n, dim))
+        return Z[..., :k], Z[..., k:].reshape(lead + (n, k, m))
 
-    if any(s.phi_exprs is None for s in (sys, *forcings)):
+    if opaque:
         return _lane_loop(sys, n, eps, tangents, forcings), pack, unpack
     one, many = _lane_functions(sys, eps, tangents, forcings)
 
-    if n <= _MATH_MAX_LANES:
+    if rows:
+        def rhs(t, z):
+            dZ = np.empty((dim, n))
+            for i, v in enumerate(many(t, z.reshape(dim, n))):
+                dZ[i] = v
+            return dZ.ravel()
+    else:
         def lanes(t, y):
             out = []
             for i in range(0, n * dim, dim):
@@ -176,12 +197,6 @@ def augmented(sys, n, eps=0.0, tangents=0, forcings=()):
                 out += one(tv, x)
             return np.array(out)
         rhs.lane = lane
-    else:
-        def rhs(t, z):
-            dZ = np.empty((n, dim))
-            for i, v in enumerate(many(t, z.reshape(n, dim).T)):
-                dZ[:, i] = v
-            return dZ.ravel()
 
     return rhs, pack, unpack
 
@@ -235,7 +250,7 @@ def flow_lanes(sys, t0, t1, X, cfg=DEFAULT_CONFIG, S=0.0, eps=0.0,
         return unpack(end if fractions is None else vals)
 
     span = t1 - t0
-    scale = np.repeat(span, len(z0) // n)
+    scale = pack(np.repeat(span[:, None], sys.k, 1), span[:, None, None])
     reads_t = not (sys.psi_autonomous
                    and (eps == 0 or sys.phi_autonomous)
                    and all(f.phi_autonomous for f in forcings))

@@ -1022,3 +1022,30 @@ def test_malformed_value_is_a_config_error_naming_its_key(
     key = override.split("=")[0]
     assert rc == 1 and err.startswith(f"config error: {key}: ")
     assert not out.exists()
+
+
+def _fmt_value_reference(v):
+    """CSV cell formatting before rows were built from tolist()."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def test_csv_cells_from_tolist_keep_their_text():
+    from epsode.cli import _fmt_value
+    floats = np.array([0.0, -0.0, 1.0, 0.1, -2.5e-300, 1e300, 5e-324,
+                       np.pi, np.inf, -np.inf, np.nan])
+    arrays = [floats, np.array([0, -3, 2**40]), np.array([True, False]),
+              np.array([0.1, -2.5, np.inf, np.nan], dtype=np.float32)]
+    for arr in arrays:
+        for np_value, py_value in zip(arr, arr.tolist()):
+            want = _fmt_value_reference(np_value)
+            assert _fmt_value(np_value) == want
+            assert _fmt_value(py_value) == want
+    for value in (1.5, 7, True, False, float("nan"), float("-inf"), "", "x",
+                  np.int64(4), np.bool_(True)):
+        assert _fmt_value(value) == _fmt_value_reference(value)

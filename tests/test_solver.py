@@ -229,6 +229,25 @@ def test_opaque_batch_takes_scipy_steps(e1):
     assert np.array_equal(ours.states, ref.y.T)
 
 
+def test_field_may_keep_the_states_it_is_given():
+    # every stage argument of the numpy kernel is a fresh array that the
+    # stepper never writes to afterwards
+    kept = []
+
+    def keeping(t, x):
+        kept.append((x, x.copy()))
+        return rotation(t, x)
+
+    ours = integrate(keeping, 0.0, 3.0, [1.0, 0.0])
+    ref = integrate(rotation, 0.0, 3.0, [1.0, 0.0])
+    assert np.array_equal(ours.states, ref.states)
+    assert len(kept) > 12 * (len(ours.ts) - 1)
+    assert len({id(x) for x, _ in kept}) == len(kept)
+    for i, (x, first) in enumerate(kept):
+        assert np.array_equal(x, first)
+        assert not any(np.shares_memory(x, y) for y, _ in kept[i + 1:])
+
+
 def test_tableau_is_scipys():
     from scipy.integrate._ivp import dop853_coefficients as ref
     from scipy.integrate._ivp.rk import DOP853

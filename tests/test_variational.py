@@ -309,14 +309,60 @@ def test_augmented_lanes_match_single_lane(name, eps, request):
             assert np.array_equal(Xb, X) and np.array_equal(Sb, S)
             for t in (0.0, 0.7, 4.1, np.linspace(0.0, 4.1, n)):
                 ts = np.broadcast_to(t, (n,))
-                many = rhs(t, z)
-                single = np.concatenate([rhs1(ts[i], pack1(X[i], S[i]))
-                                         for i in range(n)])
+                # lane by lane, whatever layout the flat state has
+                dX, dS = unpack(rhs(t, z))
+                many = np.hstack([dX, dS.reshape(n, -1)])
+                single = np.array([rhs1(ts[i], pack1(X[i], S[i]))
+                                   for i in range(n)])
                 assert np.max(np.abs(many - single)) <= 1e-14
                 values.append(many)
         half = len(values) // 2
         for generated, looped in zip(values[:half], values[half:]):
             assert np.max(np.abs(generated - looped)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 512])
+def test_pack_and_unpack_round_trip(e1, n):
+    # the flat state's layout (lanes end to end up to _MATH_MAX_LANES lanes,
+    # one row per component beyond) shows only through pack and unpack
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 2))
+    S = rng.normal(size=(n, 2, 3))
+    _, pack, unpack = augmented(e1, n, tangents=2, forcings=(e1,))
+    z = pack(X, S)
+    assert z.shape == (n * 8,)
+    Xb, Sb = unpack(z)
+    assert np.array_equal(Xb, X) and np.array_equal(Sb, S)
+    # states stacked along leading axes, as checkpoints return them
+    stack = np.array([[pack(X + i + 10 * j, S - i) for i in range(3)]
+                      for j in range(2)])
+    Xs, Ss = unpack(stack)
+    assert Xs.shape == (2, 3, n, 2) and Ss.shape == (2, 3, n, 2, 3)
+    for i, j in np.ndindex(3, 2):
+        assert np.array_equal(Xs[j, i], X + i + 10 * j)
+        assert np.array_equal(Ss[j, i], S - i)
+    # S broadcasts, and one lane may be given as (k,)
+    assert np.array_equal(unpack(pack(X, np.eye(2, 3)))[1],
+                          np.broadcast_to(np.eye(2, 3), (n, 2, 3)))
+    if n == 1:
+        assert np.array_equal(pack(X[0], S), z)
+
+
+@pytest.mark.parametrize("n", [9, 64])
+def test_per_lane_time_batches_match_their_solo_runs(e1, n):
+    # lane i runs on its own clock and its right-hand side is scaled by its
+    # own span, in whatever layout the batch stores its state
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-0.6, 0.6, (n, 2))  # inside the cycle, for backward runs
+    S = np.hstack([np.eye(2), np.zeros((2, 1))])
+    t0 = rng.uniform(-2.0, 2.0, n)
+    t1 = t0 + rng.uniform(-3.0, 3.0, n)
+    kw = dict(eps=1e-2, tangents=2, forcings=(e1,))
+    Xb, Sb = flow_lanes(e1, t0, t1, X, S=S, **kw)
+    for i in range(n):
+        Xi, Si = flow_lanes(e1, t0[i], t1[i], X[i], S=S, **kw)
+        for got, want in ((Xb[i], Xi[0]), (Sb[i], Si[0])):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_lane_code_is_generated_once_per_variant(monkeypatch):
